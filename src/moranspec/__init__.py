@@ -42,13 +42,12 @@ from .decider import (
     resample_admissibility,
 )
 from .exact import (
-    IntMatrix,
-    RationalMatrix,
+    Matrix,
     check_contraction,
     cyclotomic_polynomial,
     cyclotomic_vanishes,
+    mixed_radix_sums,
     operator_norm_upper,
-    rational_inverse,
 )
 from .masks import (
     DigitSet,

@@ -36,26 +36,36 @@ class TruncatedTransform:
     zero_level: int | None = None
 
 
-def _iterate_point(system: MoranSystem, point, depth: int):
-    """Yield (k, eta_k) for k = 1..depth with exact arithmetic when possible."""
-    exact = all(isinstance(c, (int, Fraction)) for c in point)
-    eta = tuple(Fraction(c) for c in point) if exact else tuple(float(c) for c in point)
+def _iterate_exact(system: MoranSystem, point, depth: int):
+    """Yield (k, level, v, q) with eta_k = v / q in lowest terms, for k = 1..depth."""
+    point = [Fraction(c) for c in point]
+    q = math.lcm(*(c.denominator for c in point))
+    v = tuple(c.numerator * (q // c.denominator) for c in point)
     for k in range(1, depth + 1):
         level = system.level(k)
         inv_t = inverse_transpose(level.matrix)
-        if exact:
-            eta = inv_t.mul_vec(eta)
-        else:
-            eta = tuple(float(sum(float(a) * b for a, b in zip(row, eta))) for row in inv_t.rows)
+        v, q = inv_t.mul_vec_num(v), q * inv_t.den
+        g = math.gcd(q, *v)
+        v, q = tuple(x // g for x in v), q // g
+        yield k, level, v, q
+
+
+def _iterate_float(system: MoranSystem, point, depth: int):
+    """Yield (k, level, eta_k) for k = 1..depth in floating point."""
+    eta = tuple(float(c) for c in point)
+    for k in range(1, depth + 1):
+        level = system.level(k)
+        rows = inverse_transpose(level.matrix).floats()
+        eta = tuple(float(sum(a * b for a, b in zip(row, eta))) for row in rows)
         yield k, level, eta
 
 
-def _residue_zero_hit(system: MoranSystem, level, eta) -> bool:
+def _residue_zero_hit(system: MoranSystem, level, v, q) -> bool:
+    """Whether eta = v / q lies on a zero coset line of the level's mask."""
     m = system.prime
-    scaled = tuple(m * c for c in eta)
-    if any(x.denominator != 1 for x in scaled):
+    if any(m * x % q for x in v):
         return False
-    residues = tuple(int(x) % m for x in scaled)
+    residues = tuple(m * x // q % m for x in v)
     return level.zeros.direction_for_residue(residues) is not None
 
 
@@ -75,8 +85,15 @@ def truncated_transform(system: MoranSystem, point: Sequence, depth: int) -> Tru
     zero_level = None
     eta = None
     exact = all(isinstance(c, (int, Fraction)) for c in point)
-    for k, level, eta in _iterate_point(system, point, depth):
-        if exact and not exact_zero and _residue_zero_hit(system, level, eta):
+    if exact:
+        iterates = (
+            (k, level, tuple(Fraction(x, q) for x in v), _residue_zero_hit(system, level, v, q))
+            for k, level, v, q in _iterate_exact(system, point, depth)
+        )
+    else:
+        iterates = ((k, level, eta, False) for k, level, eta in _iterate_float(system, point, depth))
+    for k, level, eta, hit in iterates:
+        if hit and not exact_zero:
             exact_zero = True
             zero_level = k
         if not exact_zero:
@@ -117,11 +134,11 @@ def find_zero_level(system: MoranSystem, point: Sequence, max_levels: int = 10_0
         raise ValueError("the zero vector is not in any zero set")
     m = system.prime
     c4 = Fraction(system.c) ** 4
-    for k, level, eta in _iterate_point(system, point, max_levels):
-        if _residue_zero_hit(system, level, eta):
+    for k, level, v, q in _iterate_exact(system, point, max_levels):
+        if _residue_zero_hit(system, level, v, q):
             return k
-        norm_sq = sum(c * c for c in eta)
-        if c4 * norm_sq * m * m < 1:
+        # c^4 |eta|^2 m^2 < 1 with eta = v / q, in integers
+        if c4.numerator * sum(x * x for x in v) * m * m < c4.denominator * q * q:
             return None
     raise RuntimeError("zero-set search failed to terminate; contraction data inconsistent")
 
@@ -179,9 +196,7 @@ def _exact_inverse_tables(system: MoranSystem, depth: int):
     for k in range(1, depth + 1):
         inv_t = inverse_transpose(system.level(k).matrix)
         acc = inv_t if acc is None else inv_t.mul(acc)
-        q = acc.denominator_lcm()
-        m_int = [[int(v * q) for v in row] for row in acc.rows]
-        tables.append((m_int, q))
+        tables.append((acc.num, acc.den))
     return tables
 
 
@@ -199,10 +214,10 @@ def transform_batch(system: MoranSystem, offsets: np.ndarray, base: Sequence, de
 def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth: int) -> np.ndarray:
     """Transform values at base_b + offset_p for every pair, shape (B, P).
 
-    Per level the integer phase parts take at most q distinct values, so
-    each mask factor is one root-of-unity table gather plus a small matrix
-    product against the per-base phase shifts, which keeps the scan cost
-    dominated by BLAS rather than by complex exponentials.
+    Per level the integer phase parts are exact residues mod q, turned once
+    into their (m, P) roots of unity; each mask factor is then a small
+    matrix product against the per-base phase shifts, which keeps the scan
+    cost dominated by BLAS rather than by complex exponentials.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim == 1:
@@ -225,21 +240,19 @@ def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth
         if n * n * max_m * max_lam * max_d < _INT64_LIMIT:
             m_arr = np.array(m_int, dtype=np.int64)
             int_phases = (d_arr @ (m_arr @ offsets.T)) % q  # (m, P)
-            roots = np.exp(2j * np.pi * np.arange(q) / q)
-            plans.append(("int", d_arr, a_float, int_phases, roots))
+            plans.append(("int", d_arr, a_float, np.exp(2j * np.pi * int_phases / q)))
         else:
-            plans.append(("float", d_arr, a_float, None, None))
+            plans.append(("float", d_arr, a_float, None))
 
     out = np.empty((n_bases, n_points), dtype=complex)
     chunk = max(1, 4_000_000 // max(n_points, 1))
     for b0 in range(0, n_bases, chunk):
         sub = bases_f[b0 : b0 + chunk]
         vals = np.ones((len(sub), n_points), dtype=complex)
-        for kind, d_arr, a_float, int_phases, roots in plans:
+        for kind, d_arr, a_float, roots in plans:
             if kind == "int":
                 shifts = np.exp(2j * np.pi * (d_arr @ (a_float @ sub.T)))  # (m, B)
-                gathered = roots[int_phases]  # (m, P)
-                vals *= (shifts.T @ gathered) / len(d_arr)
+                vals *= (shifts.T @ roots) / len(d_arr)
             else:
                 for bi in range(len(sub)):
                     eta = a_float @ (offsets.T + sub[bi][:, None])

@@ -2,10 +2,11 @@
 
 Levels are grouped K at a time into block matrices and digit towers. Each
 level contributes a centered coset label set C = {0, c^(1), ..., c^(m-1)},
-c^(l) congruent to l*nu mod m with c^(l)/m inside (-1/2, 1/2]^n; the block
-label set is the tower sum (1/m) * (R_1^t C_1 + R_1^t R_2^t C_2 + ...),
-integral exactly when each chosen direction nu satisfies m | nu^t R. The
-tower is then reduced into the fundamental domain N = R~^t(-1/2,1/2]^n
+c^(l) congruent to l*nu mod m with c^(l)/m inside (-1/2, 1/2]^n, and the
+level pair (R, D, (1/m) R^t C), integral exactly when the chosen direction
+nu satisfies m | nu^t R. The block pair is the tower of its level pairs,
+with labels (1/m) * (R_1^t C_1 + R_1^t R_2^t C_2 + ...). The labels are
+then reduced into the fundamental domain N = R~^t(-1/2,1/2]^n
 and re-verified exactly as a compatible pair. Spectrum level k is the
 mixed-radix sum L_0 + R~_0^t L_1 + ... + R~_0^t...R~_{k-1}^t L_k.
 """
@@ -14,18 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import (
     CapExceeded,
     CollisionDetected,
+    CongruenceViolation,
     ContainmentViolation,
     NoAdmissibleDirection,
     PairVerificationFailed,
 )
-from .exact import IntMatrix, RationalMatrix, rational_inverse, vec_add
-from .pairs import is_compatible_pair
-from .system import Level, MoranSystem, inverse_transpose
+from .exact import Matrix, mixed_radix_sums, vec_sub
+from .pairs import CompatiblePair, is_compatible_pair, tower_pair
+from .system import Level, MoranSystem
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,12 @@ class TransformRecord:
     normalized one; ``back`` is its inverse.
     """
 
-    forward: RationalMatrix
-    back: RationalMatrix
+    forward: Matrix
+    back: Matrix
 
     @property
     def is_identity(self) -> bool:
-        return self.forward == RationalMatrix.identity(self.forward.n)
+        return self.forward == Matrix.identity(self.forward.n)
 
 
 def normalize_first_level(system: MoranSystem):
@@ -55,10 +56,8 @@ def normalize_first_level(system: MoranSystem):
     m = system.prime
     n = system.dimension
     first = system.level(1)
-    target = IntMatrix.diagonal([m] * n)
-    forward = RationalMatrix.from_rows(
-        [[Fraction(m) * v for v in row] for row in rational_inverse(first.matrix.transpose()).rows]
-    )
+    target = Matrix.diagonal([m] * n)
+    forward = target.mul(first.matrix.transpose().inverse())
     back = forward.inverse()
     record = TransformRecord(forward=forward, back=back)
     if first.matrix == target:
@@ -163,7 +162,7 @@ def _centered_class(nu, m: int) -> tuple:
 @dataclass(frozen=True)
 class Block:
     index: int
-    matrix: IntMatrix  # R~ = R_{(k+1)K} ... R_{kK+1}
+    matrix: Matrix  # R~ = R_{(k+1)K} ... R_{kK+1}
     digits: tuple
     labels: tuple  # 0 first
     direction_indices: tuple
@@ -180,97 +179,71 @@ class BlockDecomposition:
         return self.blocks[k]
 
 
-def _reduce_into_fundamental_domain(vec, rt: IntMatrix, rt_inv: RationalMatrix):
+def _reduce_into_fundamental_domain(vec, rt: Matrix, rt_inv: Matrix):
     """Representative of vec mod R~^t Z^n inside R~^t (-1/2, 1/2]^n.
 
     Componentwise z = ceil(R~^-t v - 1/2) maps the boundary 1/2 into the
-    half-open domain.
+    half-open domain; with R~^-t v = y / den that is -floor((den - 2y) / 2den).
     """
-    y = rt_inv.mul_vec(vec)
-    z = tuple(math.ceil(c - Fraction(1, 2)) for c in y)
-    shift = rt.mul_vec(z)
-    return tuple(a - b for a, b in zip(vec, shift))
+    den = rt_inv.den
+    z = tuple(-((den - 2 * y) // (2 * den)) for y in rt_inv.mul_vec_num(vec))
+    return vec_sub(vec, rt.mul_vec(z))
+
+
+def _level_pair(system: MoranSystem, k: int, b: int):
+    """(R_k, D_k, (1/m) R_k^t C_k) for the least admissible direction, and its index."""
+    m = system.prime
+    level = system.level(k)
+    idx = find_admissible_direction(system, k)
+    if idx is None:
+        raise NoAdmissibleDirection(
+            k,
+            f"level {k} has no admissible direction"
+            + (" (normalize the first level to m*I first)" if k == 1 else ""),
+        )
+    rt = level.matrix.transpose()
+    labels = []
+    for c in _centered_class(level.zeros.directions[idx], m):
+        val = rt.mul_vec(c)
+        if any(x % m for x in val):
+            raise PairVerificationFailed(
+                b,
+                message=f"block {b}: label tower term at level {k} is not integral; "
+                "the chosen direction does not divide the matrix",
+            )
+        labels.append(tuple(x // m for x in val))
+    return CompatiblePair(matrix=level.matrix, digits=level.digits.digits, labels=tuple(labels)), idx
 
 
 def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposition:
     """Materialize the first ``blocks`` block pairs for block size K.
 
-    K defaults to choose_block_size. Each block is re-verified exactly as
-    a compatible pair; failure raises PairVerificationFailed and signals
-    an index-interpretation bug rather than a valid state.
+    K defaults to choose_block_size. Each block is the tower of its level
+    pairs with the labels reduced into the fundamental domain, re-verified
+    exactly as a compatible pair; failure raises PairVerificationFailed and
+    signals an index-interpretation bug rather than a valid state.
     """
     certified_K = None
     if K is None:
         certified_K = choose_block_size(system)
         K = certified_K
-    m = system.prime
-    n = system.dimension
     built = []
     for b in range(blocks):
-        level_ids = list(range(b * K + 1, (b + 1) * K + 1))
-        levels = [system.level(k) for k in level_ids]
-        dir_idx = []
-        for k in level_ids:
-            idx = find_admissible_direction(system, k)
-            if idx is None:
-                raise NoAdmissibleDirection(
-                    k,
-                    f"level {k} has no admissible direction"
-                    + (" (normalize the first level to m*I first)" if k == 1 else ""),
-                )
-            dir_idx.append(idx)
-
-        digit_coef = [IntMatrix.identity(n)] * K
-        for j in range(K - 2, -1, -1):
-            digit_coef[j] = digit_coef[j + 1].mul(levels[j + 1].matrix)
-        label_coef = [None] * K  # (1/m) R_1^t ... R_j^t as RationalMatrix
-        acc = RationalMatrix.identity(n)
-        for j in range(K):
-            acc = acc.mul(levels[j].matrix.transpose().to_rational())
-            label_coef[j] = RationalMatrix.from_rows([[v / m for v in row] for row in acc.rows])
-
-        digit_terms = [[digit_coef[j].mul_vec(d) for d in levels[j].digits.digits] for j in range(K)]
-        label_terms = []
-        for j in range(K):
-            reps = _centered_class(levels[j].zeros.directions[dir_idx[j]], m)
-            terms = []
-            for c in reps:
-                val = label_coef[j].mul_vec(c)
-                if any(x.denominator != 1 for x in val):
-                    raise PairVerificationFailed(
-                        b,
-                        message=f"block {b}: label tower term at level {level_ids[j]} is not integral; "
-                        "the chosen direction does not divide the matrix",
-                    )
-                terms.append(tuple(int(x) for x in val))
-            label_terms.append(terms)
-
-        # odometer with the earliest level fastest; keeps 0 as the first label
-        def tower(terms):
-            acc_elems = [tuple([0] * n)]
-            for level_list in terms:
-                acc_elems = [vec_add(base, t) for t in level_list for base in acc_elems]
-            return acc_elems
-
-        digits = tower(digit_terms)
-        raw_labels = tower(label_terms)
-
-        rtilde = levels[-1].matrix
-        for lvl in reversed(levels[:-1]):
-            rtilde = rtilde.mul(lvl.matrix)
-        rt = rtilde.transpose()
-        rt_inv = rational_inverse(rt)
-        labels = [_reduce_into_fundamental_domain(v, rt, rt_inv) for v in raw_labels]
-
-        if len(set(digits)) != m**K:
-            raise PairVerificationFailed(b, message=f"block {b}: digit tower collided")
-        if len(set(labels)) != m**K:
+        level_pairs, dir_idx = zip(*(_level_pair(system, k, b) for k in range(b * K + 1, (b + 1) * K + 1)))
+        try:
+            tower = tower_pair(level_pairs)
+        except CongruenceViolation as exc:
+            raise PairVerificationFailed(b, message=f"block {b}: {exc}") from exc
+        rt = tower.matrix.transpose()
+        rt_inv = rt.inverse()
+        labels = tuple(_reduce_into_fundamental_domain(v, rt, rt_inv) for v in tower.labels)
+        if len(set(labels)) != len(labels):
             raise PairVerificationFailed(b, message=f"block {b}: label tower collided after reduction")
-        ok, witness = is_compatible_pair(rtilde, digits, labels, mode="exact")
+        ok, witness = is_compatible_pair(tower.matrix, tower.digits, labels, mode="exact")
         if not ok:
             raise PairVerificationFailed(b, witness=witness)
         built.append(
-            Block(index=b, matrix=rtilde, digits=tuple(digits), labels=tuple(labels), direction_indices=tuple(dir_idx))
+            Block(index=b, matrix=tower.matrix, digits=tower.digits, labels=labels, direction_indices=dir_idx)
         )
     meets = certified_K is not None or K >= block_size_parameters(system).block
     return BlockDecomposition(system=system, K=K, blocks=tuple(built), meets_certified_bound=meets)
@@ -288,6 +261,12 @@ class SpectrumLevel:
         return len(self.elements)
 
 
+def check_level_cap(m: int, K: int, upto: int, cap: int):
+    """Raise CapExceeded when spectrum level ``upto`` would hold more than ``cap`` elements."""
+    if m ** (K * (upto + 1)) > cap:
+        raise CapExceeded(f"level {upto} holds m^(K*(k+1)) = {m ** (K * (upto + 1))} elements, cap is {cap}")
+
+
 def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = 10**6, enforce_containment=None):
     """Spectrum levels 0..upto, each nested as a prefix of the next.
 
@@ -297,32 +276,35 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = 10**6, enf
     default only when K meets the certified bound).
     """
     system = decomp.system
-    m = system.prime
     n = system.dimension
     K = decomp.K
     if enforce_containment is None:
         enforce_containment = decomp.meets_certified_bound
     if upto >= len(decomp.blocks):
         raise ValueError(f"only {len(decomp.blocks)} blocks built, need {upto + 1}")
-    if m ** (K * (upto + 1)) > cap:
-        raise CapExceeded(f"level {upto} holds m^(K*(k+1)) = {m ** (K * (upto + 1))} elements, cap is {cap}")
+    check_level_cap(system.prime, K, upto, cap)
 
+    blocks = decomp.blocks[: upto + 1]
+    assert all(block.labels[0] == (0,) * n for block in blocks)
+    coefs = [Matrix.identity(n)]  # R~_0^t ... R~_{k-1}^t
+    for block in blocks[:-1]:
+        coefs.append(coefs[-1].mul(block.matrix.transpose()))
+    # the earliest block varies fastest, so level k is a prefix of the top level
+    top = mixed_radix_sums(coefs, [block.labels for block in blocks])
     levels = []
-    elements = [tuple([0] * n)]
-    coef = IntMatrix.identity(n)  # R~_0^t ... R~_{k-1}^t
-    for k in range(upto + 1):
-        block = decomp.block(k)
-        shifted = [coef.mul_vec(l) for l in block.labels]
-        assert shifted[0] == tuple([0] * n)
-        elements = [vec_add(base, t) for t in shifted for base in elements]
-        if len(set(elements)) != len(elements):
+    seen = set()
+    size = 1
+    for k, block in enumerate(blocks):
+        size *= len(block.labels)
+        seen.update(top[len(seen) : size])
+        if len(seen) != size:
             raise CollisionDetected(f"level {k} sums are not pairwise distinct")
+        elements = tuple(top[:size])
         checked = False
         if enforce_containment:
             _check_containment(decomp, k, elements)
             checked = True
-        levels.append(SpectrumLevel(index=k, K=K, elements=tuple(elements), containment_checked=checked))
-        coef = coef.mul(block.matrix.transpose())
+        levels.append(SpectrumLevel(index=k, K=K, elements=elements, containment_checked=checked))
     return tuple(levels)
 
 
@@ -334,31 +316,24 @@ def _check_containment(decomp: BlockDecomposition, k: int, elements):
     """Exact check of (R~_0^t ... R~_k^t)^-1 Lambda_k inside the padded box.
 
     A cheap per-block bound (sum of coordinate maxima) is tried first; only
-    if it is inconclusive does the element-by-element rational check run.
+    if it is inconclusive does the element-by-element check run.
     """
     system = decomp.system
     n = system.dimension
     bound = Fraction(1, 2) + system.delta / 4
 
-    prod = IntMatrix.identity(n)
-    for j in range(k + 1):
-        prod = prod.mul(decomp.block(j).matrix.transpose())
     # conservative: coordinate maxima of (R~_j^t ... R~_k^t)^-1 L_j summed over j
     total = [Fraction(0)] * n
-    tail = IntMatrix.identity(n)
+    tail = Matrix.identity(n)
     for j in range(k, -1, -1):
         tail = decomp.block(j).matrix.transpose().mul(tail)
-        w = rational_inverse(tail)
-        maxima = [Fraction(0)] * n
-        for l in decomp.block(j).labels:
-            y = w.mul_vec(l)
-            for i in range(n):
-                maxima[i] = max(maxima[i], abs(y[i]))
-        total = [a + b for a, b in zip(total, maxima)]
+        w = tail.inverse()
+        images = [w.mul_vec_num(l) for l in decomp.block(j).labels]
+        total = [t + Fraction(max(abs(y[i]) for y in images), w.den) for i, t in enumerate(total)]
     if all(t <= bound for t in total):
         return
-    inv = rational_inverse(prod)
+    # w is now (R~_0^t ... R~_k^t)^-1 = W / den; |y / den| > p / q  <=>  |y| q > p den
+    limit = bound.numerator * w.den
     for lam in elements:
-        y = inv.mul_vec(lam)
-        if any(abs(c) > bound for c in y):
-            raise ContainmentViolation(f"level {k}: element {lam} maps to {tuple(map(str, y))} outside the box")
+        if any(abs(y) * bound.denominator > limit for y in w.mul_vec_num(lam)):
+            raise ContainmentViolation(f"level {k}: element {lam} maps to {tuple(map(str, w.mul_vec(lam)))} outside the box")

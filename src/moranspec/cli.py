@@ -18,6 +18,7 @@ from .analyzer import completeness_scan, verify_orthogonality
 from .builder import (
     block_size_parameters,
     build_blocks,
+    check_level_cap,
     choose_block_size,
     normalize_first_level,
     spectrum_levels,
@@ -123,6 +124,7 @@ def _prepare_blocks(system, args, levels_needed):
         K = choose_block_size(normalized)
         while args.cap and normalized.prime ** (K * (levels_needed + 1)) > args.cap and K > 1:
             K -= 1
+    check_level_cap(normalized.prime, K, levels_needed, args.cap or 10**6)
     decomp = build_blocks(normalized, K=K, blocks=levels_needed + 1)
     return normalized, record, decomp
 

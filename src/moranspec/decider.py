@@ -23,7 +23,7 @@ from .errors import (
     TemplateMismatch,
     ValidationFailure,
 )
-from .exact import IntMatrix, RationalMatrix, rational_inverse
+from .exact import Matrix
 from .masks import DigitSet, find_zero_directions
 from .system import MoranSystem
 
@@ -44,9 +44,27 @@ class Verdict:
         return {SPECTRAL: 0, NOT_SPECTRAL: 1}.get(self.outcome, 2)
 
 
-def _levels_from_two(system: MoranSystem):
-    """Distinct levels occurring at some index >= 2 (preamble tail plus cycle)."""
-    return list(system.levels_from(2))
+def _diagonal_divisibility(system: MoranSystem, criterion: str, certificate: dict, caveats=()) -> Verdict:
+    """Spectral iff m divides every diagonal entry of every level from 2 on.
+
+    The first failing entry is the NotSpectral witness; ``certificate``
+    holds the criterion's extra entries for either outcome.
+    """
+    for k, lvl in system.levels_from(2):
+        for i in range(system.dimension):
+            if lvl.matrix[i, i] % system.prime != 0:
+                return Verdict(
+                    outcome=NOT_SPECTRAL,
+                    criterion=criterion,
+                    certificate={"witness": (k, i + 1), "entry": lvl.matrix[i, i], **certificate},
+                    caveats=caveats,
+                )
+    return Verdict(
+        outcome=SPECTRAL,
+        criterion=criterion,
+        certificate={**certificate, "checked_levels": [k for k, _ in system.levels_from(2)]},
+        caveats=caveats,
+    )
 
 
 def decide_diagonal(system: MoranSystem) -> Verdict:
@@ -66,21 +84,7 @@ def decide_diagonal(system: MoranSystem) -> Verdict:
             caveats = (
                 "some zero directions have zero entries; the strict coset-line model assumes none",
             )
-    for k, lvl in _levels_from_two(system):
-        for i in range(system.dimension):
-            if lvl.matrix[i, i] % system.prime != 0:
-                return Verdict(
-                    outcome=NOT_SPECTRAL,
-                    criterion="diagonal-divisibility",
-                    certificate={"witness": (k, i + 1), "entry": lvl.matrix[i, i]},
-                    caveats=caveats,
-                )
-    return Verdict(
-        outcome=SPECTRAL,
-        criterion="diagonal-divisibility",
-        certificate={"checked_levels": [k for k, _ in _levels_from_two(system)]},
-        caveats=caveats,
-    )
+    return _diagonal_divisibility(system, "diagonal-divisibility", {}, caveats)
 
 
 def has_infinite_orthogonal_set(system: MoranSystem) -> bool:
@@ -127,7 +131,7 @@ def decide_single_direction(system: MoranSystem, horizon=None) -> Verdict:
             caveats=("box condition could not be certified",) + scan.caveats,
         )
     caveats = scan.caveats
-    for k, lvl in _levels_from_two(system):
+    for k, lvl in system.levels_from(2):
         nu = lvl.zeros.directions[0]
         row = lvl.matrix.transpose().mul_vec(nu)
         if any(x % system.prime != 0 for x in row):
@@ -140,7 +144,7 @@ def decide_single_direction(system: MoranSystem, horizon=None) -> Verdict:
     return Verdict(
         outcome=SPECTRAL,
         criterion="single-direction-divisibility",
-        certificate={"checked_levels": [k for k, _ in _levels_from_two(system)], "admissibility": scan.status},
+        certificate={"checked_levels": [k for k, _ in system.levels_from(2)], "admissibility": scan.status},
         caveats=caveats,
     )
 
@@ -148,7 +152,7 @@ def decide_single_direction(system: MoranSystem, horizon=None) -> Verdict:
 _TEMPLATES = ("upper-row", "upper-col", "lower-row", "lower-col")
 
 
-def _matches_template(matrix: IntMatrix, kind: str) -> bool:
+def _matches_template(matrix: Matrix, kind: str) -> bool:
     n = matrix.n
     diag = [matrix[i, i] for i in range(n)]
     for i in range(n):
@@ -166,7 +170,7 @@ def _matches_template(matrix: IntMatrix, kind: str) -> bool:
     return True
 
 
-def matching_templates(matrix: IntMatrix) -> tuple:
+def matching_templates(matrix: Matrix) -> tuple:
     return tuple(kind for kind in _TEMPLATES if _matches_template(matrix, kind))
 
 
@@ -187,19 +191,7 @@ def decide_triangular(system: MoranSystem) -> Verdict:
         common &= set(matching_templates(lvl.matrix))
         if not common:
             raise TemplateMismatch(f"level {k} breaks every shared triangular template")
-    for k, lvl in _levels_from_two(system):
-        for i in range(system.dimension):
-            if lvl.matrix[i, i] % system.prime != 0:
-                return Verdict(
-                    outcome=NOT_SPECTRAL,
-                    criterion="triangular-template",
-                    certificate={"witness": (k, i + 1), "entry": lvl.matrix[i, i], "template": sorted(common)},
-                )
-    return Verdict(
-        outcome=SPECTRAL,
-        criterion="triangular-template",
-        certificate={"template": sorted(common), "checked_levels": [k for k, _ in _levels_from_two(system)]},
-    )
+    return _diagonal_divisibility(system, "triangular-template", {"template": sorted(common)})
 
 
 @dataclass(frozen=True)
@@ -254,15 +246,14 @@ class AdmissibilityResult:
         return {"certified": 0, "violation": 1}.get(self.status, 2)
 
 
-def _box_widths(inv: RationalMatrix, half_ext: Fraction):
-    n = inv.n
-    return [half_ext * sum(abs(inv.rows[i][t]) for t in range(n)) for i in range(n)]
+def _box_widths(inv: Matrix, half_ext: Fraction):
+    return [half_ext * Fraction(sum(abs(v) for v in row), inv.den) for row in inv.num]
 
 
-def _support_lower_bound_ok(inv: RationalMatrix, half_ext: Fraction, point, u, beta: Fraction) -> bool:
+def _support_lower_bound_ok(inv: Matrix, half_ext: Fraction, point, u, beta: Fraction) -> bool:
     """Exact check of (<u, q> - h_P(u)) >= beta * |u| for the box image P."""
     n = inv.n
-    h = half_ext * sum(abs(sum(u[i] * inv.rows[i][t] for i in range(n))) for t in range(n))
+    h = half_ext * sum(abs(sum(u[i] * inv.num[i][t] for i in range(n))) for t in range(n)) / inv.den
     num = sum(a * b for a, b in zip(u, point)) - h
     if num < 0:
         return False
@@ -270,18 +261,20 @@ def _support_lower_bound_ok(inv: RationalMatrix, half_ext: Fraction, point, u, b
     return num * num >= beta * beta * u_sq
 
 
-def _violation_candidate(inv: RationalMatrix, half_ext: Fraction, point, beta: Fraction):
-    """Search for x in the box with |A^-1 x - q| < beta; exact on success."""
-    n = inv.n
-    g = np.array([[float(v) for v in row] for row in inv.rows])
-    q = np.array([float(v) for v in point])
-    half = float(half_ext)
+def _nearest_box_point(g: np.ndarray, q: np.ndarray, half: float, iterations: int) -> np.ndarray:
+    """Projected gradient descent for the x in [-half, half]^n minimizing |g x - q|."""
     x = np.clip(np.linalg.lstsq(g, q, rcond=None)[0], -half, half)
-    lip = 2 * np.linalg.norm(g, 2) ** 2
-    step = 1.0 / max(lip, 1e-9)
-    for _ in range(300):
+    step = 1.0 / max(2 * np.linalg.norm(g, 2) ** 2, 1e-9)
+    for _ in range(iterations):
         grad = 2 * g.T @ (g @ x - q)
         x = np.clip(x - step * grad, -half, half)
+    return x
+
+
+def _violation_candidate(inv: Matrix, half_ext: Fraction, point, beta: Fraction):
+    """Search for x in the box with |A^-1 x - q| < beta; exact on success."""
+    g = np.array(inv.floats())
+    x = _nearest_box_point(g, np.array([float(v) for v in point]), float(half_ext), 300)
     cand = [Fraction(v).limit_denominator(10**6) for v in x]
     cand = [max(-half_ext, min(half_ext, v)) for v in cand]
     y = inv.mul_vec(cand)
@@ -329,13 +322,9 @@ def _certify_product_against_family(inv, half_ext, beta, nu, m):
         if _support_lower_bound_ok(inv, half_ext, q, q, beta):
             continue
         # refine the separating direction from the float nearest point
-        g = np.array([[float(v) for v in row] for row in inv.rows])
+        g = np.array(inv.floats())
         qf = np.array([float(v) for v in q])
-        half = float(half_ext)
-        x = np.clip(np.linalg.lstsq(g, qf, rcond=None)[0], -half, half)
-        for _ in range(200):
-            grad = 2 * g.T @ (g @ x - qf)
-            x = np.clip(x - grad / max(2 * np.linalg.norm(g, 2) ** 2, 1e-9), -half, half)
+        x = _nearest_box_point(g, qf, float(half_ext), 200)
         u = [Fraction(v).limit_denominator(10**4) for v in (qf - g @ x)]
         if any(u) and _support_lower_bound_ok(inv, half_ext, q, tuple(u), beta):
             continue
@@ -405,7 +394,7 @@ def admissibility_scan(system: MoranSystem, horizon=None, delta=None, beta=None)
         for p in range(1, p_max + 1):
             mat_t = system.level(start + p - 1).matrix.transpose()
             acc = mat_t if acc is None else acc.mul(mat_t)
-            inv = rational_inverse(acc)
+            inv = acc.inverse()
             products_checked += 1
             for nu in families:
                 ok, wit, conclusive = _certify_product_against_family(inv, half_ext, beta, nu, m)
@@ -484,7 +473,7 @@ def resample_admissibility(system: MoranSystem, samples: int = 10_000, lengths=(
             acc = mat_t if acc is None else acc.mul(mat_t)
             if p not in lengths:
                 continue
-            inv = np.array([[float(v) for v in row] for row in rational_inverse(acc).rows])
+            inv = np.array(acc.inverse().floats())
             pts = rng.uniform(-half, half, size=(per_product, system.dimension))
             images = pts @ inv.T
             for nu in set(families):

@@ -1,8 +1,9 @@
 """Exact rational and integer linear algebra plus vanishing root-of-unity sums.
 
-Matrices are immutable tuples of tuples; rational entries are
-``fractions.Fraction`` so every inverse, product and comparison is exact.
-All functions here are pure and safe for unrestricted parallel use.
+A matrix is one integer numerator matrix over one positive denominator, so
+every inverse, product and comparison is exact integer work; Fractions
+appear only where entries are read one at a time. All functions here are
+pure and safe for unrestricted parallel use.
 """
 from __future__ import annotations
 
@@ -13,18 +14,13 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix, SizeMismatch
 
 IntVec = tuple
-RatVec = tuple
 
 
 def intvec(values: Iterable) -> IntVec:
     return tuple(int(v) for v in values)
-
-
-def ratvec(values: Iterable) -> RatVec:
-    return tuple(Fraction(v) for v in values)
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:
@@ -43,172 +39,154 @@ def vec_dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def _as_rows(rows) -> tuple:
-    out = tuple(tuple(row) for row in rows)
-    n = len(out)
-    if n == 0 or any(len(row) != n for row in out):
-        raise DimensionMismatch("matrix must be square and nonempty")
-    return out
+def _bareiss(rows):
+    """(det A, adj A) by Bareiss fraction-free Gauss-Jordan elimination of [A | I].
+
+    Every intermediate entry is a minor of [A | I], so each division by the
+    previous pivot is exact and no fraction is ever formed. After the last
+    step the left block is +-det(A) I and the right block +-adj(A), the
+    sign being that of the row permutation. adj is None when det is 0.
+    """
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row_k, p = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * v for v in row[n:]) for row in a)
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Square integer matrix with arbitrary-precision entries."""
+class Matrix:
+    """Square rational matrix ``num / den`` with integer numerators.
 
-    rows: tuple
+    ``den`` is positive and shares no factor with all of ``num``, so equal
+    matrices have equal fields. ``rows`` and ``m[i, j]`` give ints when
+    ``den`` is 1 and Fractions otherwise; hot loops read ``num`` and
+    ``den`` directly and divide once.
+    """
+
+    num: tuple
+    den: int = 1
+
+    def __post_init__(self):
+        if self.den == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        g = math.gcd(self.den, *(v for row in self.num for v in row))
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "num", tuple(tuple(v // g for v in row) for row in self.num))
+            object.__setattr__(self, "den", self.den // g)
 
     @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(v) for v in row) for row in _as_rows(rows)))
+    def from_rows(rows) -> "Matrix":
+        vals = [[Fraction(v) for v in row] for row in rows]
+        if not vals or any(len(row) != len(vals) for row in vals):
+            raise DimensionMismatch("matrix must be square and nonempty")
+        den = math.lcm(*(v.denominator for row in vals for v in row))
+        return Matrix(tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in vals), den)
 
     @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    def identity(n: int) -> "Matrix":
+        return Matrix.diagonal([1] * n)
 
     @staticmethod
-    def diagonal(entries) -> "IntMatrix":
-        entries = [int(e) for e in entries]
-        n = len(entries)
-        return IntMatrix(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
+    def diagonal(entries) -> "Matrix":
+        entries = list(entries)
+        return Matrix.from_rows([[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)])
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.num)
+
+    @property
+    def rows(self) -> tuple:
+        if self.den == 1:
+            return self.num
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.num)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        v = self.num[i][j]
+        return v if self.den == 1 else Fraction(v, self.den)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+    def floats(self) -> list:
+        """Entries rounded to the nearest float, as nested lists."""
+        return [[v / self.den for v in row] for row in self.num]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
+    def transpose(self) -> "Matrix":
+        return Matrix(tuple(zip(*self.num)), self.den)
+
+    def mul(self, other: "Matrix") -> "Matrix":
         if self.n != other.n:
             raise DimensionMismatch("matrix sizes differ")
-        cols = other.transpose().rows
-        return IntMatrix(tuple(tuple(vec_dot(r, c) for c in cols) for r in self.rows))
+        cols = tuple(zip(*other.num))
+        return Matrix(tuple(tuple(vec_dot(r, c) for c in cols) for r in self.num), self.den * other.den)
 
     def __matmul__(self, other):
         return self.mul(other)
 
-    def mul_vec(self, v: Sequence) -> tuple:
+    def mul_vec_num(self, v: Sequence) -> tuple:
+        """``num @ v``, i.e. ``den`` times the product with v."""
         if len(v) != self.n:
             raise DimensionMismatch("vector length differs from matrix size")
-        return tuple(vec_dot(r, v) for r in self.rows)
+        return tuple(vec_dot(r, v) for r in self.num)
 
-    def det(self) -> int:
-        d = _det_fraction([[Fraction(v) for v in row] for row in self.rows])
-        assert d.denominator == 1
-        return int(d)
+    def mul_vec(self, v: Sequence) -> tuple:
+        out = self.mul_vec_num(v)
+        if self.den == 1:
+            return out
+        return tuple(Fraction(x, self.den) if isinstance(x, int) else x / self.den for x in out)
+
+    def det(self):
+        d = _bareiss(self.num)[0]
+        return d if self.den == 1 else Fraction(d, self.den**self.n)
+
+    def inverse(self) -> "Matrix":
+        """Exact inverse; raises SingularMatrix when the determinant is 0."""
+        d, adj = _bareiss(self.num)
+        if not d:
+            raise SingularMatrix("matrix is singular")
+        return Matrix(tuple(tuple(v * self.den for v in row) for row in adj), d)
+
+    def trace(self):
+        t = sum(self.num[i][i] for i in range(self.n))
+        return t if self.den == 1 else Fraction(t, self.den)
 
     def is_diagonal(self) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
-
-    def to_rational(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(Fraction(v) for v in row) for row in self.rows))
+        return all(self.num[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Square matrix of Fractions."""
+def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> list:
+    """All sums ``coefs[0] v_0 + coefs[1] v_1 + ...`` with v_j in ``sets[j]``.
 
-    rows: tuple
-
-    @staticmethod
-    def from_rows(rows) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(Fraction(v) for v in row) for row in _as_rows(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.rows)))
-
-    def mul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.n != other.n:
-            raise DimensionMismatch("matrix sizes differ")
-        cols = other.transpose().rows
-        return RationalMatrix(tuple(tuple(vec_dot(r, c) for c in cols) for r in self.rows))
-
-    def __matmul__(self, other):
-        return self.mul(other)
-
-    def mul_vec(self, v: Sequence) -> tuple:
-        if len(v) != self.n:
-            raise DimensionMismatch("vector length differs from matrix size")
-        return tuple(vec_dot(r, v) for r in self.rows)
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.n)), Fraction(0))
-
-    def inverse(self) -> "RationalMatrix":
-        return _gauss_jordan_inverse(self.rows)
-
-    def is_integer(self) -> bool:
-        return all(v.denominator == 1 for row in self.rows for v in row)
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for row in self.rows:
-            for v in row:
-                out = out * v.denominator // math.gcd(out, v.denominator)
-        return out
-
-
-def _det_fraction(rows) -> Fraction:
-    # Gaussian elimination with exact pivots; rows is a mutable list copy.
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
-def _gauss_jordan_inverse(rows) -> RationalMatrix:
-    n = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] = [v * inv for v in b[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-                b[r] = [v - factor * w for v, w in zip(b[r], b[col])]
-    return RationalMatrix(tuple(tuple(row) for row in b))
-
-
-def rational_inverse(m: IntMatrix) -> RationalMatrix:
-    """Exact inverse of an integer matrix; raises SingularMatrix on det 0."""
-    return _gauss_jordan_inverse(m.rows)
+    The earliest set varies fastest, so with the zero vector first in every
+    set the sums over the first j sets form a prefix of the result. Terms
+    are accumulated as integer numerators over one common denominator and
+    divided once at the end; entries are ints when that denominator is 1.
+    """
+    if not coefs or len(coefs) != len(sets):
+        raise SizeMismatch("need one coefficient matrix per nonempty list of sets")
+    den = math.lcm(*(c.den for c in coefs))
+    acc = [(0,) * coefs[0].n]
+    for coef, vecs in zip(coefs, sets):
+        scale = den // coef.den
+        terms = [tuple(scale * x for x in coef.mul_vec_num(v)) for v in vecs]
+        acc = [tuple(a + b for a, b in zip(base, t)) for t in terms for base in acc]
+    if den == 1:
+        return acc
+    return [tuple(Fraction(x, den) for x in p) for p in acc]
 
 
 def _log2_fraction(x: Fraction) -> float:
@@ -225,7 +203,7 @@ def _sqrt_fraction_exact(x: Fraction):
     return None
 
 
-def operator_norm_upper(m: RationalMatrix, squarings: int = 6) -> float:
+def operator_norm_upper(m: Matrix, squarings: int = 6) -> float:
     """Certified upper bound on the Euclidean operator norm of ``m``.
 
     Uses trace(G^k)^(1/2k) for the Gram matrix G = m^T m, which bounds the
@@ -236,7 +214,7 @@ def operator_norm_upper(m: RationalMatrix, squarings: int = 6) -> float:
     rounding can never drop it below the true norm.
     """
     g = m.transpose().mul(m)
-    frob_sq = g.trace()
+    frob_sq = Fraction(g.trace())
     if frob_sq == 0:
         return 0.0
     exact = _sqrt_fraction_exact(frob_sq)
@@ -244,55 +222,44 @@ def operator_norm_upper(m: RationalMatrix, squarings: int = 6) -> float:
     for _ in range(squarings):
         g = g.mul(g)
     k = 2 ** squarings
-    bound = 2.0 ** (_log2_fraction(g.trace()) / (2.0 * k)) * (1 + 1e-9)
+    bound = 2.0 ** (_log2_fraction(Fraction(g.trace())) / (2.0 * k)) * (1 + 1e-9)
     return min(bound, frob)
 
 
-def _principal_minors_nonneg(rows) -> bool:
-    n = len(rows)
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            sub = [[rows[i][j] for j in subset] for i in subset]
-            if _det_fraction(sub) < 0:
-                return False
-    return True
+def _submatrix(rows, subset):
+    return [[rows[i][j] for j in subset] for i in subset]
 
 
-def _leading_minors_positive(rows) -> bool:
-    n = len(rows)
-    for size in range(1, n + 1):
-        sub = [[rows[i][j] for j in range(size)] for i in range(size)]
-        if _det_fraction(sub) <= 0:
-            return False
-    return True
-
-
-def norm_bound_holds(m: RationalMatrix, bound, strict: bool = False) -> bool:
+def norm_bound_holds(m: Matrix, bound, strict: bool = False) -> bool:
     """Exact test of ``operator norm of m <= bound`` (or ``<`` when strict).
 
     Equivalent to positive (semi)definiteness of bound^2 I - m^T m, decided
-    by principal minors in exact rational arithmetic. Unlike the float
-    bound above, this is sharp at equality.
+    by principal minors (leading ones when strict). With bound = p/q and
+    m^T m = G/d the test runs on the integer matrix p^2 d I - q^2 G, a
+    positive multiple. Unlike the float bound above, this is sharp at
+    equality.
     """
     b = Fraction(bound)
     if b < 0:
         return False
     g = m.transpose().mul(m)
+    p2d, q2 = b.numerator**2 * g.den, b.denominator**2
     n = g.n
-    s = [[(b * b if i == j else Fraction(0)) - g.rows[i][j] for j in range(n)] for i in range(n)]
+    s = [[(p2d if i == j else 0) - q2 * g.num[i][j] for j in range(n)] for i in range(n)]
     if strict:
-        return _leading_minors_positive(s)
-    return _principal_minors_nonneg(s)
+        return all(_bareiss(_submatrix(s, range(size)))[0] > 0 for size in range(1, n + 1))
+    return all(
+        _bareiss(_submatrix(s, subset))[0] >= 0 for size in range(1, n + 1) for subset in combinations(range(n), size)
+    )
 
 
-def check_contraction(m: IntMatrix, r, strict: bool = False) -> bool:
+def check_contraction(m: Matrix, r, strict: bool = False) -> bool:
     """True iff the inverse of ``m`` has Euclidean operator norm <= r.
 
     Decided exactly, so boundary cases such as diag[m,...,m] with r = 1/m
     come out true. Raises SingularMatrix when det(m) = 0.
     """
-    inv = rational_inverse(m)
-    return norm_bound_holds(inv, Fraction(r), strict=strict)
+    return norm_bound_holds(m.inverse(), Fraction(r), strict=strict)
 
 
 def _poly_divmod_int(num, den):

@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from . import exact
 from .errors import CongruenceViolation, DimensionMismatch, SizeMismatch
-from .exact import IntMatrix, RationalMatrix, intvec, rational_inverse, vec_add, vec_dot, vec_sub
+from .exact import Matrix, intvec, mixed_radix_sums, vec_add, vec_dot, vec_sub
 
 
 @dataclass(frozen=True)
 class CompatiblePair:
     """Verified (R^-1 D, L) pair; ``status`` is "exact", "numeric" or "failed"."""
 
-    matrix: IntMatrix
+    matrix: Matrix
     digits: tuple
     labels: tuple
     status: str = "unverified"
@@ -37,7 +37,7 @@ def _normalize_vectors(vectors) -> tuple:
     return tuple(intvec(v) for v in vectors)
 
 
-def is_compatible_pair(matrix: IntMatrix, digits, labels, mode: str = "exact", tol: float = 1e-9):
+def is_compatible_pair(matrix: Matrix, digits, labels, mode: str = "exact", tol: float = 1e-9):
     """Check unitarity of the pair matrix; returns (ok, witness).
 
     ``witness`` is the offending label pair on failure, else None. Exact
@@ -52,27 +52,27 @@ def is_compatible_pair(matrix: IntMatrix, digits, labels, mode: str = "exact", t
     n = matrix.n
     if any(len(v) != n for v in digits) or any(len(v) != n for v in labels):
         raise DimensionMismatch("vector dimension differs from matrix size")
-    inv_t = rational_inverse(matrix).transpose()
+    inv = matrix.inverse()
 
     if mode == "exact":
+        # <R^-1 d, l - l'> = <N d, l - l'> / den with R^-1 = N / den; the
+        # least common denominator of the inner products is den / g.
+        den = inv.den
+        rows = [inv.mul_vec_num(d) for d in digits]
         for a in range(len(labels)):
             for b in range(a + 1, len(labels)):
                 diff = vec_sub(labels[a], labels[b])
-                w = inv_t.mul_vec(diff)
-                inner = [vec_dot(d, w) for d in digits]
-                q = 1
-                for x in inner:
-                    q = q * x.denominator // math.gcd(q, x.denominator)
-                exps = [int(x * q) % q for x in inner]
-                if not _roots_sum_vanishes(exps, q):
+                inner = [vec_dot(r, diff) for r in rows]
+                g = math.gcd(den, *inner)
+                q = den // g
+                if not exact.cyclotomic_vanishes([(x // g) % q for x in inner], q):
                     return False, (labels[a], labels[b])
         return True, None
 
     if mode == "numeric":
-        inv = np.array([[float(v) for v in row] for row in rational_inverse(matrix).rows])
         d_arr = np.array(digits, dtype=float)
         l_arr = np.array(labels, dtype=float)
-        phases = (d_arr @ inv.T) @ l_arr.T
+        phases = (d_arr @ np.array(inv.floats()).T) @ l_arr.T
         h = np.exp(2j * np.pi * phases) / math.sqrt(len(digits))
         gram = h.conj().T @ h
         err = np.abs(gram - np.eye(len(labels)))
@@ -86,13 +86,7 @@ def is_compatible_pair(matrix: IntMatrix, digits, labels, mode: str = "exact", t
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _roots_sum_vanishes(exps, q):
-    from .exact import cyclotomic_vanishes
-
-    return cyclotomic_vanishes(exps, q)
-
-
-def verify_pair(matrix: IntMatrix, digits, labels, mode: str = "exact", tol: float = 1e-9) -> CompatiblePair:
+def verify_pair(matrix: Matrix, digits, labels, mode: str = "exact", tol: float = 1e-9) -> CompatiblePair:
     ok, _ = is_compatible_pair(matrix, digits, labels, mode=mode, tol=tol)
     return CompatiblePair(
         matrix=matrix,
@@ -123,15 +117,13 @@ def reduce_pair_mod(pair: CompatiblePair, new_digits, new_labels) -> CompatibleP
     new_labels = _normalize_vectors(new_labels)
     if len(new_digits) != len(pair.digits) or len(new_labels) != len(pair.labels):
         raise SizeMismatch("replacement sets must match the original sizes")
-    inv = rational_inverse(pair.matrix)
+    inv = pair.matrix.inverse()
     inv_t = inv.transpose()
     for old, new in zip(pair.digits, new_digits):
-        quot = inv_t.mul_vec(vec_sub(new, old))
-        if any(x.denominator != 1 for x in quot):
+        if any(x % inv.den for x in inv_t.mul_vec_num(vec_sub(new, old))):
             raise CongruenceViolation(f"digit {new} is not congruent to {old} mod R^t")
     for old, new in zip(pair.labels, new_labels):
-        quot = inv.mul_vec(vec_sub(new, old))
-        if any(x.denominator != 1 for x in quot):
+        if any(x % inv.den for x in inv.mul_vec_num(vec_sub(new, old))):
             raise CongruenceViolation(f"label {new} is not congruent to {old} mod R")
     return replace(pair, digits=new_digits, labels=new_labels)
 
@@ -150,42 +142,24 @@ def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
     n = pairs[0].matrix.n
     if any(p.matrix.n != n for p in pairs):
         raise DimensionMismatch("levels have mixed dimensions")
-    K = len(pairs)
-    # coefficient of level j digits: product of the matrices above it
-    digit_coef = [IntMatrix.identity(n)] * K
-    for j in range(K - 2, -1, -1):
-        digit_coef[j] = digit_coef[j + 1].mul(pairs[j + 1].matrix)
-    label_coef = [IntMatrix.identity(n)] * K
-    for j in range(1, K):
-        label_coef[j] = label_coef[j - 1].mul(pairs[j - 1].matrix.transpose())
-
-    digit_terms = [[coef.mul_vec(d) for d in p.digits] for coef, p in zip(digit_coef, pairs)]
-    label_terms = [[coef.mul_vec(l) for l in p.labels] for coef, p in zip(label_coef, pairs)]
-
-    def sums(terms):
-        acc = [tuple([0] * n)]
-        for level in terms:
-            acc = [vec_add(base, t) for t in level for base in acc]
-        return acc
-
-    digits = sums(digit_terms)
-    labels = sums(label_terms)
+    # digits: level j is multiplied by the matrices above it, R_K ... R_{j+1}
+    digit_coef = [Matrix.identity(n)]
+    for p in reversed(pairs[1:]):
+        digit_coef.insert(0, digit_coef[0].mul(p.matrix))
+    # labels: level j is multiplied by the transposes below it, R_1^t ... R_{j-1}^t
+    label_coef = [Matrix.identity(n)]
+    for p in pairs[:-1]:
+        label_coef.append(label_coef[-1].mul(p.matrix.transpose()))
+    digits = mixed_radix_sums(digit_coef, [p.digits for p in pairs])
+    labels = mixed_radix_sums(label_coef, [p.labels for p in pairs])
     if len(set(digits)) != len(digits) or len(set(labels)) != len(labels):
         raise CongruenceViolation("tower produced colliding elements")
-    matrix = pairs[-1].matrix
-    for p in reversed(pairs[:-1]):
-        matrix = matrix.mul(p.matrix)
+    matrix = digit_coef[0].mul(pairs[0].matrix)
     return CompatiblePair(matrix=matrix, digits=tuple(digits), labels=tuple(labels), status="unverified")
 
 
-def distinct_mod(vectors, matrix: IntMatrix) -> bool:
+def distinct_mod(vectors, matrix: Matrix) -> bool:
     """Whether all vectors fall in distinct cosets of Z^n / matrix Z^n."""
-    inv = rational_inverse(matrix)
-    seen = set()
-    for v in vectors:
-        y = inv.mul_vec(v)
-        key = tuple(Fraction(c) - math.floor(c) for c in y)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    inv = matrix.inverse()
+    keys = {tuple(x % inv.den for x in inv.mul_vec_num(v)) for v in vectors}
+    return len(keys) == len(vectors)

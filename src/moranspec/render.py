@@ -1,19 +1,19 @@
 """Truncated attractor point clouds and file emission (CSV, SVG, PPM).
 
 Support points are the finite sums over digit strings of the inverse
-matrix products applied to digits, accumulated exactly in rationals and
-converted to floats only for output, so rounding never compounds across
-levels. Enumeration is an odometer over digit indices, which makes every
-emitted file byte-reproducible.
+matrix products applied to digits, accumulated exactly as integers over
+one common denominator and converted to floats only for output, so
+rounding never compounds across levels. Enumeration is mixed-radix over
+digit indices with the deepest level fastest, which makes every emitted
+file byte-reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import CapExceeded, IoFailure
-from .exact import RationalMatrix, rational_inverse
+from .exact import mixed_radix_sums
 from .system import MoranSystem
 
 
@@ -42,16 +42,12 @@ def support_points(system: MoranSystem, depth: int, cap: int = 200_000) -> Point
     total = system.prime**depth
     if total > cap:
         raise CapExceeded(f"{total} points at depth {depth} exceed the cap {cap}")
-    n = system.dimension
-    coef = RationalMatrix.identity(n)
-    tables = []
-    for k in range(1, depth + 1):
-        level = system.level(k)
-        coef = coef.mul(rational_inverse(level.matrix))
-        tables.append([coef.mul_vec(d) for d in level.digits.digits])
-    points = [tuple([Fraction(0)] * n)]
-    for table in tables:
-        points = [tuple(a + b for a, b in zip(base, term)) for base in points for term in table]
+    coefs = [system.level(1).matrix.inverse()]
+    for k in range(2, depth + 1):
+        coefs.append(coefs[-1].mul(system.level(k).matrix.inverse()))
+    # the deepest level varies fastest, the order every emitted file keeps
+    sets = [system.level(k).digits.digits for k in range(1, depth + 1)]
+    points = mixed_radix_sums(coefs[::-1], sets[::-1])
     return PointCloud(depth=depth, points=tuple(points))
 
 

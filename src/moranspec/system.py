@@ -14,13 +14,13 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import ValidationFailure
-from .exact import IntMatrix, RationalMatrix, check_contraction, operator_norm_upper, rational_inverse
+from .exact import Matrix, check_contraction, operator_norm_upper
 from .masks import DigitSet, ZeroStructure, find_zero_directions, is_prime
 
 
 @dataclass(frozen=True)
 class Level:
-    matrix: IntMatrix
+    matrix: Matrix
     digits: DigitSet
     zeros: ZeroStructure
 
@@ -87,7 +87,7 @@ class MoranSystem:
         return self.preamble + self.cycle
 
 
-def _level_from_parts(dimension: int, prime: int, matrix: IntMatrix, digits: DigitSet, zeros, where: str) -> Level:
+def _level_from_parts(dimension: int, prime: int, matrix: Matrix, digits: DigitSet, zeros, where: str) -> Level:
     if matrix.n != dimension:
         raise ValidationFailure("format", f"{where}: matrix is {matrix.n}x{matrix.n}, expected {dimension}", where)
     if digits.n != dimension:
@@ -153,7 +153,8 @@ def build_system(
         out = []
         for i, item in enumerate(raw):
             matrix, digits, zeros = item if len(item) == 3 else (*item, None)
-            matrix = matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
+            if not isinstance(matrix, Matrix):
+                matrix = Matrix.from_rows([[int(v) for v in row] for row in matrix])
             digits = digits if isinstance(digits, DigitSet) else DigitSet.from_vectors(digits)
             out.append(_level_from_parts(dimension, prime, matrix, digits, zeros, f"{tag}[{i}]"))
         return tuple(out)
@@ -165,7 +166,7 @@ def build_system(
 
     levels = preamble_levels + cycle_levels
     if r is None:
-        bounds = [operator_norm_upper(rational_inverse(lvl.matrix)) for lvl in levels]
+        bounds = [operator_norm_upper(lvl.matrix.inverse()) for lvl in levels]
         r_val = max(bounds)
         r_exact = None
     else:
@@ -200,10 +201,6 @@ def build_system(
 
 
 @lru_cache(maxsize=None)
-def _inverse_transpose_cached(matrix: IntMatrix) -> RationalMatrix:
-    return rational_inverse(matrix).transpose()
-
-
-def inverse_transpose(matrix: IntMatrix) -> RationalMatrix:
+def inverse_transpose(matrix: Matrix) -> Matrix:
     """Cached (R^t)^-1 for the hot iteration paths."""
-    return _inverse_transpose_cached(matrix)
+    return matrix.transpose().inverse()

@@ -24,7 +24,7 @@ from moranspec.decider import (
     resample_admissibility,
 )
 from moranspec.errors import DeterminantViolation
-from moranspec.exact import IntMatrix
+from moranspec.exact import Matrix
 from moranspec.masks import DigitSet, find_zero_directions, mask_eval
 from moranspec.pairs import is_compatible_pair, reduce_pair_mod, tower_pair, translate_pair
 from moranspec.render import read_ppm, render, support_points

@@ -282,3 +282,29 @@ def test_certified_flag_reflects_contraction_regime():
     assert not far.certified
     deep = truncated_transform(system, (Fraction(900), Fraction(900)), 12)
     assert deep.certified  # twelve contractions pull the point into range
+
+
+def test_transform_batch_memory_stays_below_root_table():
+    # staircase_spectral at depth 7 has q = 5 * 10^6, so a table of all q
+    # roots of unity would take 80 MB; the batch needs only m x P of them.
+    import tracemalloc
+    from pathlib import Path
+
+    from moranspec.analyzer import _exact_inverse_tables, transform_batch_multi
+    from moranspec.builder import normalize_first_level
+    from moranspec.specfile import load_system
+
+    system, _ = normalize_first_level(load_system(Path(__file__).parent / "fixtures" / "staircase_spectral.json"))
+    levels = spectrum_levels(build_blocks(system, K=2, blocks=2), 1, enforce_containment=False)
+    offsets = np.array(levels[-1].elements, dtype=np.int64)
+    bases = [np.array(idx, dtype=float) / 8 for idx in np.ndindex(8, 8)]
+    table_bytes = 16 * max(q for _, q in _exact_inverse_tables(system, 7))
+    assert table_bytes >= 80e6
+    tracemalloc.start()
+    try:
+        values = transform_batch_multi(system, offsets, bases, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (64, 625)
+    assert peak < table_bytes / 5

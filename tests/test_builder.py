@@ -15,7 +15,7 @@ from moranspec.builder import (
     spectrum_levels,
 )
 from moranspec.errors import CapExceeded, ContainmentViolation, NoAdmissibleDirection
-from moranspec.exact import IntMatrix, rational_inverse
+from moranspec.exact import Matrix
 from moranspec.pairs import is_compatible_pair
 from moranspec.system import build_system
 
@@ -41,8 +41,8 @@ def test_normalize_identity_case():
 def test_normalize_nine_to_three():
     sys9 = build_system(2, 3, [], [([[9, 0], [0, 3 * 3]], SIERPINSKI.digits)], r="1/3")
     normalized, record = normalize_first_level(sys9)
-    assert normalized.level(1).matrix == IntMatrix.diagonal([3, 3])
-    assert normalized.level(2).matrix == IntMatrix.diagonal([9, 9])
+    assert normalized.level(1).matrix == Matrix.diagonal([3, 3])
+    assert normalized.level(2).matrix == Matrix.diagonal([9, 9])
     # forward = 3 * (9 I)^-1 = (1/3) I
     assert record.forward.rows == ((Fraction(1, 3), 0), (0, Fraction(1, 3)))
     assert record.back.rows == ((Fraction(3), 0), (0, Fraction(3)))
@@ -202,9 +202,9 @@ def test_fundamental_domain_reduction_idempotent_and_congruent():
     from moranspec.builder import _reduce_into_fundamental_domain
 
     rng = random.Random(77)
-    mat = IntMatrix.from_rows([[3, 1], [0, 3]])
+    mat = Matrix.from_rows([[3, 1], [0, 3]])
     rt = mat.transpose()
-    rt_inv = rational_inverse(rt)
+    rt_inv = rt.inverse()
     for _ in range(50):
         v = (rng.randint(-30, 30), rng.randint(-30, 30))
         red = _reduce_into_fundamental_domain(v, rt, rt_inv)

@@ -192,3 +192,18 @@ def test_cli_verify_orth_on_normalized_system(capsys):
     code = main(["verify-orth", fixture("sierpinski_9i.json"), "--level", "1", "--block-size", "1", "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["report"]["passed"] is True
+
+
+def test_cli_spectrum_cap_fails_before_building(capsys, monkeypatch):
+    # banded_spectral has certified K = 9: level 2 would hold 3^27 elements,
+    # so the cap must fire before any 19,683-label block is built.
+    import moranspec.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_blocks ran before the cap test")
+
+    monkeypatch.setattr(cli, "build_blocks", refuse)
+    code = main(["spectrum", fixture("banded_spectral.json"), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["error"]["code"] == "CapExceeded"

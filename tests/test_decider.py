@@ -24,7 +24,7 @@ from moranspec.errors import (
     TemplateMismatch,
     ValidationFailure,
 )
-from moranspec.exact import IntMatrix
+from moranspec.exact import Matrix
 from moranspec.masks import DigitSet, mask_eval
 from moranspec.system import build_system
 
@@ -123,15 +123,15 @@ def test_decide_single_direction_requires_phi_one():
 
 def test_templates_all_four_shapes():
     a, b, c = 3, 6, 9
-    upper_row = IntMatrix.from_rows([[a, a, a], [0, b, b], [0, 0, c]])
-    upper_col = IntMatrix.from_rows([[a, b, c], [0, b, c], [0, 0, c]])
-    lower_row = IntMatrix.from_rows([[a, 0, 0], [b, b, 0], [c, c, c]])
-    lower_col = IntMatrix.from_rows([[a, 0, 0], [a, b, 0], [a, b, c]])
+    upper_row = Matrix.from_rows([[a, a, a], [0, b, b], [0, 0, c]])
+    upper_col = Matrix.from_rows([[a, b, c], [0, b, c], [0, 0, c]])
+    lower_row = Matrix.from_rows([[a, 0, 0], [b, b, 0], [c, c, c]])
+    lower_col = Matrix.from_rows([[a, 0, 0], [a, b, 0], [a, b, c]])
     assert "upper-row" in matching_templates(upper_row)
     assert "upper-col" in matching_templates(upper_col)
     assert "lower-row" in matching_templates(lower_row)
     assert "lower-col" in matching_templates(lower_col)
-    assert matching_templates(IntMatrix.from_rows([[3, 1, 0], [0, 3, 0], [0, 0, 3]])) == ()
+    assert matching_templates(Matrix.from_rows([[3, 1, 0], [0, 3, 0], [0, 0, 3]])) == ()
 
 
 def test_decide_triangular_template_mismatch():
@@ -199,9 +199,7 @@ def test_admissibility_slab_gap_matches_interval_argument():
     # coordinate, and the coset coordinates sit at distance >= 1/3, so the
     # interval gap is 1/3 - 5/72 = 19/72 > 1/24.
     from moranspec.decider import _box_widths, _certify_product_against_family
-    from moranspec.exact import rational_inverse
-
-    inv = rational_inverse(IntMatrix.diagonal([9, 9]))
+    inv = Matrix.diagonal([9, 9]).inverse()
     widths = _box_widths(inv, Fraction(5, 8))
     assert widths == [Fraction(5, 72), Fraction(5, 72)]
     assert Fraction(1, 3) - Fraction(5, 72) == Fraction(19, 72) > Fraction(1, 24)

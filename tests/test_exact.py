@@ -9,33 +9,33 @@ import pytest
 
 from moranspec.errors import SingularMatrix
 from moranspec.exact import (
-    IntMatrix,
-    RationalMatrix,
+    Matrix,
     check_contraction,
     cyclotomic_polynomial,
     cyclotomic_vanishes,
     operator_norm_upper,
-    rational_inverse,
 )
+
+
+def cofactor_det(mat):
+    """Independent oracle: determinant by cofactor expansion over Fractions."""
+    k = len(mat)
+    if k == 0:
+        return Fraction(1)
+    if k == 1:
+        return Fraction(mat[0][0])
+    total = Fraction(0)
+    for j in range(k):
+        sub = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        sign = -1 if j % 2 else 1
+        total += sign * mat[0][j] * cofactor_det(sub)
+    return total
 
 
 def adjugate_inverse(rows):
     """Independent oracle: inverse via cofactor expansion over Fractions."""
     n = len(rows)
-
-    def minor_det(mat):
-        k = len(mat)
-        if k == 0:
-            return Fraction(1)
-        if k == 1:
-            return Fraction(mat[0][0])
-        total = Fraction(0)
-        for j in range(k):
-            sub = [row[:j] + row[j + 1 :] for row in mat[1:]]
-            sign = -1 if j % 2 else 1
-            total += sign * mat[0][j] * minor_det(sub)
-        return total
-
+    minor_det = cofactor_det
     mat = [[Fraction(v) for v in row] for row in rows]
     det = minor_det(mat)
     assert det != 0
@@ -45,30 +45,30 @@ def adjugate_inverse(rows):
             sub = [row[:i] + row[i + 1 :] for k, row in enumerate(mat) if k != j]
             sign = -1 if (i + j) % 2 else 1
             inv[i][j] = sign * minor_det(sub) / det
-    return RationalMatrix.from_rows(inv)
+    return Matrix.from_rows(inv)
 
 
 def test_inverse_identity():
-    m = IntMatrix.identity(3)
-    assert rational_inverse(m) == RationalMatrix.identity(3)
+    m = Matrix.identity(3)
+    assert m.inverse() == Matrix.identity(3)
 
 
 def test_inverse_scalar():
-    m = IntMatrix.from_rows([[4]])
-    assert rational_inverse(m).rows == ((Fraction(1, 4),),)
+    m = Matrix.from_rows([[4]])
+    assert m.inverse().rows == ((Fraction(1, 4),),)
 
 
 def test_inverse_triangular_frozen_value():
     # Oracle (adjugate/determinant): adj([[3,1],[0,3]]) = [[3,-1],[0,3]], det = 9.
-    m = IntMatrix.from_rows([[3, 1], [0, 3]])
-    expected = RationalMatrix.from_rows([[Fraction(1, 3), Fraction(-1, 9)], [0, Fraction(1, 3)]])
-    assert rational_inverse(m) == expected
+    m = Matrix.from_rows([[3, 1], [0, 3]])
+    expected = Matrix.from_rows([[Fraction(1, 3), Fraction(-1, 9)], [0, Fraction(1, 3)]])
+    assert m.inverse() == expected
     assert adjugate_inverse(m.rows) == expected
 
 
 def test_inverse_singular_raises():
     with pytest.raises(SingularMatrix):
-        rational_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+        Matrix.from_rows([[1, 2], [2, 4]]).inverse()
 
 
 def test_inverse_random_roundtrip_and_adjugate_agreement():
@@ -77,30 +77,30 @@ def test_inverse_random_roundtrip_and_adjugate_agreement():
     while checked < 100:
         n = rng.choice([1, 2, 3])
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        m = IntMatrix.from_rows(rows)
+        m = Matrix.from_rows(rows)
         if m.det() == 0:
             continue
-        inv = rational_inverse(m)
-        assert m.to_rational().mul(inv) == RationalMatrix.identity(n)
-        assert inv.mul(m.to_rational()) == RationalMatrix.identity(n)
+        inv = m.inverse()
+        assert m.mul(inv) == Matrix.identity(n)
+        assert inv.mul(m) == Matrix.identity(n)
         assert inv == adjugate_inverse(rows)
         checked += 1
 
 
 def test_norm_identity():
     n = 2
-    val = operator_norm_upper(RationalMatrix.identity(n))
+    val = operator_norm_upper(Matrix.identity(n))
     assert 1.0 <= val <= math.sqrt(n)
 
 
 def test_norm_diagonal():
-    m = RationalMatrix.from_rows([[Fraction(1, 3), 0], [0, Fraction(1, 3)]])
+    m = Matrix.from_rows([[Fraction(1, 3), 0], [0, Fraction(1, 3)]])
     val = operator_norm_upper(m)
     assert 1 / 3 <= val <= math.sqrt(2) / 3
 
 
 def test_norm_triangular_against_svd_oracle():
-    m = RationalMatrix.from_rows([[Fraction(1, 3), Fraction(-1, 9)], [0, Fraction(1, 3)]])
+    m = Matrix.from_rows([[Fraction(1, 3), Fraction(-1, 9)], [0, Fraction(1, 3)]])
     val = operator_norm_upper(m)
     sigma = np.linalg.svd(np.array([[1 / 3, -1 / 9], [0, 1 / 3]]), compute_uv=False)[0]
     frob = math.sqrt(1 / 9 + 1 / 81 + 1 / 9)
@@ -113,7 +113,7 @@ def test_norm_dominates_random_unit_vectors():
     for _ in range(10):
         n = rng.choice([1, 2, 3])
         rows = [[Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
-        m = RationalMatrix.from_rows(rows)
+        m = Matrix.from_rows(rows)
         bound = operator_norm_upper(m)
         arr = np.array([[float(v) for v in row] for row in rows])
         for _ in range(100):
@@ -126,9 +126,9 @@ def test_norm_dominates_random_unit_vectors():
 
 
 def test_contraction_examples():
-    assert check_contraction(IntMatrix.diagonal([5, 5]), Fraction(1, 5)) is True
-    assert check_contraction(IntMatrix.diagonal([2]), 0.4) is False
-    assert check_contraction(IntMatrix.from_rows([[3, 1], [0, 3]]), 0.5) is True
+    assert check_contraction(Matrix.diagonal([5, 5]), Fraction(1, 5)) is True
+    assert check_contraction(Matrix.diagonal([2]), 0.4) is False
+    assert check_contraction(Matrix.from_rows([[3, 1], [0, 3]]), 0.5) is True
     # SVD oracle for the triangular case: top singular value of the inverse.
     inv = np.linalg.inv(np.array([[3.0, 1.0], [0.0, 3.0]]))
     sigma = np.linalg.svd(inv, compute_uv=False)[0]
@@ -136,7 +136,7 @@ def test_contraction_examples():
 
 
 def test_contraction_boundary_exact():
-    m = IntMatrix.diagonal([3, 3])
+    m = Matrix.diagonal([3, 3])
     assert check_contraction(m, Fraction(1, 3)) is True
     assert check_contraction(m, Fraction(1, 3), strict=True) is False
     assert check_contraction(m, Fraction(33333, 100000)) is False
@@ -144,7 +144,7 @@ def test_contraction_boundary_exact():
 
 def test_contraction_singular_raises():
     with pytest.raises(SingularMatrix):
-        check_contraction(IntMatrix.from_rows([[0]]), 0.5)
+        check_contraction(Matrix.from_rows([[0]]), 0.5)
 
 
 def test_cyclotomic_polynomials_small():
@@ -173,19 +173,19 @@ def test_cyclotomic_matches_float_oracle_exhaustively():
 
 
 def test_matrix_helpers():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    a = Matrix.from_rows([[1, 2], [3, 4]])
     assert a.transpose().rows == ((1, 3), (2, 4))
-    assert (a @ IntMatrix.identity(2)) == a
+    assert (a @ Matrix.identity(2)) == a
     assert a.mul_vec((1, 1)) == (3, 7)
     assert a.det() == -2
     assert not a.is_diagonal()
-    assert IntMatrix.diagonal([2, 5]).is_diagonal()
+    assert Matrix.diagonal([2, 5]).is_diagonal()
 
 
 def test_norm_bound_holds_exact_boundary():
     from moranspec.exact import norm_bound_holds
 
-    third = RationalMatrix.from_rows([[Fraction(1, 3), 0], [0, Fraction(1, 3)]])
+    third = Matrix.from_rows([[Fraction(1, 3), 0], [0, Fraction(1, 3)]])
     assert norm_bound_holds(third, Fraction(1, 3)) is True
     assert norm_bound_holds(third, Fraction(1, 3), strict=True) is False
     assert norm_bound_holds(third, Fraction(1, 3) + Fraction(1, 10**9), strict=True) is True

@@ -42,7 +42,7 @@ COMMANDS = {
 }
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 # Cases beyond the command x fixture grid: (case name, fixture, command, argv tail).
-EXTRA = []
+EXTRA = [("spectrum-default", "banded_spectral", "spectrum", [])]
 
 CASES = [(f"{fx}/{cmd}", fx, cmd, tail) for fx in FIXTURE_NAMES for cmd, tail in COMMANDS.items()]
 CASES += [(f"{fx}/{name}", fx, cmd, tail) for name, fx, cmd, tail in EXTRA]

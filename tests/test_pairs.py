@@ -5,7 +5,7 @@ import pytest
 
 from conftest import SIERPINSKI
 from moranspec.errors import CongruenceViolation, SizeMismatch
-from moranspec.exact import IntMatrix, rational_inverse, vec_dot
+from moranspec.exact import Matrix, vec_dot
 from moranspec.pairs import (
     CompatiblePair,
     distinct_mod,
@@ -16,7 +16,7 @@ from moranspec.pairs import (
     verify_pair,
 )
 
-R3 = IntMatrix.diagonal([3, 3])
+R3 = Matrix.diagonal([3, 3])
 SIERP_LABELS = ((0, 0), (1, 2), (2, 1))
 
 
@@ -37,7 +37,7 @@ def test_sierpinski_pair_exact_and_numeric():
 
 
 def test_singleton_pair_trivially_compatible():
-    ok, _ = is_compatible_pair(IntMatrix.diagonal([5, 5]), [(0, 0)], [(0, 0)], mode="exact")
+    ok, _ = is_compatible_pair(Matrix.diagonal([5, 5]), [(0, 0)], [(0, 0)], mode="exact")
     assert ok
 
 
@@ -51,7 +51,7 @@ def test_diagonal_labels_fail_with_witness():
 
 
 def test_quarter_cantor_pair_composite_denominator():
-    ok, _ = is_compatible_pair(IntMatrix.from_rows([[4]]), [(0,), (2,)], [(0,), (1,)], mode="exact")
+    ok, _ = is_compatible_pair(Matrix.from_rows([[4]]), [(0,), (2,)], [(0,), (1,)], mode="exact")
     assert ok
 
 
@@ -96,7 +96,7 @@ def test_tower_pair_two_sierpinski_levels():
     tower = tower_pair([pair, pair])
     assert tower.size == 9
     assert len(tower.labels) == 9
-    assert tower.matrix == IntMatrix.diagonal([9, 9])
+    assert tower.matrix == Matrix.diagonal([9, 9])
     assert gram_defect(tower.matrix, tower.digits, tower.labels) < 1e-10
     ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels, mode="exact")
     assert ok
@@ -109,13 +109,13 @@ def test_verified_pairs_have_distinct_cosets():
 
 
 def _random_unimodular(rng, n):
-    m = IntMatrix.identity(n)
+    m = Matrix.identity(n)
     for _ in range(2):
         if n == 1:
             continue
         a = rng.randint(-2, 2)
-        upper = IntMatrix.from_rows([[1, a], [0, 1]])
-        lower = IntMatrix.from_rows([[1, 0], [rng.randint(-2, 2), 1]])
+        upper = Matrix.from_rows([[1, a], [0, 1]])
+        lower = Matrix.from_rows([[1, 0], [rng.randint(-2, 2), 1]])
         m = m.mul(upper if rng.random() < 0.5 else lower)
     return m
 
@@ -141,12 +141,12 @@ def _random_compatible(rng, n, m):
         labels.append(tuple(j * a + s for a, s in zip(nu, shift)))
     if len(set(digits)) < m or len(set(labels)) < m:
         return None
-    return IntMatrix.diagonal([m] * n), tuple(digits), tuple(labels)
+    return Matrix.diagonal([m] * n), tuple(digits), tuple(labels)
 
 
 def _random_junk(rng, n, m):
     while True:
-        mat = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+        mat = Matrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
         if mat.det() != 0:
             break
     seen = set()
