@@ -20,10 +20,12 @@ import numpy as np
 
 from .builder import SpectrumLevel
 from .exact import vec_dot, vec_neg, vec_sub
-from .masks import mask_eval
+from .masks import _residue_orbit, mask_eval
 from .system import MoranSystem, inverse_transpose
 
 _INT64_LIMIT = 2**62
+# pairs per numpy chunk in verify_orthogonality: about 25 MB of work arrays for n = 2
+_PAIR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -156,11 +158,33 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
 
     Differences are deduplicated up to sign before running the exact
     membership test; witnesses list (p, q, difference) triples whose
-    difference misses the zero set.
+    difference misses the zero set, sorted by difference, each with its
+    first pair in row-major order. Point sets whose difference keys fit
+    int64 are checked in numpy with bounded memory; others take the
+    Python pair loop.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
+    dims = _difference_dims(pts, system.dimension)
+    if dims is None:
+        witnesses, distinct, levels_hit = _orthogonality_loop(system, pts)
+    else:
+        witnesses, distinct, levels_hit = _orthogonality_batched(system, pts, dims)
+    return VerificationReport(
+        kind="orthogonality",
+        passed=not witnesses,
+        witnesses=witnesses,
+        details={
+            "points": len(pts),
+            "distinct_differences": distinct,
+            "level_histogram": dict(sorted(levels_hit.items())),
+        },
+    )
+
+
+def _orthogonality_loop(system: MoranSystem, pts: list):
+    """(witnesses, distinct differences, pairs per zero level) by a Python pair loop."""
     cache: dict = {}
     first_pair: dict = {}
     levels_hit: dict = {}
@@ -177,16 +201,133 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
     witnesses = tuple(
         (first_pair[d][0], first_pair[d][1], d) for d, lvl in sorted(cache.items()) if lvl is None
     )
-    return VerificationReport(
-        kind="orthogonality",
-        passed=not witnesses,
-        witnesses=witnesses,
-        details={
-            "points": len(pts),
-            "distinct_differences": len(cache),
-            "level_histogram": dict(sorted(levels_hit.items())),
-        },
-    )
+    return witnesses, len(cache), levels_hit
+
+
+def _difference_dims(pts: list, n: int):
+    """Sizes 2 * span + 1 of the box holding every coordinate difference, or
+    None when there are no pairs, a point is not n-dimensional, or the
+    points or the packed difference keys do not fit int64."""
+    if len(pts) < 2 or any(len(p) != n for p in pts):
+        return None
+    cols = list(zip(*pts))
+    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
+    dims = tuple(2 * (b - a) + 1 for a, b in zip(lo, hi))
+    if math.prod(dims) >= _INT64_LIMIT or max(map(abs, lo + hi)) >= _INT64_LIMIT:
+        return None
+    return dims
+
+
+def _orthogonality_batched(system: MoranSystem, pts: list, dims: tuple):
+    """``_orthogonality_loop`` in numpy int64.
+
+    Pairs i < j are taken in row-major order, whole rows at a time, at most
+    ``_PAIR_CHUNK`` pairs per chunk (or one row when a row is longer). Each
+    difference is turned so its first nonzero coordinate is positive and
+    packed into one int64 key whose order is the tuple order; keys are
+    deduplicated per chunk, merged keeping the earliest pair, and their
+    zero levels found by one ``_zero_levels`` call.
+    """
+    count = len(pts)
+    arr = np.array(pts, dtype=np.int64)
+    span = np.array([(d - 1) // 2 for d in dims], dtype=np.int64)
+    row_len = np.arange(count - 1, -1, -1, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(row_len)))
+    parts = []
+    i0 = 0
+    while i0 < count - 1:
+        i1 = max(i0 + 1, int(np.searchsorted(starts, starts[i0] + _PAIR_CHUNK, side="right")) - 1)
+        lens = row_len[i0:i1]
+        i = np.repeat(np.arange(i0, i1), lens)
+        j = np.arange(len(i)) - np.repeat(starts[i0:i1] - starts[i0], lens) + i + 1
+        diff = arr[j] - arr[i]
+        diff *= np.sign(diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)])[:, None]
+        keys, first, counts = np.unique(
+            np.ravel_multi_index(tuple((diff + span).T), dims), return_index=True, return_counts=True
+        )
+        parts.append((keys, i[first] * count + j[first], counts))
+        i0 = i1
+    keys, pair, counts = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(keys, kind="stable")
+    keys, pair, counts = keys[order], pair[order], counts[order]
+    head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    keys, pair, counts = keys[head], pair[head], np.add.reduceat(counts, head)
+    diffs = np.stack(np.unravel_index(keys, dims), axis=1) - span
+    levels = _zero_levels(system, diffs)
+    levels_hit = {int(lvl): int(counts[levels == lvl].sum()) for lvl in np.unique(levels) if lvl}
+    witnesses = []
+    for r in np.flatnonzero(levels == 0):
+        i, j = divmod(int(pair[r]), count)
+        witnesses.append((pts[j], pts[i], tuple(int(x) for x in diffs[r])))
+    return tuple(witnesses), len(keys), levels_hit
+
+
+def _zero_levels(system: MoranSystem, points, max_levels: int = 10_000) -> np.ndarray:
+    """``find_zero_level`` of every row of an (R, n) int64 array, 0 for None.
+
+    All undecided rows advance one level at a time in int64, with the same
+    gcd reduction, residue test and stopping inequality as the scalar
+    search. A row whose next step could overflow int64 is finished by the
+    scalar ``find_zero_level``.
+    """
+    points = np.asarray(points, dtype=np.int64)
+    if not points.any(axis=1).all():
+        raise ValueError("the zero vector is not in any zero set")
+    n = points.shape[1]
+    m = system.prime
+    out = np.zeros(len(points), dtype=np.int64)
+    rows = np.arange(len(points))
+    v, q = points, np.ones(len(points), dtype=np.int64)
+    for k in range(1, max_levels + 1):
+        if not len(rows):
+            return out
+        level = system.level(k)
+        inv_t = inverse_transpose(level.matrix)
+        # |num @ v| * m and q * den must stay below the limit
+        lim = _INT64_LIMIT // (n * m * max(abs(x) for row in inv_t.num for x in row))
+        safe = ((v <= lim) & (v >= -lim)).all(axis=1) & (q <= _INT64_LIMIT // inv_t.den)
+        if not safe.all():
+            for r in rows[~safe]:
+                out[r] = find_zero_level(system, tuple(int(x) for x in points[r])) or 0
+            rows, v, q = rows[safe], v[safe], q[safe]
+        v = v @ np.array(inv_t.num, dtype=np.int64).T
+        q = q * inv_t.den
+        g = np.gcd(np.gcd.reduce(v, axis=1), q)
+        v, q = v // g[:, None], q // g
+        hit = _residue_hits(level, m, v, q)
+        out[rows[hit]] = k
+        keep = ~hit & ~_below_coset_norm(system.c, m, v, q)
+        rows, v, q = rows[keep], v[keep], q[keep]
+    if len(rows):
+        raise RuntimeError("zero-set search failed to terminate; contraction data inconsistent")
+    return out
+
+
+def _residue_hits(level, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``_residue_zero_hit`` of every row of v / q; m * v must fit int64."""
+    mv = m * v
+    hits = ~(mv % q[:, None]).any(axis=1)
+    if hits.any():
+        residues = mv[hits] // q[hits, None] % m
+        table = np.array(list(_residue_orbit(level.zeros)), dtype=np.int64).reshape(-1, v.shape[1])
+        hits[hits] = (residues[:, None, :] == table[None]).all(axis=2).any(axis=1)
+    return hits
+
+
+def _below_coset_norm(c: float, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows where c^4 |v|^2 m^2 < q^2, decided exactly.
+
+    The float comparison is off by a relative 1e-14 at most, so only rows
+    within a relative 1e-9 of equality are compared again in Python ints.
+    """
+    c2 = c * c
+    lhs = c2 * c2 * m * m * np.square(v.astype(float)).sum(axis=1)
+    rhs = np.square(q.astype(float))
+    below = lhs < rhs
+    c4 = Fraction(c) ** 4
+    for r in np.flatnonzero(np.abs(lhs - rhs) <= 1e-9 * rhs):
+        below[r] = c4.numerator * sum(int(x) ** 2 for x in v[r]) * m * m < c4.denominator * int(q[r]) ** 2
+    return below
 
 
 def _exact_inverse_tables(system: MoranSystem, depth: int):

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .analyzer import completeness_scan, verify_orthogonality
@@ -231,7 +232,9 @@ def cmd_render(args, start):
     return _emit(args, payload, 0, start)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argparse parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="moranspec", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -120,6 +120,17 @@ def _level_from_parts(dimension: int, prime: int, matrix: Matrix, digits: DigitS
     return Level(matrix=matrix, digits=digits, zeros=computed)
 
 
+def _integer(value, where: str) -> int:
+    """A matrix entry or digit coordinate as an int; 9.0 passes, 9.7 does not."""
+    try:
+        exact = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = None
+    if exact is None or exact.denominator != 1:
+        raise ValidationFailure("format", f"{where}: entry {value!r} is not an integer", where)
+    return exact.numerator
+
+
 def build_system(
     dimension: int,
     prime: int,
@@ -153,10 +164,12 @@ def build_system(
         out = []
         for i, item in enumerate(raw):
             matrix, digits, zeros = item if len(item) == 3 else (*item, None)
+            where = f"{tag}[{i}]"
             if not isinstance(matrix, Matrix):
-                matrix = Matrix.from_rows([[int(v) for v in row] for row in matrix])
-            digits = digits if isinstance(digits, DigitSet) else DigitSet.from_vectors(digits)
-            out.append(_level_from_parts(dimension, prime, matrix, digits, zeros, f"{tag}[{i}]"))
+                matrix = Matrix.from_rows([[_integer(v, where) for v in row] for row in matrix])
+            if not isinstance(digits, DigitSet):
+                digits = DigitSet.from_vectors([[_integer(c, where) for c in d] for d in digits])
+            out.append(_level_from_parts(dimension, prime, matrix, digits, zeros, where))
         return tuple(out)
 
     preamble_levels = make_levels(preamble, "preamble")

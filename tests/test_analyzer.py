@@ -308,3 +308,20 @@ def test_transform_batch_memory_stays_below_root_table():
         tracemalloc.stop()
     assert values.shape == (64, 625)
     assert peak < table_bytes / 5
+
+
+def test_verify_orthogonality_memory_is_bounded_by_chunks():
+    # 3,025 points make 4.57M pairs: unchunked int64 pair indices and
+    # differences alone would take about 250 MB.
+    import tracemalloc
+
+    points = [(x, y) for x in range(55) for y in range(55)]
+    tracemalloc.start()
+    try:
+        report = verify_orthogonality(sierpinski_3i(), points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.details["points"] == 3025
+    assert report.details["distinct_differences"] == (109 * 109 - 1) // 2
+    assert peak < 64 * 2**20

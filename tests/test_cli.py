@@ -179,6 +179,27 @@ def test_specfile_bad_fraction_string():
     assert err.value.code == "format"
 
 
+@pytest.mark.parametrize(
+    "level, where",
+    [
+        ({"R": [[9.7]], "D": [[0], [1], [2]]}, "cycle[0]"),
+        ({"R": [[9]], "D": [[0], [1.5], [2]]}, "cycle[0]"),
+    ],
+)
+def test_cli_validate_rejects_non_integer_entries(tmp_path, capsys, level, where):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"dimension": 1, "prime": 3, "cycle": [level], "params": {"r": "1/3"}}))
+    code = main(["validate", str(path), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["error"]["code"] == "format"
+    assert doc["error"]["message"].startswith(where)
+    doc = {"dimension": 1, "prime": 3, "preamble": [{"R": [[9.0]], "D": [[0], [1], [2.0]]}], "cycle": [level]}
+    with pytest.raises(ValidationFailure) as err:
+        load_document(doc)
+    assert err.value.where == where  # the integral floats of preamble[0] load
+
+
 def test_cli_spectrum_normalizes_non_model_first_level(capsys):
     code = main(["spectrum", fixture("sierpinski_9i.json"), "--levels", "1", "--block-size", "1", "--json"])
     doc = json.loads(capsys.readouterr().out)
