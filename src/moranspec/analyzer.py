@@ -24,7 +24,7 @@ from .masks import _residue_orbit, mask_eval
 from .system import MoranSystem, inverse_transpose
 
 _INT64_LIMIT = 2**62
-# pairs per numpy chunk in verify_orthogonality: about 25 MB of work arrays for n = 2
+# pairs per numpy chunk in verify_orthogonality: under 20 MB of work arrays for n = 2
 _PAIR_CHUNK = 1 << 18
 
 

@@ -65,11 +65,11 @@ coordinate = st.one_of(st.integers(-12, 12), st.integers(-(10**6), 10**6))
 
 
 @st.composite
-def system_and_points(draw, max_points=40):
+def system_and_points(draw):
     name = draw(st.sampled_from(sorted(SYSTEMS)))
     system = SYSTEMS[name]
     point = st.tuples(*[coordinate] * system.dimension)
-    return system, draw(st.lists(point, min_size=0, max_size=max_points, unique=True))
+    return system, draw(st.lists(point, min_size=0, max_size=40, unique=True))
 
 
 @settings(max_examples=200, deadline=None)
