@@ -161,9 +161,14 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
     difference misses the zero set, sorted by difference, each with its
     first pair in row-major order. Point sets whose difference keys fit
     int64 are checked in numpy with bounded memory; others take the
-    Python pair loop.
+    Python pair loop. Non-integral coordinates raise ValueError.
     """
-    pts = [tuple(int(c) for c in p) for p in points]
+    pts = []
+    for p in map(tuple, points):
+        pt = tuple(int(c) for c in p)
+        if pt != p:
+            raise ValueError(f"point ({', '.join(map(str, p))}) has a non-integral coordinate")
+        pts.append(pt)
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
     dims = _difference_dims(pts, system.dimension)

@@ -265,15 +265,15 @@ def _nearest_box_point(g: np.ndarray, q: np.ndarray, half: float, iterations: in
     """Projected gradient descent for the x in [-half, half]^n minimizing |g x - q|."""
     x = np.clip(np.linalg.lstsq(g, q, rcond=None)[0], -half, half)
     step = 1.0 / max(2 * np.linalg.norm(g, 2) ** 2, 1e-9)
+    grad_map = 2 * g.T
     for _ in range(iterations):
-        grad = 2 * g.T @ (g @ x - q)
-        x = np.clip(x - step * grad, -half, half)
+        # np.maximum/np.minimum give np.clip's bits without its per-call dispatch
+        x = np.minimum(np.maximum(x - step * (grad_map @ (g @ x - q)), -half), half)
     return x
 
 
-def _violation_candidate(inv: Matrix, half_ext: Fraction, point, beta: Fraction):
+def _violation_candidate(inv: Matrix, g: np.ndarray, half_ext: Fraction, point, beta: Fraction):
     """Search for x in the box with |A^-1 x - q| < beta; exact on success."""
-    g = np.array(inv.floats())
     x = _nearest_box_point(g, np.array([float(v) for v in point]), float(half_ext), 300)
     cand = [Fraction(v).limit_denominator(10**6) for v in x]
     cand = [max(-half_ext, min(half_ext, v)) for v in cand]
@@ -282,6 +282,23 @@ def _violation_candidate(inv: Matrix, half_ext: Fraction, point, beta: Fraction)
     if dist_sq < beta * beta:
         return {"box_point": tuple(str(v) for v in cand), "image": tuple(str(v) for v in y)}
     return None
+
+
+def _coset_candidates(widths, beta: Fraction, nu, m: int):
+    """(count, numerators a = b + m z over m) of the coset points q = (j/m) nu + z with |q_i| <= widths_i + beta.
+
+    With b = j nu mod m, |a_i| <= floor((widths_i + beta) m) bounds z_i exactly,
+    so the count is known before any point is built. Order: j, then z lexicographic.
+    """
+    lims = [math.floor((w + beta) * m) for w in widths]
+    per_j = []
+    for j in range(1, m):
+        b = [j * c % m for c in nu]
+        spans = [range(-((lim + bi) // m), (lim - bi) // m + 1) for lim, bi in zip(lims, b)]
+        per_j.append((b, spans))
+    count = sum(math.prod(len(span) for span in spans) for _, spans in per_j)
+    points = (tuple(bi + m * zi for bi, zi in zip(b, z)) for b, spans in per_j for z in itertools.product(*spans))
+    return count, points
 
 
 def _certify_product_against_family(inv, half_ext, beta, nu, m):
@@ -293,42 +310,26 @@ def _certify_product_against_family(inv, half_ext, beta, nu, m):
     than 1/m - beta in that coordinate clears the whole family at once.
     Falls back to per-point support-function bounds.
     """
-    n = inv.n
     widths = _box_widths(inv, half_ext)
     inv_m = Fraction(1, m)
-    for i in range(n):
+    for i in range(inv.n):
         if nu[i] % m != 0 and inv_m - widths[i] >= beta:
             return True, None, True
-    # enumerate candidate coset points inside the inflated bounding box
-    ranges = []
-    for i in range(n):
-        lo = widths[i] + beta
-        ranges.append((math.floor(-lo), math.ceil(lo)))
-    candidates = []
-    for j in range(1, m):
-        base = [Fraction(j * c % m, m) for c in nu]
-        spans = []
-        for i in range(n):
-            lo = math.floor(ranges[i][0] - base[i]) - 1
-            hi = math.ceil(ranges[i][1] - base[i]) + 1
-            spans.append(range(lo, hi + 1))
-        for z in itertools.product(*spans):
-            q = tuple(base[i] + z[i] for i in range(n))
-            if all(abs(q[i]) <= widths[i] + beta for i in range(n)):
-                candidates.append(q)
-    if len(candidates) > 100_000:
+    count, points = _coset_candidates(widths, beta, nu, m)
+    if count > 100_000:
         return False, None, False
-    for q in candidates:
+    g = np.array(inv.floats())
+    for a in points:
+        q = tuple(Fraction(ai, m) for ai in a)
         if _support_lower_bound_ok(inv, half_ext, q, q, beta):
             continue
         # refine the separating direction from the float nearest point
-        g = np.array(inv.floats())
         qf = np.array([float(v) for v in q])
         x = _nearest_box_point(g, qf, float(half_ext), 200)
         u = [Fraction(v).limit_denominator(10**4) for v in (qf - g @ x)]
         if any(u) and _support_lower_bound_ok(inv, half_ext, q, tuple(u), beta):
             continue
-        witness = _violation_candidate(inv, half_ext, q, beta)
+        witness = _violation_candidate(inv, g, half_ext, q, beta)
         if witness is not None:
             witness["coset_point"] = tuple(str(v) for v in q)
             return False, witness, True
@@ -356,13 +357,7 @@ def admissibility_scan(system: MoranSystem, horizon=None, delta=None, beta=None)
     r = Fraction(system.r)
     n = system.dimension
 
-    families = []
-    seen = set()
-    for _, lvl in system.distinct_levels():
-        for nu in lvl.zeros.directions:
-            if nu not in seen:
-                seen.add(nu)
-                families.append(nu)
+    families = list(dict.fromkeys(nu for _, lvl in system.distinct_levels() for nu in lvl.zeros.directions))
 
     # tail threshold: r^p * half_ext * sqrt(n) + beta <= 1/m
     tail_start = None

@@ -15,6 +15,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch, ModelViolation
 from .exact import IntVec, intvec, vec_dot
 
@@ -117,8 +119,9 @@ class ZeroStructure:
 
     Each direction stands for the whole scalar class {j*nu mod m}; the
     canonical representative is the lexicographically smallest class
-    member with entries in [0, m-1]. ``model_compliant`` records whether
-    all entries are nonzero (the strict form with entries in [1, m-1]).
+    member with entries in [0, m-1], the one whose first nonzero entry is
+    1. ``model_compliant`` records whether all entries are nonzero (the
+    strict form with entries in [1, m-1]).
     """
 
     modulus: int
@@ -146,29 +149,31 @@ def _residue_orbit(structure: ZeroStructure) -> dict:
 
 
 def canonical_direction(direction: Sequence, modulus: int) -> IntVec:
-    cands = []
-    for j in range(1, modulus):
-        cands.append(tuple((j * c) % modulus for c in direction))
-    return min(cands)
+    """Smallest of {j*direction mod m : 0 < j < m}, for m prime: the multiple whose first nonzero entry is 1."""
+    reduced = tuple(int(c) % modulus for c in direction)
+    scale = pow(next((c for c in reduced if c), 1), -1, modulus)
+    return tuple(scale * c % modulus for c in reduced)
 
 
 def find_zero_directions(digits: DigitSet, modulus: int) -> ZeroStructure:
-    """All zero-direction classes of the digit set, canonical and sorted."""
+    """All zero-direction classes of the digit set, canonical and sorted.
+
+    Only the canonical representatives (0, ..., 0, 1, *) are tested, more
+    leading zeros first, which is lexicographic order.
+    """
     if digits.size != modulus:
         raise ModelViolation(f"digit count {digits.size} differs from modulus {modulus}")
     if not is_prime(modulus):
         raise ModelViolation(f"modulus {modulus} is not prime")
-    found = []
-    for nu in product(range(modulus), repeat=digits.n):
-        if all(c == 0 for c in nu):
-            continue
-        if nu != canonical_direction(nu, modulus):
-            continue
-        if residue_vanishing_test(digits, nu, modulus):
-            found.append(nu)
-    found.sort()
-    compliant = tuple(all(1 <= c <= modulus - 1 for c in nu) for nu in found)
-    return ZeroStructure(modulus=modulus, directions=tuple(found), model_compliant=compliant)
+    m, n = modulus, digits.n
+    reps = [(0,) * k + (1,) + tail for k in reversed(range(n)) for tail in product(range(m), repeat=n - 1 - k)]
+    # <nu, d> mod m for every representative and digit, exact in int64 as all entries lie in [0, m)
+    digits_mod = np.array([[c % m for c in d] for d in digits.digits], dtype=np.int64)
+    residues = np.array(reps, dtype=np.int64) @ digits_mod.T % m
+    hits = (np.sort(residues, axis=1) == np.arange(m)).all(axis=1)
+    found = tuple(nu for nu, hit in zip(reps, hits) if hit)
+    compliant = tuple(all(c != 0 for c in nu) for nu in found)
+    return ZeroStructure(modulus=m, directions=found, model_compliant=compliant)
 
 
 @dataclass(frozen=True)
@@ -204,10 +209,7 @@ def verify_zero_exactness(digits: DigitSet, structure: ZeroStructure, grid: int 
     if grid < 8:
         raise ValueError("grid must be at least 8")
     m = structure.modulus
-    claimed = []
-    for nu in structure.directions:
-        for j in range(1, m):
-            claimed.append(tuple(((j * c) % m) / m for c in nu))
+    claimed = [tuple(c / m for c in residue) for residue in _residue_orbit(structure)]
     min_mod = math.inf
     min_point = None
     suspected = []

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationFailure
 from .exact import Matrix, check_contraction, operator_norm_upper
-from .masks import DigitSet, ZeroStructure, find_zero_directions, is_prime
+from .masks import DigitSet, ZeroStructure, canonical_direction, find_zero_directions, is_prime
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,7 @@ def _level_from_parts(dimension: int, prime: int, matrix: Matrix, digits: DigitS
         )
     computed = find_zero_directions(digits, prime)
     if zeros is not None:
-        supplied = tuple(tuple(int(c) % prime for c in nu) for nu in zeros)
-        canon = set()
-        for nu in supplied:
-            canon.add(min(tuple((j * c) % prime for c in nu) for j in range(1, prime)))
+        canon = {canonical_direction(nu, prime) for nu in zeros}
         if canon != set(computed.directions):
             raise ValidationFailure(
                 "zero-structure",

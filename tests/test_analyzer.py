@@ -325,3 +325,15 @@ def test_verify_orthogonality_memory_is_bounded_by_chunks():
     assert report.details["points"] == 3025
     assert report.details["distinct_differences"] == (109 * 109 - 1) // 2
     assert peak < 64 * 2**20
+
+
+def test_verify_orthogonality_rejects_non_integral_points():
+    # int(c) would read (1/2, 0) as (0, 0) and (0.9, 0) as (0, 0).
+    system = sierpinski_3i()
+    with pytest.raises(ValueError, match=r"point \(1/2, 0\)"):
+        verify_orthogonality(system, [(0, 0), (Fraction(1, 2), 0), (1, 2)])
+    with pytest.raises(ValueError, match=r"point \(0\.9, 0\)"):
+        verify_orthogonality(system, [(0.9, 0), (1, 2)])
+    report = verify_orthogonality(system, [(0, 0), (2.0, Fraction(4, 2))])
+    assert report.details["points"] == 2
+    assert report.witnesses == verify_orthogonality(system, [(0, 0), (2, 2)]).witnesses

@@ -207,6 +207,23 @@ def test_admissibility_slab_gap_matches_interval_argument():
     assert ok and conclusive and witness is None
 
 
+def test_admissibility_candidate_cap_is_checked_before_enumerating():
+    # A box of half-width 200 holds about 320,000 coset points of (1, 2)
+    # mod 3, over the 100,000 cap: the count is known from the spans alone.
+    import tracemalloc
+
+    from moranspec.decider import _certify_product_against_family
+
+    tracemalloc.start()
+    try:
+        result = _certify_product_against_family(Matrix.identity(2), Fraction(200), Fraction(1, 24), (1, 2), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (False, None, False)
+    assert peak < 2**20
+
+
 def test_admissibility_degenerate_params_rejected():
     with pytest.raises(ValidationFailure):
         admissibility_scan(sierpinski_9i(), delta=0, beta=0)

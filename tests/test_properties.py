@@ -7,15 +7,12 @@ from itertools import product
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from moranspec.errors import SingularMatrix  # noqa: E402
 from moranspec.exact import Matrix, mixed_radix_sums  # noqa: E402
 from test_exact import adjugate_inverse, cofactor_det  # noqa: E402
-
-settings.register_profile("moranspec", max_examples=150, deadline=None)
-settings.load_profile("moranspec")
 
 small_int = st.integers(-12, 12)
 rational = st.one_of(small_int.map(Fraction), st.builds(Fraction, small_int, st.integers(1, 9)))
