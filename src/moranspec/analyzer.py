@@ -19,11 +19,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .builder import SpectrumLevel
-from .exact import vec_dot, vec_neg, vec_sub
+from .errors import DimensionMismatch
 from .masks import _residue_orbit, mask_eval
 from .system import MoranSystem, inverse_transpose
 
 _INT64_LIMIT = 2**62
+# level cap of the zero-level searches; the stopping rule ends them long before
+_MAX_LEVELS = 10_000
 # pairs per numpy chunk in verify_orthogonality: under 20 MB of work arrays for n = 2
 _PAIR_CHUNK = 1 << 18
 
@@ -52,16 +54,6 @@ def _iterate_exact(system: MoranSystem, point, depth: int):
         yield k, level, v, q
 
 
-def _iterate_float(system: MoranSystem, point, depth: int):
-    """Yield (k, level, eta_k) for k = 1..depth in floating point."""
-    eta = tuple(float(c) for c in point)
-    for k in range(1, depth + 1):
-        level = system.level(k)
-        rows = inverse_transpose(level.matrix).floats()
-        eta = tuple(float(sum(a * b for a, b in zip(row, eta))) for row in rows)
-        yield k, level, eta
-
-
 def _residue_zero_hit(system: MoranSystem, level, v, q) -> bool:
     """Whether eta = v / q lies on a zero coset line of the level's mask."""
     m = system.prime
@@ -78,35 +70,23 @@ def truncated_transform(system: MoranSystem, point: Sequence, depth: int) -> Tru
     because every mask is 1-Lipschitz up to the 2*pi*s constant and the
     iterates keep contracting; the reported bound is |value| times that,
     clamped at the trivial 2|value|. A zero value is claimed exact only
-    when some factor vanished by the residue test.
+    when some factor vanished by the residue test. Float coordinates are
+    taken at their exact binary values, so every input walks the same
+    exact iterates.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     value = 1 + 0j
-    exact_zero = False
     zero_level = None
-    eta = None
-    exact = all(isinstance(c, (int, Fraction)) for c in point)
-    if exact:
-        iterates = (
-            (k, level, tuple(Fraction(x, q) for x in v), _residue_zero_hit(system, level, v, q))
-            for k, level, v, q in _iterate_exact(system, point, depth)
-        )
-    else:
-        iterates = ((k, level, eta, False) for k, level, eta in _iterate_float(system, point, depth))
-    for k, level, eta, hit in iterates:
-        if hit and not exact_zero:
-            exact_zero = True
+    for k, level, v, q in _iterate_exact(system, point, depth):
+        if zero_level is None and _residue_zero_hit(system, level, v, q):
             zero_level = k
-        if not exact_zero:
-            value *= mask_eval(level.digits, eta)
+        if zero_level is None:
+            value *= mask_eval(level.digits, tuple(Fraction(x, q) for x in v))
+    exact_zero = zero_level is not None
     if exact_zero:
         value = 0j
-    if exact:
-        norm_sq = sum(Fraction(c) ** 2 for c in eta)
-        eta_norm = math.sqrt(float(norm_sq)) * (1 + 1e-12)
-    else:
-        eta_norm = math.sqrt(sum(float(c) ** 2 for c in eta))
+    eta_norm = math.sqrt(float(Fraction(sum(x * x for x in v), q * q))) * (1 + 1e-12)
     s = system.digit_norm_bound()
     r = system.r
     c2 = system.c * system.c
@@ -123,7 +103,7 @@ def truncated_transform(system: MoranSystem, point: Sequence, depth: int) -> Tru
     )
 
 
-def find_zero_level(system: MoranSystem, point: Sequence, max_levels: int = 10_000):
+def find_zero_level(system: MoranSystem, point: Sequence):
     """First level whose zero coset lines contain the iterated point, or None.
 
     Stops once c^2 * |eta_k| < 1/m: from there on every iterate has sup
@@ -136,7 +116,7 @@ def find_zero_level(system: MoranSystem, point: Sequence, max_levels: int = 10_0
         raise ValueError("the zero vector is not in any zero set")
     m = system.prime
     c4 = Fraction(system.c) ** 4
-    for k, level, v, q in _iterate_exact(system, point, max_levels):
+    for k, level, v, q in _iterate_exact(system, point, _MAX_LEVELS):
         if _residue_zero_hit(system, level, v, q):
             return k
         # c^4 |eta|^2 m^2 < 1 with eta = v / q, in integers
@@ -159,23 +139,20 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
     Differences are deduplicated up to sign before running the exact
     membership test; witnesses list (p, q, difference) triples whose
     difference misses the zero set, sorted by difference, each with its
-    first pair in row-major order. Point sets whose difference keys fit
-    int64 are checked in numpy with bounded memory; others take the
-    Python pair loop. Non-integral coordinates raise ValueError.
+    first pair in row-major order. Non-integral coordinates raise
+    ValueError, points of another dimension DimensionMismatch.
     """
     pts = []
     for p in map(tuple, points):
         pt = tuple(int(c) for c in p)
         if pt != p:
             raise ValueError(f"point ({', '.join(map(str, p))}) has a non-integral coordinate")
+        if len(pt) != system.dimension:
+            raise DimensionMismatch(f"point {pt} has dimension {len(pt)}, the system {system.dimension}")
         pts.append(pt)
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
-    dims = _difference_dims(pts, system.dimension)
-    if dims is None:
-        witnesses, distinct, levels_hit = _orthogonality_loop(system, pts)
-    else:
-        witnesses, distinct, levels_hit = _orthogonality_batched(system, pts, dims)
+    witnesses, distinct, levels_hit = _orthogonality_pairs(system, pts) if len(pts) > 1 else ((), 0, {})
     return VerificationReport(
         kind="orthogonality",
         passed=not witnesses,
@@ -188,54 +165,27 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
     )
 
 
-def _orthogonality_loop(system: MoranSystem, pts: list):
-    """(witnesses, distinct differences, pairs per zero level) by a Python pair loop."""
-    cache: dict = {}
-    first_pair: dict = {}
-    levels_hit: dict = {}
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            diff = vec_sub(pts[j], pts[i])
-            canon = max(diff, vec_neg(diff))
-            if canon not in cache:
-                cache[canon] = find_zero_level(system, canon)
-                first_pair[canon] = (pts[j], pts[i])
-            lvl = cache[canon]
-            if lvl is not None:
-                levels_hit[lvl] = levels_hit.get(lvl, 0) + 1
-    witnesses = tuple(
-        (first_pair[d][0], first_pair[d][1], d) for d, lvl in sorted(cache.items()) if lvl is None
-    )
-    return witnesses, len(cache), levels_hit
-
-
-def _difference_dims(pts: list, n: int):
-    """Sizes 2 * span + 1 of the box holding every coordinate difference, or
-    None when there are no pairs, a point is not n-dimensional, or the
-    points or the packed difference keys do not fit int64."""
-    if len(pts) < 2 or any(len(p) != n for p in pts):
-        return None
-    cols = list(zip(*pts))
-    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
-    dims = tuple(2 * (b - a) + 1 for a, b in zip(lo, hi))
-    if math.prod(dims) >= _INT64_LIMIT or max(map(abs, lo + hi)) >= _INT64_LIMIT:
-        return None
-    return dims
-
-
-def _orthogonality_batched(system: MoranSystem, pts: list, dims: tuple):
-    """``_orthogonality_loop`` in numpy int64.
+def _orthogonality_pairs(system: MoranSystem, pts: list):
+    """(witnesses, distinct differences, pairs per zero level) of two or more points.
 
     Pairs i < j are taken in row-major order, whole rows at a time, at most
     ``_PAIR_CHUNK`` pairs per chunk (or one row when a row is longer). Each
     difference is turned so its first nonzero coordinate is positive and
-    packed into one int64 key whose order is the tuple order; keys are
-    deduplicated per chunk, merged keeping the earliest pair, and their
-    zero levels found by one ``_zero_levels`` call.
+    packed into one key ``(diff + span) @ strides`` whose order is the tuple
+    order; keys are deduplicated per chunk, merged keeping the earliest
+    pair, and their zero levels found by one ``_zero_levels`` call. Arrays
+    are int64 when every coordinate and key fits, Python ints (object
+    dtype) otherwise.
     """
     count = len(pts)
-    arr = np.array(pts, dtype=np.int64)
-    span = np.array([(d - 1) // 2 for d in dims], dtype=np.int64)
+    cols = list(zip(*pts))
+    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
+    dims = [2 * (b - a) + 1 for a, b in zip(lo, hi)]
+    fits = math.prod(dims) < _INT64_LIMIT and max(map(abs, lo + hi)) < _INT64_LIMIT
+    dtype = np.int64 if fits else object
+    arr = np.array(pts, dtype=dtype)
+    span = np.array([b - a for a, b in zip(lo, hi)], dtype=dtype)
+    strides = np.array([math.prod(dims[i + 1 :]) for i in range(len(dims))], dtype=dtype)
     row_len = np.arange(count - 1, -1, -1, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(row_len)))
     parts = []
@@ -247,9 +197,7 @@ def _orthogonality_batched(system: MoranSystem, pts: list, dims: tuple):
         j = np.arange(len(i)) - np.repeat(starts[i0:i1] - starts[i0], lens) + i + 1
         diff = arr[j] - arr[i]
         diff *= np.sign(diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)])[:, None]
-        keys, first, counts = np.unique(
-            np.ravel_multi_index(tuple((diff + span).T), dims), return_index=True, return_counts=True
-        )
+        keys, first, counts = np.unique((diff + span) @ strides, return_index=True, return_counts=True)
         parts.append((keys, i[first] * count + j[first], counts))
         i0 = i1
     keys, pair, counts = (np.concatenate(col) for col in zip(*parts))
@@ -257,7 +205,7 @@ def _orthogonality_batched(system: MoranSystem, pts: list, dims: tuple):
     keys, pair, counts = keys[order], pair[order], counts[order]
     head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     keys, pair, counts = keys[head], pair[head], np.add.reduceat(counts, head)
-    diffs = np.stack(np.unravel_index(keys, dims), axis=1) - span
+    diffs = np.stack([keys // s % d for s, d in zip(strides, dims)], axis=1) - span
     levels = _zero_levels(system, diffs)
     levels_hit = {int(lvl): int(counts[levels == lvl].sum()) for lvl in np.unique(levels) if lvl}
     witnesses = []
@@ -267,23 +215,24 @@ def _orthogonality_batched(system: MoranSystem, pts: list, dims: tuple):
     return tuple(witnesses), len(keys), levels_hit
 
 
-def _zero_levels(system: MoranSystem, points, max_levels: int = 10_000) -> np.ndarray:
-    """``find_zero_level`` of every row of an (R, n) int64 array, 0 for None.
+def _zero_levels(system: MoranSystem, points) -> np.ndarray:
+    """``find_zero_level`` of every row of an (R, n) integer array, 0 for None.
 
-    All undecided rows advance one level at a time in int64, with the same
-    gcd reduction, residue test and stopping inequality as the scalar
-    search. A row whose next step could overflow int64 is finished by the
-    scalar ``find_zero_level``.
+    Rows may be int64 or Python ints (object dtype). All undecided rows
+    advance one level at a time in int64, with the same gcd reduction,
+    residue test and stopping inequality as the scalar search. A row whose
+    next step could overflow int64 is finished by the scalar
+    ``find_zero_level``.
     """
-    points = np.asarray(points, dtype=np.int64)
-    if not points.any(axis=1).all():
+    points = np.asarray(points)
+    if not (points != 0).any(axis=1).all():
         raise ValueError("the zero vector is not in any zero set")
     n = points.shape[1]
     m = system.prime
     out = np.zeros(len(points), dtype=np.int64)
     rows = np.arange(len(points))
     v, q = points, np.ones(len(points), dtype=np.int64)
-    for k in range(1, max_levels + 1):
+    for k in range(1, _MAX_LEVELS + 1):
         if not len(rows):
             return out
         level = system.level(k)
@@ -295,7 +244,7 @@ def _zero_levels(system: MoranSystem, points, max_levels: int = 10_000) -> np.nd
             for r in rows[~safe]:
                 out[r] = find_zero_level(system, tuple(int(x) for x in points[r])) or 0
             rows, v, q = rows[safe], v[safe], q[safe]
-        v = v @ np.array(inv_t.num, dtype=np.int64).T
+        v = v.astype(np.int64, copy=False) @ np.array(inv_t.num, dtype=np.int64).T
         q = q * inv_t.den
         g = np.gcd(np.gcd.reduce(v, axis=1), q)
         v, q = v // g[:, None], q // g
@@ -360,10 +309,11 @@ def transform_batch(system: MoranSystem, offsets: np.ndarray, base: Sequence, de
 def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth: int) -> np.ndarray:
     """Transform values at base_b + offset_p for every pair, shape (B, P).
 
-    Per level the integer phase parts are exact residues mod q, turned once
-    into their (m, P) roots of unity; each mask factor is then a small
-    matrix product against the per-base phase shifts, which keeps the scan
-    cost dominated by BLAS rather than by complex exponentials.
+    Per level the integer phase parts are exact residues mod q (int64 when
+    they fit, Python ints otherwise), turned once into their (m, P) roots
+    of unity; each mask factor is then a small matrix product against the
+    per-base phase shifts, which keeps the scan cost dominated by BLAS
+    rather than by complex exponentials.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim == 1:
@@ -382,28 +332,20 @@ def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth
         m_int, q = tables[k - 1]
         max_m = max(abs(v) for row in m_int for v in row) + 1
         max_d = int(np.abs(d_arr).max(initial=0)) + 1
-        a_float = np.array(m_int, dtype=float) / q
-        if n * n * max_m * max_lam * max_d < _INT64_LIMIT:
-            m_arr = np.array(m_int, dtype=np.int64)
-            int_phases = (d_arr @ (m_arr @ offsets.T)) % q  # (m, P)
-            plans.append(("int", d_arr, a_float, np.exp(2j * np.pi * int_phases / q)))
-        else:
-            plans.append(("float", d_arr, a_float, None))
+        fits = n * n * max_m * max_lam * max_d < _INT64_LIMIT and q < _INT64_LIMIT
+        m_arr = np.array(m_int, dtype=np.int64 if fits else object)
+        int_phases = (d_arr @ (m_arr @ offsets.T)) % q  # (m, P)
+        roots = np.exp((2j * np.pi * int_phases / q).astype(complex, copy=False))
+        plans.append((d_arr, np.array(m_int, dtype=float) / q, roots))
 
     out = np.empty((n_bases, n_points), dtype=complex)
     chunk = max(1, 4_000_000 // max(n_points, 1))
     for b0 in range(0, n_bases, chunk):
         sub = bases_f[b0 : b0 + chunk]
         vals = np.ones((len(sub), n_points), dtype=complex)
-        for kind, d_arr, a_float, roots in plans:
-            if kind == "int":
-                shifts = np.exp(2j * np.pi * (d_arr @ (a_float @ sub.T)))  # (m, B)
-                vals *= (shifts.T @ roots) / len(d_arr)
-            else:
-                for bi in range(len(sub)):
-                    eta = a_float @ (offsets.T + sub[bi][:, None])
-                    phases = np.mod(d_arr @ eta, 1.0)
-                    vals[bi] *= np.exp(2j * np.pi * phases).mean(axis=0)
+        for d_arr, a_float, roots in plans:
+            shifts = np.exp(2j * np.pi * (d_arr @ (a_float @ sub.T)))  # (m, B)
+            vals *= (shifts.T @ roots) / len(d_arr)
         out[b0 : b0 + chunk] = vals
     return out
 

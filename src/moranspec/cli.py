@@ -309,16 +309,11 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         return _HANDLERS[args.command](args, start)
-    except ValidationFailure as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        if args.json:
-            doc = {"schema": SCHEMA, "command": args.command, "error": {"code": exc.code, "message": str(exc)}}
-            print(json.dumps(_sanitize(doc), sort_keys=True, indent=2))
-        return 3
     except MoranError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        code = exc.code if isinstance(exc, ValidationFailure) else type(exc).__name__
+        print(f"error [{code}]: {exc}", file=sys.stderr)
         if args.json:
-            doc = {"schema": SCHEMA, "command": args.command, "error": {"code": type(exc).__name__, "message": str(exc)}}
+            doc = {"schema": SCHEMA, "command": args.command, "error": {"code": code, "message": str(exc)}}
             print(json.dumps(_sanitize(doc), sort_keys=True, indent=2))
         return 3
 

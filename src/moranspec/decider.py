@@ -337,7 +337,7 @@ def _certify_product_against_family(inv, half_ext, beta, nu, m):
     return True, None, True
 
 
-def admissibility_scan(system: MoranSystem, horizon=None, delta=None, beta=None) -> AdmissibilityResult:
+def admissibility_scan(system: MoranSystem, horizon=None) -> AdmissibilityResult:
     """Certify that transpose products keep the padded box off the zero set.
 
     Checks every product of consecutive level transposes: lengths up to
@@ -348,12 +348,9 @@ def admissibility_scan(system: MoranSystem, horizon=None, delta=None, beta=None)
     within the horizon the certificate is unconditional for the whole
     eventually-periodic system.
     """
-    delta = Fraction(delta) if delta is not None else system.delta
-    beta = Fraction(beta) if beta is not None else system.beta
-    if not (0 < delta < Fraction(1, 4)) or not (0 < beta < Fraction(1, 4)):
-        raise ValidationFailure("params", "delta and beta must lie strictly inside (0, 1/4)")
+    beta = system.beta
     m = system.prime
-    half_ext = Fraction(1, 2) + delta
+    half_ext = Fraction(1, 2) + system.delta
     r = Fraction(system.r)
     n = system.dimension
 
@@ -379,7 +376,7 @@ def admissibility_scan(system: MoranSystem, horizon=None, delta=None, beta=None)
         raise ValidationFailure("params", "horizon must be at least 1")
     p_max = horizon if tail_start is None else min(horizon, tail_start - 1)
 
-    starts = list(range(1, len(system.preamble) + cycle_len + 1))
+    starts = list(range(1, system.cycle_start + cycle_len))
     failures = []
     witness = None
     inconclusive = []
@@ -402,7 +399,7 @@ def admissibility_scan(system: MoranSystem, horizon=None, delta=None, beta=None)
                 else:
                     inconclusive.append((start, p, nu))
 
-    cycle_starts = set(range(len(system.preamble) + 1, len(system.preamble) + cycle_len + 1))
+    cycle_starts = set(range(system.cycle_start, system.cycle_start + cycle_len))
     hard_failures = [f for f in failures if f[0] in cycle_starts]
     caveats = []
     unconditional = tail_start is not None and p_max >= tail_start - 1

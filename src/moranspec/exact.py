@@ -20,7 +20,12 @@ IntVec = tuple
 
 
 def intvec(values: Iterable) -> IntVec:
-    return tuple(int(v) for v in values)
+    """The values as ints; a value that is not an integer raises ValueError."""
+    values = tuple(values)
+    out = tuple(int(v) for v in values)
+    if out != values:
+        raise ValueError(f"vector ({', '.join(map(str, values))}) has a non-integral coordinate")
+    return out
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:
@@ -133,9 +138,6 @@ class Matrix:
             raise DimensionMismatch("matrix sizes differ")
         cols = tuple(zip(*other.num))
         return Matrix(tuple(tuple(vec_dot(r, c) for c in cols) for r in self.num), self.den * other.den)
-
-    def __matmul__(self, other):
-        return self.mul(other)
 
     def mul_vec_num(self, v: Sequence) -> tuple:
         """``num @ v``, i.e. ``den`` times the product with v."""

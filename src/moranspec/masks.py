@@ -64,10 +64,6 @@ class DigitSet:
         best = max(sum(c * c for c in d) for d in self.digits)
         return math.sqrt(best) * (1 + 1e-12)
 
-    def translate(self, shift) -> "DigitSet":
-        shift = intvec(shift)
-        return DigitSet.from_vectors(tuple(tuple(a + b for a, b in zip(d, shift)) for d in self.digits))
-
 
 def _phase(xi, d):
     """<xi, d> reduced mod 1 exactly when xi is rational, else by fmod."""

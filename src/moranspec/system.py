@@ -44,12 +44,6 @@ class MoranSystem:
             return self.preamble[k - 1]
         return self.cycle[(k - len(self.preamble) - 1) % len(self.cycle)]
 
-    def level_key(self, k: int):
-        """Canonical identity of level k (preamble slot or cycle phase)."""
-        if k <= len(self.preamble):
-            return ("preamble", k - 1)
-        return ("cycle", (k - len(self.preamble) - 1) % len(self.cycle))
-
     def distinct_levels(self) -> tuple:
         """(first_index, level) for each distinct slot, preamble then cycle."""
         out = []
@@ -82,9 +76,6 @@ class MoranSystem:
 
     def digit_norm_bound(self) -> float:
         return max(lvl.digits.max_norm() for _, lvl in self.distinct_levels())
-
-    def all_levels(self) -> tuple:
-        return self.preamble + self.cycle
 
 
 def _level_from_parts(dimension: int, prime: int, matrix: Matrix, digits: DigitSet, zeros, where: str) -> Level:

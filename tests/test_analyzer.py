@@ -231,6 +231,27 @@ def test_truncated_transform_float_input_path():
     assert not t.exact_zero
 
 
+def test_float_point_on_a_zero_line_is_an_exact_zero():
+    system = sierpinski_3i()
+    by_int = truncated_transform(system, (1, 2), 3)
+    assert by_int.exact_zero and by_int.zero_level == 1
+    assert truncated_transform(system, (1.0, 2.0), 3) == by_int
+
+
+def test_transform_batch_reduces_phases_beyond_int64():
+    # at depth 41 the level denominator 3^41 no longer fits int64
+    from moranspec.analyzer import _INT64_LIMIT
+
+    assert 3**41 > _INT64_LIMIT
+    system = sierpinski_3i()
+    offsets = [(0, 0), (1, 2), (5, -7), (40, 13), (-243, 729)]
+    base = (0.125, 0.625)
+    vals = transform_batch(system, np.array(offsets), base, 41)
+    for off, got in zip(offsets, vals):
+        want = truncated_transform(system, (base[0] + off[0], base[1] + off[1]), 41).value
+        assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_no_late_match_on_nonconstant_diagonal_system():
     # Replay the iteration with the true level matrices (diag[10,5] cycle)
     # five levels past the stopping norm; no membership may appear.

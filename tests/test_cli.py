@@ -116,6 +116,17 @@ def test_cli_verify_complete(capsys):
     assert doc["report"]["final_gap"] < 1e-9
 
 
+def test_cli_verify_complete_beyond_int64_depth(capsys):
+    # depth 41 puts the level denominator 3^41 beyond int64
+    code = main(
+        ["verify-complete", fixture("sierpinski_3i.json"), "--levels", "1", "--block-size", "2", "--depth", "41", "--json"]
+    )
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["report"]["depth"] == 41
+    assert doc["report"]["passed"] is True
+
+
 def test_cli_admissible(capsys):
     code = main(["admissible", fixture("staircase_spectral.json"), "--json"])
     doc = json.loads(capsys.readouterr().out)

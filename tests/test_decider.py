@@ -225,8 +225,9 @@ def test_admissibility_candidate_cap_is_checked_before_enumerating():
 
 
 def test_admissibility_degenerate_params_rejected():
-    with pytest.raises(ValidationFailure):
-        admissibility_scan(sierpinski_9i(), delta=0, beta=0)
+    with pytest.raises(ValidationFailure) as err:
+        build_system(2, 3, [], [([[9, 0], [0, 9]], SIERPINSKI.digits)], r="1/9", delta=0)
+    assert err.value.code == "params"
 
 
 def test_admissibility_violation_detected():

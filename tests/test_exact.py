@@ -175,7 +175,7 @@ def test_cyclotomic_matches_float_oracle_exhaustively():
 def test_matrix_helpers():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     assert a.transpose().rows == ((1, 3), (2, 4))
-    assert (a @ Matrix.identity(2)) == a
+    assert a.mul(Matrix.identity(2)) == a
     assert a.mul_vec((1, 1)) == (3, 7)
     assert a.det() == -2
     assert not a.is_diagonal()

@@ -186,3 +186,15 @@ def test_direction_with_zero_entry_reported_not_rejected():
     assert (1, 0) in z.directions
     idx = z.directions.index((1, 0))
     assert z.model_compliant[idx] is False
+
+
+def test_from_vectors_rejects_non_integral_coordinates():
+    with pytest.raises(ValueError, match=r"\(0\.5, 0\)"):
+        DigitSet.from_vectors([(0.5, 0), (1, 0), (0, 1)])
+    assert DigitSet.from_vectors([(0, 0), (2.0, 0), (0, Fraction(4, 2))]).digits == ((0, 0), (2, 0), (0, 2))
+
+
+def test_residue_vanishing_test_rejects_non_integral_direction():
+    with pytest.raises(ValueError, match=r"\(1\.5, 2\)"):
+        residue_vanishing_test(SIERPINSKI, (1.5, 2), 3)
+    assert residue_vanishing_test(SIERPINSKI, (1.0, Fraction(4, 2)), 3)

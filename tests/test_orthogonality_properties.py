@@ -11,6 +11,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from moranspec import analyzer  # noqa: E402
+from moranspec.errors import DimensionMismatch  # noqa: E402
 from moranspec.exact import vec_neg, vec_sub  # noqa: E402
 from moranspec.specfile import load_system  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
@@ -137,9 +138,34 @@ def test_zero_levels_rejects_zero_row():
         ("cube", [(0, 0, 0), (2**21, 2**21, 2**21), (1, 2, 0), (0, 1, 1)]),
     ],
 )
-def test_points_beyond_int64_take_the_pair_loop(name, points):
+def test_points_beyond_int64_match_reference(name, points):
     system = SYSTEMS[name]
-    with mock.patch.object(analyzer, "_orthogonality_batched", side_effect=AssertionError("numpy path")):
-        report = analyzer.verify_orthogonality(system, points)
+    report = analyzer.verify_orthogonality(system, points)
     assert as_tuple(report) == reference_report(system, points)
     assert not report.passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(system_and_points(), st.integers(1, 2**8), st.integers(1, 4))
+def test_lowered_int64_limit_changes_no_result(case, limit, depth):
+    # a limit this low sends keys, zero-level rows and phase residues to
+    # Python ints (object arrays) or to the scalar search; results must not move
+    system, points = case
+    bases = [(0.0,) * system.dimension, (0.375,) * system.dimension]
+    offsets = np.array(points or [(0,) * system.dimension], dtype=np.int64)
+    report = analyzer.verify_orthogonality(system, points)
+    values = analyzer.transform_batch_multi(system, offsets, bases, depth)
+    with mock.patch.object(analyzer, "_INT64_LIMIT", limit):
+        low_report = analyzer.verify_orthogonality(system, points)
+        low_values = analyzer.transform_batch_multi(system, offsets, bases, depth)
+    assert as_tuple(low_report) == as_tuple(report) == reference_report(system, points)
+    # the phase of each root is rounded once more in Python complex division
+    np.testing.assert_allclose(low_values, values, rtol=0, atol=1e-12)
+
+
+def test_points_of_another_dimension_are_rejected_before_any_work():
+    system = SYSTEMS["sierpinski_3i"]
+    with mock.patch.object(analyzer, "_orthogonality_pairs", side_effect=AssertionError("pair work")):
+        for points in ([(0, 0, 0), (1, 0, 0)], [(0, 0), (1, 0, 0)], [(1,)]):
+            with pytest.raises(DimensionMismatch):
+                analyzer.verify_orthogonality(system, points)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,3 +224,9 @@ def test_closure_operations_reverify_on_random_towers():
             ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels, mode="numeric", tol=1e-10)
         assert ok
         done += 1
+
+
+def test_is_compatible_pair_rejects_non_integral_labels():
+    with pytest.raises(ValueError, match=r"\(1\.9, 0\)"):
+        is_compatible_pair(R3, SIERPINSKI.digits, [(0, 0), (1.9, 0), (0, 1)])
+    assert is_compatible_pair(R3, SIERPINSKI.digits, [(0, 0), (1.0, Fraction(4, 2)), (2, 1)]) == (True, None)
