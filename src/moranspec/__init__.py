@@ -10,7 +10,6 @@ from .analyzer import (
     completeness_scan,
     find_zero_level,
     finite_level_identity,
-    transform_batch,
     truncated_transform,
     verify_orthogonality,
 )
@@ -22,7 +21,6 @@ from .builder import (
     TransformRecord,
     block_size_parameters,
     build_blocks,
-    build_spectrum_level,
     choose_block_size,
     find_admissible_direction,
     normalize_first_level,
@@ -44,7 +42,6 @@ from .decider import (
 from .exact import (
     Matrix,
     check_contraction,
-    cyclotomic_polynomial,
     cyclotomic_vanishes,
     mixed_radix_sums,
     operator_norm_upper,
@@ -63,7 +60,6 @@ from .pairs import (
     reduce_pair_mod,
     tower_pair,
     translate_pair,
-    verify_pair,
 )
 from .render import PointCloud, parse_csv, read_ppm, render, support_points
 from .specfile import load_document, load_system

@@ -295,17 +295,6 @@ def _exact_inverse_tables(system: MoranSystem, depth: int):
     return tables
 
 
-def transform_batch(system: MoranSystem, offsets: np.ndarray, base: Sequence, depth: int) -> np.ndarray:
-    """Truncated transform values at base + offsets for integer offsets.
-
-    The integer part of every phase is reduced exactly (int64 when ranges
-    allow, arbitrary precision otherwise), so precision does not degrade
-    with the size of the offsets. ``offsets`` is (P, n) integer,
-    ``base`` a length-n float/rational point.
-    """
-    return transform_batch_multi(system, offsets, [base], depth)[0]
-
-
 def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth: int) -> np.ndarray:
     """Transform values at base_b + offset_p for every pair, shape (B, P).
 

@@ -239,7 +239,7 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
         labels = tuple(_reduce_into_fundamental_domain(v, rt, rt_inv) for v in tower.labels)
         if len(set(labels)) != len(labels):
             raise PairVerificationFailed(b, message=f"block {b}: label tower collided after reduction")
-        ok, witness = is_compatible_pair(tower.matrix, tower.digits, labels, mode="exact")
+        ok, witness = is_compatible_pair(tower.matrix, tower.digits, labels)
         if not ok:
             raise PairVerificationFailed(b, witness=witness)
         built.append(
@@ -306,10 +306,6 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = 10**6, enf
             checked = True
         levels.append(SpectrumLevel(index=k, K=K, elements=elements, containment_checked=checked))
     return tuple(levels)
-
-
-def build_spectrum_level(decomp: BlockDecomposition, k: int, cap: int = 10**6, enforce_containment=None) -> SpectrumLevel:
-    return spectrum_levels(decomp, k, cap=cap, enforce_containment=enforce_containment)[k]
 
 
 def _check_containment(decomp: BlockDecomposition, k: int, elements):

@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix, SizeMismatch
 
@@ -264,53 +265,42 @@ def check_contraction(m: Matrix, r, strict: bool = False) -> bool:
     return norm_bound_holds(m.inverse(), Fraction(r), strict=strict)
 
 
-def _poly_divmod_int(num, den):
-    # Exact division of integer polynomials; den must be monic.
-    num = list(num)
-    out = [0] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        shift = len(num) - len(den)
-        coeff = num[-1]
-        out[shift] = coeff
-        for i, d in enumerate(den):
-            num[shift + i] -= coeff * d
-        while num and num[-1] == 0:
-            num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return out, num
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(q: int) -> tuple:
-    """Coefficients (ascending) of the q-th cyclotomic polynomial.
-
-    Built from x^q - 1 = prod over divisors d of q of Phi_d(x), by exact
-    integer polynomial division.
-    """
-    if q < 1:
-        raise ValueError("q must be positive")
-    num = [-1] + [0] * (q - 1) + [1]
-    for d in range(1, q):
-        if q % d == 0:
-            num, rem = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
-            assert not rem
-    return tuple(num)
+def _prime_factors(q: int) -> tuple:
+    """The distinct primes dividing q, ascending."""
+    primes, p = [], 2
+    while p * p <= q:
+        if q % p == 0:
+            primes.append(p)
+            while q % p == 0:
+                q //= p
+        p += 1
+    if q > 1:
+        primes.append(q)
+    return tuple(primes)
 
 
 def cyclotomic_vanishes(exponents: Iterable[int], q: int) -> bool:
-    """Whether sum of exp(2*pi*i*p/q) over the multiset vanishes exactly.
+    """Whether sum of exp(2*pi*i*e/q) over the multiset vanishes exactly.
 
-    The sum is zero iff the q-th cyclotomic polynomial divides
-    sum_p x^(p mod q), tested by exact polynomial remainder. For prime q
-    this reduces to all residue classes appearing with equal multiplicity.
+    Decided in a basis, with no polynomial arithmetic and one array of q
+    counts. With rad = p_1...p_k the product of the primes of q and
+    s = q / rad, write e mod q as s*t + c with 0 <= c < s. The roots
+    zeta_q^c, c < s, are a basis of Q(zeta_q) over Q(zeta_rad), and by the
+    Chinese remainder theorem zeta_rad^t factors into roots zeta_p^(t mod p)
+    (up to a Galois automorphism, which keeps vanishing). The only relation
+    among the p-th roots is that they sum to 0, so along each prime axis the
+    slices 1..p-1 minus slice 0 are coordinates in a basis; the sum vanishes
+    iff every coordinate is 0.
     """
     if q < 1:
         raise ValueError("q must be positive")
-    counts = [0] * q
-    for p in exponents:
-        counts[p % q] += 1
-    if not any(counts):
-        return True
-    _, rem = _poly_divmod_int(counts, list(cyclotomic_polynomial(q)))
-    return not rem
+    primes = _prime_factors(q)
+    s = q // math.prod(primes)
+    # reduce in Python so exponents beyond int64 never reach numpy
+    t, c = np.divmod(np.fromiter((e % q for e in exponents), dtype=np.int64), s)
+    flat = np.ravel_multi_index(tuple(t % p for p in primes) + (c,), primes + (s,))
+    counts = np.bincount(flat, minlength=q).reshape(primes + (s,))
+    for axis in range(len(primes)):
+        head, rest = np.split(counts, [1], axis=axis)
+        counts = rest - head
+    return not counts.any()

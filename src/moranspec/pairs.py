@@ -3,16 +3,13 @@
 (R, D, L) is a Hadamard triple when H = (1/sqrt(#D)) [exp(2*pi*i*<R^-1 d, l>)]
 is unitary. Column orthogonality says that for every pair of distinct
 labels the sum over digits of exp(2*pi*i*<R^-1 d, l - l'>) vanishes, which
-the exact mode decides through the cyclotomic test on the rational inner
-products; the numeric mode builds H and measures |H H* - I|.
+is decided exactly by the cyclotomic test on the rational inner products.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
-
-import numpy as np
 
 from . import exact
 from .errors import CongruenceViolation, DimensionMismatch, SizeMismatch
@@ -21,12 +18,11 @@ from .exact import Matrix, intvec, mixed_radix_sums, vec_add, vec_dot, vec_sub
 
 @dataclass(frozen=True)
 class CompatiblePair:
-    """Verified (R^-1 D, L) pair; ``status`` is "exact", "numeric" or "failed"."""
+    """A (R^-1 D, L) pair; ``is_compatible_pair`` decides whether it is compatible."""
 
     matrix: Matrix
     digits: tuple
     labels: tuple
-    status: str = "unverified"
 
     @property
     def size(self) -> int:
@@ -37,13 +33,13 @@ def _normalize_vectors(vectors) -> tuple:
     return tuple(intvec(v) for v in vectors)
 
 
-def is_compatible_pair(matrix: Matrix, digits, labels, mode: str = "exact", tol: float = 1e-9):
-    """Check unitarity of the pair matrix; returns (ok, witness).
+def is_compatible_pair(matrix: Matrix, digits, labels):
+    """Check unitarity of the pair matrix exactly; returns (ok, witness).
 
-    ``witness`` is the offending label pair on failure, else None. Exact
-    mode routes every label difference through the cyclotomic vanishing
-    test with the least common denominator of the inner products, so it
-    also covers composite denominators outside the prime model class.
+    ``witness`` is the offending label pair on failure, else None. Every
+    label difference goes through the cyclotomic vanishing test with the
+    least common denominator of the inner products, so composite
+    denominators outside the prime model class are covered too.
     """
     digits = _normalize_vectors(digits)
     labels = _normalize_vectors(labels)
@@ -52,48 +48,20 @@ def is_compatible_pair(matrix: Matrix, digits, labels, mode: str = "exact", tol:
     n = matrix.n
     if any(len(v) != n for v in digits) or any(len(v) != n for v in labels):
         raise DimensionMismatch("vector dimension differs from matrix size")
+    # <R^-1 d, l - l'> = <N d, l - l'> / den with R^-1 = N / den; the least
+    # common denominator of the inner products is den / g.
     inv = matrix.inverse()
-
-    if mode == "exact":
-        # <R^-1 d, l - l'> = <N d, l - l'> / den with R^-1 = N / den; the
-        # least common denominator of the inner products is den / g.
-        den = inv.den
-        rows = [inv.mul_vec_num(d) for d in digits]
-        for a in range(len(labels)):
-            for b in range(a + 1, len(labels)):
-                diff = vec_sub(labels[a], labels[b])
-                inner = [vec_dot(r, diff) for r in rows]
-                g = math.gcd(den, *inner)
-                q = den // g
-                if not exact.cyclotomic_vanishes([(x // g) % q for x in inner], q):
-                    return False, (labels[a], labels[b])
-        return True, None
-
-    if mode == "numeric":
-        d_arr = np.array(digits, dtype=float)
-        l_arr = np.array(labels, dtype=float)
-        phases = (d_arr @ np.array(inv.floats()).T) @ l_arr.T
-        h = np.exp(2j * np.pi * phases) / math.sqrt(len(digits))
-        gram = h.conj().T @ h
-        err = np.abs(gram - np.eye(len(labels)))
-        if err.max() < tol:
-            return True, None
-        a, b = np.unravel_index(int(err.argmax()), err.shape)
-        if a == b:
-            return False, (labels[a], labels[a])
-        return False, (labels[a], labels[b])
-
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def verify_pair(matrix: Matrix, digits, labels, mode: str = "exact", tol: float = 1e-9) -> CompatiblePair:
-    ok, _ = is_compatible_pair(matrix, digits, labels, mode=mode, tol=tol)
-    return CompatiblePair(
-        matrix=matrix,
-        digits=_normalize_vectors(digits),
-        labels=_normalize_vectors(labels),
-        status=mode if ok else "failed",
-    )
+    den = inv.den
+    rows = [inv.mul_vec_num(d) for d in digits]
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            diff = vec_sub(labels[a], labels[b])
+            inner = [vec_dot(r, diff) for r in rows]
+            g = math.gcd(den, *inner)
+            q = den // g
+            if not exact.cyclotomic_vanishes([(x // g) % q for x in inner], q):
+                return False, (labels[a], labels[b])
+    return True, None
 
 
 def translate_pair(pair: CompatiblePair, label_shift, digit_shift) -> CompatiblePair:
@@ -155,7 +123,7 @@ def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
     if len(set(digits)) != len(digits) or len(set(labels)) != len(labels):
         raise CongruenceViolation("tower produced colliding elements")
     matrix = digit_coef[0].mul(pairs[0].matrix)
-    return CompatiblePair(matrix=matrix, digits=tuple(digits), labels=tuple(labels), status="unverified")
+    return CompatiblePair(matrix=matrix, digits=tuple(digits), labels=tuple(labels))
 
 
 def distinct_mod(vectors, matrix: Matrix) -> bool:

@@ -7,11 +7,10 @@ constant c (default 1, sound for the Euclidean operator norm).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ValidationFailure
 from .exact import Matrix, check_contraction, operator_norm_upper

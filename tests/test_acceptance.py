@@ -140,7 +140,7 @@ def test_criterion_5_infinite_measure_completeness():
 def test_criterion_6_compatible_pair_suite():
     import random
 
-    from test_pairs import _random_compatible, _random_junk
+    from test_pairs import _random_compatible, _random_junk, gram_defect
 
     start = time.monotonic()
     rng = random.Random(424242)
@@ -152,8 +152,8 @@ def test_criterion_6_compatible_pair_suite():
         if made is None:
             made = _random_junk(rng, n, m)
         mat, digits, labels = made
-        exact_ok, _ = is_compatible_pair(mat, digits, labels, mode="exact")
-        numeric_ok, _ = is_compatible_pair(mat, digits, labels, mode="numeric", tol=1e-9)
+        exact_ok, _ = is_compatible_pair(mat, digits, labels)
+        numeric_ok = gram_defect(mat, digits, labels) < 1e-9
         assert exact_ok == numeric_ok
         agreements += 1
     assert agreements == 200
@@ -166,24 +166,24 @@ def test_criterion_6_compatible_pair_suite():
         if made is None:
             continue
         mat, digits, labels = made
-        ok, _ = is_compatible_pair(mat, digits, labels, mode="exact")
+        ok, _ = is_compatible_pair(mat, digits, labels)
         if not ok:
             continue
         from moranspec.pairs import CompatiblePair
 
-        pair = CompatiblePair(mat, digits, labels, "exact")
+        pair = CompatiblePair(mat, digits, labels)
         shifted = translate_pair(pair, (1,) * n, (2,) * n)
-        ok, _ = is_compatible_pair(shifted.matrix, shifted.digits, shifted.labels, mode="exact")
+        ok, _ = is_compatible_pair(shifted.matrix, shifted.digits, shifted.labels)
         assert ok
         rt = mat.transpose()
         new_digits = tuple(tuple(a + b for a, b in zip(d, rt.mul_vec((1,) * n))) for d in digits)
         new_labels = tuple(tuple(a + b for a, b in zip(l, mat.mul_vec((1,) * n))) for l in labels)
         if len(set(new_digits)) == len(digits) and len(set(new_labels)) == len(labels):
             red = reduce_pair_mod(pair, new_digits, new_labels)
-            ok, _ = is_compatible_pair(red.matrix, red.digits, red.labels, mode="exact")
+            ok, _ = is_compatible_pair(red.matrix, red.digits, red.labels)
             assert ok
         tower = tower_pair([pair, pair])
-        ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels, mode="exact")
+        ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels)
         assert ok
         towers += 1
     elapsed = time.monotonic() - start

@@ -10,7 +10,7 @@ from moranspec.analyzer import (
     completeness_scan,
     find_zero_level,
     finite_level_identity,
-    transform_batch,
+    transform_batch_multi,
     truncated_transform,
     verify_orthogonality,
 )
@@ -56,7 +56,7 @@ def test_transform_batch_matches_pointwise():
     rng = random.Random(12)
     offsets = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(12)]
     base = (0.37, 0.81)
-    vals = transform_batch(system, np.array(offsets), base, 5)
+    vals = transform_batch_multi(system, np.array(offsets), [base], 5)[0]
     for off, got in zip(offsets, vals):
         point = (base[0] + off[0], base[1] + off[1])
         want = truncated_transform(system, point, 5).value
@@ -163,7 +163,7 @@ def test_bessel_bound_on_verified_family():
     for _ in range(5):
         xi = rng.random(2)
         for depth in (4, 8, 12):
-            vals = transform_batch(system, elements, xi, depth)
+            vals = transform_batch_multi(system, elements, [xi], depth)[0]
             assert float(np.sum(np.abs(vals) ** 2)) <= 1.0 + 1e-9
 
 
@@ -215,7 +215,7 @@ def test_deleted_element_leaves_visible_gap():
     kept = np.array(levels[1].elements[1:], dtype=np.int64)  # drop 0
     worst = 0.0
     for xi in [np.array([a / 4, b / 4]) for a in range(4) for b in range(4)]:
-        vals = transform_batch(system, kept, xi, depth)
+        vals = transform_batch_multi(system, kept, [xi], depth)[0]
         q = float(np.sum(np.abs(vals) ** 2))
         assert q <= 1 + 1e-9
         worst = max(worst, 1.0 - q)
@@ -246,7 +246,7 @@ def test_transform_batch_reduces_phases_beyond_int64():
     system = sierpinski_3i()
     offsets = [(0, 0), (1, 2), (5, -7), (40, 13), (-243, 729)]
     base = (0.125, 0.625)
-    vals = transform_batch(system, np.array(offsets), base, 41)
+    vals = transform_batch_multi(system, np.array(offsets), [base], 41)[0]
     for off, got in zip(offsets, vals):
         want = truncated_transform(system, (base[0] + off[0], base[1] + off[1]), 41).value
         assert got == pytest.approx(want, abs=1e-12)
@@ -311,7 +311,7 @@ def test_transform_batch_memory_stays_below_root_table():
     import tracemalloc
     from pathlib import Path
 
-    from moranspec.analyzer import _exact_inverse_tables, transform_batch_multi
+    from moranspec.analyzer import _exact_inverse_tables
     from moranspec.builder import normalize_first_level
     from moranspec.specfile import load_system
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,6 @@ from conftest import SIERPINSKI, STAIRCASE
 from moranspec.builder import (
     block_size_parameters,
     build_blocks,
-    build_spectrum_level,
     choose_block_size,
     find_admissible_direction,
     normalize_first_level,
@@ -17,6 +17,7 @@ from moranspec.builder import (
 from moranspec.errors import CapExceeded, ContainmentViolation, NoAdmissibleDirection
 from moranspec.exact import Matrix
 from moranspec.pairs import is_compatible_pair
+from moranspec.specfile import load_system
 from moranspec.system import build_system
 
 
@@ -119,7 +120,7 @@ def test_build_blocks_sierpinski_k1():
     assert block.labels[0] == (0, 0)
     assert set(block.labels) == {(0, 0), (1, -1), (-1, 1)}
     assert set(block.digits) == set(SIERPINSKI.digits)
-    ok, _ = is_compatible_pair(block.matrix, block.digits, block.labels, mode="exact")
+    ok, _ = is_compatible_pair(block.matrix, block.digits, block.labels)
     assert ok
     assert not decomp.meets_certified_bound
 
@@ -139,7 +140,7 @@ def test_build_blocks_cardinality():
 
 def test_spectrum_level_zero_is_first_block_labels():
     decomp = build_blocks(sierpinski_3i(), K=1, blocks=1)
-    lvl = build_spectrum_level(decomp, 0)
+    lvl = spectrum_levels(decomp, 0)[0]
     assert set(lvl.elements) == set(decomp.block(0).labels)
 
 
@@ -230,3 +231,14 @@ def test_normalized_spectrum_pulls_back_to_orthogonal_set():
         pulled.append(tuple(int(v) for v in back))
     report = verify_orthogonality(sys9, pulled)
     assert report.passed
+
+
+def test_build_blocks_staircase_certified_block():
+    # One block at the certified K = 3: 125 labels whose inner products have
+    # denominators 50, 250 and 500, so the exact test runs over two primes.
+    from test_pairs import gram_defect
+
+    system, _ = normalize_first_level(load_system(Path(__file__).parent / "fixtures" / "staircase_spectral.json"))
+    block = build_blocks(system, K=3, blocks=1).block(0)
+    assert len(block.labels) == 125
+    assert gram_defect(block.matrix, block.digits, block.labels) < 1e-9

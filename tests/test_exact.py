@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -11,7 +12,6 @@ from moranspec.errors import SingularMatrix
 from moranspec.exact import (
     Matrix,
     check_contraction,
-    cyclotomic_polynomial,
     cyclotomic_vanishes,
     operator_norm_upper,
 )
@@ -147,6 +147,42 @@ def test_contraction_singular_raises():
         check_contraction(Matrix.from_rows([[0]]), 0.5)
 
 
+def poly_divmod_int(num, den):
+    """Exact division of integer polynomials (ascending coefficients); den must be monic."""
+    num = list(num)
+    out = [0] * max(0, len(num) - len(den) + 1)
+    while len(num) >= len(den) and any(num):
+        shift = len(num) - len(den)
+        coeff = num[-1]
+        out[shift] = coeff
+        for i, d in enumerate(den):
+            num[shift + i] -= coeff * d
+        while num and num[-1] == 0:
+            num.pop()
+    while num and num[-1] == 0:
+        num.pop()
+    return out, num
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(q):
+    """Independent oracle: Phi_q from x^q - 1 = prod_{d | q} Phi_d(x) by exact division."""
+    num = [-1] + [0] * (q - 1) + [1]
+    for d in range(1, q):
+        if q % d == 0:
+            num, rem = poly_divmod_int(num, list(cyclotomic_polynomial(d)))
+            assert not rem
+    return tuple(num)
+
+
+def vanishes_by_division(exponents, q):
+    """Independent oracle: Phi_q divides sum_e x^(e mod q)."""
+    counts = [0] * q
+    for e in exponents:
+        counts[e % q] += 1
+    return not poly_divmod_int(counts, list(cyclotomic_polynomial(q)))[1]
+
+
 def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -160,6 +196,13 @@ def test_cyclotomic_examples():
     assert cyclotomic_vanishes([0, 1, 2], 3) is True
     assert cyclotomic_vanishes([0, 2], 4) is True
     assert cyclotomic_vanishes([0, 1], 3) is False
+    assert cyclotomic_vanishes([], 30) is True
+    # the 2-gon {0, 15} plus the 3- and 5-gons without the root 1 sums to -2;
+    # two rotated 6-gons sum to 0
+    assert cyclotomic_vanishes([0, 15, 10, 20, 6, 12, 18, 24], 30) is False
+    assert cyclotomic_vanishes([0, 5, 10, 15, 20, 25] + [3, 8, 13, 18, 23, 28], 30) is True
+    with pytest.raises(ValueError):
+        cyclotomic_vanishes([0], 0)
 
 
 def test_cyclotomic_matches_float_oracle_exhaustively():

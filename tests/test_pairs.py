@@ -14,7 +14,6 @@ from moranspec.pairs import (
     reduce_pair_mod,
     tower_pair,
     translate_pair,
-    verify_pair,
 )
 
 R3 = Matrix.diagonal([3, 3])
@@ -30,29 +29,26 @@ def gram_defect(matrix, digits, labels):
 
 
 def test_sierpinski_pair_exact_and_numeric():
-    ok, witness = is_compatible_pair(R3, SIERPINSKI.digits, SIERP_LABELS, mode="exact")
+    ok, witness = is_compatible_pair(R3, SIERPINSKI.digits, SIERP_LABELS)
     assert ok and witness is None
-    ok, _ = is_compatible_pair(R3, SIERPINSKI.digits, SIERP_LABELS, mode="numeric", tol=1e-12)
-    assert ok
     assert gram_defect(R3, SIERPINSKI.digits, SIERP_LABELS) < 1e-12
 
 
 def test_singleton_pair_trivially_compatible():
-    ok, _ = is_compatible_pair(Matrix.diagonal([5, 5]), [(0, 0)], [(0, 0)], mode="exact")
+    ok, _ = is_compatible_pair(Matrix.diagonal([5, 5]), [(0, 0)], [(0, 0)])
     assert ok
 
 
 def test_diagonal_labels_fail_with_witness():
     bad = ((0, 0), (1, 1), (2, 2))
-    ok, witness = is_compatible_pair(R3, SIERPINSKI.digits, bad, mode="exact")
+    ok, witness = is_compatible_pair(R3, SIERPINSKI.digits, bad)
     assert not ok
     assert set(witness) == {(1, 1), (0, 0)}
-    ok, witness = is_compatible_pair(R3, SIERPINSKI.digits, bad, mode="numeric")
-    assert not ok and witness is not None
+    assert gram_defect(R3, SIERPINSKI.digits, bad) > 0.1
 
 
 def test_quarter_cantor_pair_composite_denominator():
-    ok, _ = is_compatible_pair(Matrix.from_rows([[4]]), [(0,), (2,)], [(0,), (1,)], mode="exact")
+    ok, _ = is_compatible_pair(Matrix.from_rows([[4]]), [(0,), (2,)], [(0,), (1,)])
     assert ok
 
 
@@ -62,30 +58,29 @@ def test_size_mismatch():
 
 
 def test_translate_pair():
-    pair = verify_pair(R3, SIERPINSKI.digits, SIERP_LABELS)
-    assert pair.status == "exact"
+    pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
     same = translate_pair(pair, (0, 0), (0, 0))
     assert same.digits == pair.digits and same.labels == pair.labels
     moved = translate_pair(pair, (2, -1), (1, 1))
-    ok, _ = is_compatible_pair(moved.matrix, moved.digits, moved.labels, mode="exact")
+    ok, _ = is_compatible_pair(moved.matrix, moved.digits, moved.labels)
     assert ok
     assert moved.digits[0] == (1, 1)
 
 
 def test_reduce_pair_mod():
-    pair = verify_pair(R3, SIERPINSKI.digits, SIERP_LABELS)
+    pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
     same = reduce_pair_mod(pair, pair.digits, pair.labels)
     assert same.labels == pair.labels
     # representatives of the labels inside 3(-1/2,1/2]^2
     reduced = reduce_pair_mod(pair, pair.digits, ((0, 0), (1, -1), (-1, 1)))
-    ok, _ = is_compatible_pair(reduced.matrix, reduced.digits, reduced.labels, mode="exact")
+    ok, _ = is_compatible_pair(reduced.matrix, reduced.digits, reduced.labels)
     assert ok
     with pytest.raises(CongruenceViolation):
         reduce_pair_mod(pair, pair.digits, ((0, 0), (1, 1), (2, 1)))
 
 
 def test_tower_pair_single_level_identity():
-    pair = verify_pair(R3, SIERPINSKI.digits, SIERP_LABELS)
+    pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
     tower = tower_pair([pair])
     assert set(tower.digits) == set(pair.digits)
     assert set(tower.labels) == set(pair.labels)
@@ -93,18 +88,18 @@ def test_tower_pair_single_level_identity():
 
 
 def test_tower_pair_two_sierpinski_levels():
-    pair = verify_pair(R3, SIERPINSKI.digits, SIERP_LABELS)
+    pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
     tower = tower_pair([pair, pair])
     assert tower.size == 9
     assert len(tower.labels) == 9
     assert tower.matrix == Matrix.diagonal([9, 9])
     assert gram_defect(tower.matrix, tower.digits, tower.labels) < 1e-10
-    ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels, mode="exact")
+    ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels)
     assert ok
 
 
 def test_verified_pairs_have_distinct_cosets():
-    pair = verify_pair(R3, SIERPINSKI.digits, SIERP_LABELS)
+    pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
     assert distinct_mod(pair.digits, pair.matrix.transpose())
     assert distinct_mod(pair.labels, pair.matrix)
 
@@ -167,8 +162,8 @@ def test_exact_and_numeric_agree_on_random_pairs():
         if made is None:
             made = _random_junk(rng, n, m)
         mat, digits, labels = made
-        exact_ok, _ = is_compatible_pair(mat, digits, labels, mode="exact")
-        numeric_ok, _ = is_compatible_pair(mat, digits, labels, mode="numeric", tol=1e-9)
+        exact_ok, _ = is_compatible_pair(mat, digits, labels)
+        numeric_ok = gram_defect(mat, digits, labels) < 1e-9
         assert exact_ok == numeric_ok, (mat.rows, digits, labels)
         true_count += exact_ok
     assert true_count >= 40  # both branches exercised
@@ -189,14 +184,14 @@ def test_closure_operations_reverify_on_random_towers():
             mat, digits, labels = made
             u = _random_unimodular(rng, n)
             mat = mat.mul(u) if n > 1 and rng.random() < 0.3 else mat
-            ok, _ = is_compatible_pair(mat, digits, labels, mode="exact")
+            ok, _ = is_compatible_pair(mat, digits, labels)
             if not ok:
                 continue
-            levels.append(CompatiblePair(mat, digits, labels, "exact"))
+            levels.append(CompatiblePair(mat, digits, labels))
 
         # (ii) translation closure
         shifted = translate_pair(levels[0], tuple(rng.randint(-3, 3) for _ in range(n)), tuple(rng.randint(-3, 3) for _ in range(n)))
-        ok, _ = is_compatible_pair(shifted.matrix, shifted.digits, shifted.labels, mode="exact")
+        ok, _ = is_compatible_pair(shifted.matrix, shifted.digits, shifted.labels)
         assert ok
 
         # (v) congruence reduction closure
@@ -212,16 +207,16 @@ def test_closure_operations_reverify_on_random_towers():
         )
         if len(set(new_digits)) == base.size and len(set(new_labels)) == base.size:
             red = reduce_pair_mod(base, new_digits, new_labels)
-            ok, _ = is_compatible_pair(red.matrix, red.digits, red.labels, mode="exact")
+            ok, _ = is_compatible_pair(red.matrix, red.digits, red.labels)
             assert ok
 
         # (vi) tower closure
         tower = tower_pair(levels)
         assert tower.size == m ** depth
         if tower.size <= 27:
-            ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels, mode="exact")
+            ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels)
         else:
-            ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels, mode="numeric", tol=1e-10)
+            ok = gram_defect(tower.matrix, tower.digits, tower.labels) < 1e-10
         assert ok
         done += 1
 

@@ -6,7 +6,7 @@ import numpy as np
 from moranspec.analyzer import (
     find_zero_level,
     finite_level_identity,
-    transform_batch,
+    transform_batch_multi,
     truncated_transform,
     verify_orthogonality,
 )
@@ -59,7 +59,7 @@ def test_transform_paths_agree_in_dimension_three():
     system = cube_system()
     offsets = np.array([(1, -2, 3), (0, 4, -1), (2, 2, 2)], dtype=np.int64)
     base = (0.21, 0.55, 0.83)
-    vals = transform_batch(system, offsets, base, 4)
+    vals = transform_batch_multi(system, offsets, [base], 4)[0]
     for off, got in zip(offsets, vals):
         want = truncated_transform(system, tuple(base[i] + int(off[i]) for i in range(3)), 4).value
         assert abs(got - want) < 1e-10
