@@ -22,7 +22,7 @@ from .errors import (
     TemplateMismatch,
     ValidationFailure,
 )
-from .exact import Matrix
+from .exact import Matrix, vec_dot
 from .masks import DigitSet, find_zero_directions
 from .system import MoranSystem
 
@@ -245,42 +245,50 @@ class AdmissibilityResult:
         return {"certified": 0, "violation": 1}.get(self.status, 2)
 
 
+# most coset points one product and family may check before the certificate is inconclusive
+_CANDIDATE_CAP = 100_000
+
+
 def _box_widths(inv: Matrix, half_ext: Fraction):
     return [half_ext * Fraction(sum(abs(v) for v in row), inv.den) for row in inv.num]
 
 
-def _support_lower_bound_ok(inv: Matrix, half_ext: Fraction, point, u, beta: Fraction) -> bool:
-    """Exact check of (<u, q> - h_P(u)) >= beta * |u| for the box image P."""
+def _support_lower_bound_ok(inv: Matrix, half_ext: Fraction, q, beta: Fraction) -> bool:
+    """Exact check of (<q, q> - h_P(q)) >= beta * |q| for the box image P: the support bound in the direction q."""
+    h = half_ext * sum(abs(vec_dot(q, col)) for col in zip(*inv.num)) / inv.den
+    num = vec_dot(q, q) - h
+    return num >= 0 and num * num >= beta * beta * vec_dot(q, q)
+
+
+def _nearest_box_point(inv: Matrix, half_ext: Fraction, q) -> tuple:
+    """The exact x in the box [-half_ext, half_ext]^n minimizing |inv x - q|.
+
+    inv is invertible, so |inv x - q|^2 is strictly convex and its minimizer
+    on the box is the one point meeting the KKT conditions. Each of the 3^n
+    faces (every coordinate free, at -h or at +h) is tried in turn: its free
+    coordinates solve the normal equations (N^t N) x = d N^t q of
+    inv = N / d restricted to the face, and the face holds the minimizer when
+    they lie in the box and moving a fixed coordinate back into the box
+    would not decrease the distance (the KKT sign test on the gradient).
+    """
     n = inv.n
-    h = half_ext * sum(abs(sum(u[i] * inv.num[i][t] for i in range(n))) for t in range(n)) / inv.den
-    num = sum(a * b for a, b in zip(u, point)) - h
-    if num < 0:
-        return False
-    u_sq = sum(a * a for a in u)
-    return num * num >= beta * beta * u_sq
-
-
-def _nearest_box_point(g: np.ndarray, q: np.ndarray, half: float, iterations: int) -> np.ndarray:
-    """Projected gradient descent for the x in [-half, half]^n minimizing |g x - q|."""
-    x = np.clip(np.linalg.lstsq(g, q, rcond=None)[0], -half, half)
-    step = 1.0 / max(2 * np.linalg.norm(g, 2) ** 2, 1e-9)
-    grad_map = 2 * g.T
-    for _ in range(iterations):
-        # np.maximum/np.minimum give np.clip's bits without its per-call dispatch
-        x = np.minimum(np.maximum(x - step * (grad_map @ (g @ x - q)), -half), half)
-    return x
-
-
-def _violation_candidate(inv: Matrix, g: np.ndarray, half_ext: Fraction, point, beta: Fraction):
-    """Search for x in the box with |A^-1 x - q| < beta; exact on success."""
-    x = _nearest_box_point(g, np.array([float(v) for v in point]), float(half_ext), 300)
-    cand = [Fraction(v).limit_denominator(10**6) for v in x]
-    cand = [max(-half_ext, min(half_ext, v)) for v in cand]
-    y = inv.mul_vec(cand)
-    dist_sq = sum((a - b) ** 2 for a, b in zip(y, point))
-    if dist_sq < beta * beta:
-        return {"box_point": tuple(str(v) for v in cand), "image": tuple(str(v) for v in y)}
-    return None
+    cols = tuple(zip(*inv.num))
+    gram = [[vec_dot(a, b) for b in cols] for a in cols]
+    target = [inv.den * vec_dot(a, q) for a in cols]
+    for face in itertools.product((None, -half_ext, half_ext), repeat=n):
+        x = list(face)
+        free = [i for i in range(n) if face[i] is None]
+        if free:
+            rhs = [target[i] - sum(gram[i][j] * face[j] for j in range(n) if face[j] is not None) for i in free]
+            sub = Matrix(tuple(tuple(gram[i][j] for j in free) for i in free)).inverse()
+            for i, v in zip(free, sub.mul_vec(rhs)):
+                x[i] = v
+            if any(abs(x[i]) > half_ext for i in free):
+                continue
+        # a coordinate at -h needs gradient >= 0, one at +h needs <= 0
+        if all((vec_dot(gram[i], x) - target[i]) * face[i] <= 0 for i in range(n) if face[i] is not None):
+            return tuple(x)
+    raise AssertionError("a strictly convex function has a minimizer on the box")
 
 
 def _coset_candidates(widths, beta: Fraction, nu, m: int):
@@ -307,7 +315,10 @@ def _certify_product_against_family(inv, half_ext, beta, nu, m):
     argument first: along any coordinate with nu_i nonzero mod m, every
     coset point sits at distance >= 1/m from 0, so a box image thinner
     than 1/m - beta in that coordinate clears the whole family at once.
-    Falls back to per-point support-function bounds.
+    Otherwise each coset point q is cleared by the support bound in the
+    direction q, or else decided by the exact nearest point of the box
+    image. Only more than _CANDIDATE_CAP candidates leave it inconclusive;
+    the witness then holds their count.
     """
     widths = _box_widths(inv, half_ext)
     inv_m = Fraction(1, m)
@@ -315,24 +326,17 @@ def _certify_product_against_family(inv, half_ext, beta, nu, m):
         if nu[i] % m != 0 and inv_m - widths[i] >= beta:
             return True, None, True
     count, points = _coset_candidates(widths, beta, nu, m)
-    if count > 100_000:
-        return False, None, False
-    g = np.array(inv.floats())
+    if count > _CANDIDATE_CAP:
+        return False, {"candidates": count}, False
     for a in points:
         q = tuple(Fraction(ai, m) for ai in a)
-        if _support_lower_bound_ok(inv, half_ext, q, q, beta):
+        if _support_lower_bound_ok(inv, half_ext, q, beta):
             continue
-        # refine the separating direction from the float nearest point
-        qf = np.array([float(v) for v in q])
-        x = _nearest_box_point(g, qf, float(half_ext), 200)
-        u = [Fraction(v).limit_denominator(10**4) for v in (qf - g @ x)]
-        if any(u) and _support_lower_bound_ok(inv, half_ext, q, tuple(u), beta):
-            continue
-        witness = _violation_candidate(inv, g, half_ext, q, beta)
-        if witness is not None:
-            witness["coset_point"] = tuple(str(v) for v in q)
-            return False, witness, True
-        return False, {"coset_point": tuple(str(v) for v in q)}, False
+        x = _nearest_box_point(inv, half_ext, q)
+        y = inv.mul_vec(x)
+        if sum((yi - qi) ** 2 for yi, qi in zip(y, q)) < beta * beta:
+            witness = {"box_point": x, "image": y, "coset_point": q}
+            return False, {key: tuple(map(str, v)) for key, v in witness.items()}, True
     return True, None, True
 
 
@@ -394,50 +398,39 @@ def admissibility_scan(system: MoranSystem, horizon=None) -> AdmissibilityResult
                 if conclusive:
                     failures.append((start, p))
                     if witness is None:
-                        witness = {"start_level": start, "length": p, **(wit or {})}
+                        witness = {"start_level": start, "length": p, **wit}
                 else:
-                    inconclusive.append((start, p, nu))
+                    inconclusive.append((start, p, wit["candidates"]))
 
     cycle_starts = set(range(system.cycle_start, system.cycle_start + cycle_len))
-    hard_failures = [f for f in failures if f[0] in cycle_starts]
-    caveats = []
     unconditional = tail_start is not None and p_max >= tail_start - 1
-    if not unconditional:
-        caveats.append(f"product lengths beyond {p_max} were not certified (horizon limit)")
+    caveats = [] if unconditional else [f"product lengths beyond {p_max} were not certified (horizon limit)"]
+    start_level = 0
     if inconclusive:
-        first = inconclusive[0]
-        return AdmissibilityResult(
-            status="inconclusive",
-            unconditional=False,
-            horizon=horizon,
-            tail_start=tail_start,
-            start_level=0,
-            products_checked=products_checked,
-            witness={"start_level": first[0], "length": first[1]},
-            caveats=tuple(caveats + ["support-function certificate failed without an exact violation"]),
+        status = "inconclusive"
+        start, p, count = inconclusive[0]
+        witness = {"start_level": start, "length": p}
+        caveats.append(
+            f"product of length {p} from level {start} has {count} coset candidates, "
+            f"over the cap of {_CANDIDATE_CAP}; it was not checked"
         )
-    if hard_failures:
-        return AdmissibilityResult(
-            status="violation",
-            unconditional=False,
-            horizon=horizon,
-            tail_start=tail_start,
-            start_level=0,
-            products_checked=products_checked,
-            witness=witness,
-            caveats=tuple(caveats),
-        )
-    start_level = max((f[0] for f in failures), default=0)
-    if failures:
-        caveats.append(f"products starting at levels <= {start_level} fail; condition holds from level {start_level + 1} on")
+    elif any(f[0] in cycle_starts for f in failures):
+        status = "violation"
+    else:
+        status, witness = "certified", None
+        start_level = max((f[0] for f in failures), default=0)
+        if failures:
+            caveats.append(
+                f"products starting at levels <= {start_level} fail; condition holds from level {start_level + 1} on"
+            )
     return AdmissibilityResult(
-        status="certified",
-        unconditional=unconditional,
+        status=status,
+        unconditional=unconditional and status == "certified",
         horizon=horizon,
         tail_start=tail_start,
         start_level=start_level,
         products_checked=products_checked,
-        witness=None,
+        witness=witness,
         caveats=tuple(caveats),
     )
 

@@ -206,7 +206,11 @@ def _sqrt_fraction_exact(x: Fraction):
     return None
 
 
-def operator_norm_upper(m: Matrix, squarings: int = 6) -> float:
+# exact squarings of the Gram matrix in operator_norm_upper: overshoot <= n^(1/128)
+_NORM_SQUARINGS = 6
+
+
+def operator_norm_upper(m: Matrix) -> float:
     """Certified upper bound on the Euclidean operator norm of ``m``.
 
     Uses trace(G^k)^(1/2k) for the Gram matrix G = m^T m, which bounds the
@@ -222,9 +226,9 @@ def operator_norm_upper(m: Matrix, squarings: int = 6) -> float:
         return 0.0
     exact = _sqrt_fraction_exact(frob_sq)
     frob = float(exact) if exact is not None else 2.0 ** (_log2_fraction(frob_sq) / 2.0) * (1 + 1e-12)
-    for _ in range(squarings):
+    for _ in range(_NORM_SQUARINGS):
         g = g.mul(g)
-    k = 2 ** squarings
+    k = 2**_NORM_SQUARINGS
     bound = 2.0 ** (_log2_fraction(Fraction(g.trace())) / (2.0 * k)) * (1 + 1e-9)
     return min(bound, frob)
 
@@ -233,14 +237,13 @@ def _submatrix(rows, subset):
     return [[rows[i][j] for j in subset] for i in subset]
 
 
-def norm_bound_holds(m: Matrix, bound, strict: bool = False) -> bool:
-    """Exact test of ``operator norm of m <= bound`` (or ``<`` when strict).
+def norm_bound_holds(m: Matrix, bound) -> bool:
+    """Exact test of ``operator norm of m <= bound``.
 
-    Equivalent to positive (semi)definiteness of bound^2 I - m^T m, decided
-    by principal minors (leading ones when strict). With bound = p/q and
-    m^T m = G/d the test runs on the integer matrix p^2 d I - q^2 G, a
-    positive multiple. Unlike the float bound above, this is sharp at
-    equality.
+    Equivalent to positive semidefiniteness of bound^2 I - m^T m, decided
+    by all principal minors. With bound = p/q and m^T m = G/d the test runs
+    on the integer matrix p^2 d I - q^2 G, a positive multiple. Unlike the
+    float bound above, this is sharp at equality.
     """
     b = Fraction(bound)
     if b < 0:
@@ -249,20 +252,18 @@ def norm_bound_holds(m: Matrix, bound, strict: bool = False) -> bool:
     p2d, q2 = b.numerator**2 * g.den, b.denominator**2
     n = g.n
     s = [[(p2d if i == j else 0) - q2 * g.num[i][j] for j in range(n)] for i in range(n)]
-    if strict:
-        return all(_bareiss(_submatrix(s, range(size)))[0] > 0 for size in range(1, n + 1))
     return all(
         _bareiss(_submatrix(s, subset))[0] >= 0 for size in range(1, n + 1) for subset in combinations(range(n), size)
     )
 
 
-def check_contraction(m: Matrix, r, strict: bool = False) -> bool:
+def check_contraction(m: Matrix, r) -> bool:
     """True iff the inverse of ``m`` has Euclidean operator norm <= r.
 
     Decided exactly, so boundary cases such as diag[m,...,m] with r = 1/m
     come out true. Raises SingularMatrix when det(m) = 0.
     """
-    return norm_bound_holds(m.inverse(), Fraction(r), strict=strict)
+    return norm_bound_holds(m.inverse(), Fraction(r))
 
 
 def _prime_factors(q: int) -> tuple:

@@ -127,14 +127,12 @@ def build_system(
     delta=None,
     beta=None,
     c: float = 1.0,
-    require_contraction: bool = True,
 ) -> MoranSystem:
     """Validated construction from (matrix, digits[, zeros]) level tuples.
 
     ``r`` may be omitted, in which case a certified bound on the largest
     inverse operator norm over the levels is derived. Growth families that
-    have no uniform contraction bound are rejected here; pass
-    ``require_contraction=False`` only for diagnostic scans.
+    have no uniform contraction bound are rejected here.
     """
     if dimension < 1:
         raise ValidationFailure("format", "dimension must be at least 1")
@@ -172,22 +170,21 @@ def build_system(
     else:
         r_exact = Fraction(r)
         r_val = float(r_exact)
-    if require_contraction:
-        if r_val >= 1:
-            raise ValidationFailure(
-                "contraction",
-                f"derived inverse-norm bound {r_val:.6f} is not below 1; the system has no "
-                "uniform contraction ratio and the infinite convolution is not certified to exist",
-            )
-        if r_exact is not None:
-            if not (0 < r_exact < 1):
-                raise ValidationFailure("contraction", f"r must lie in (0, 1), got {r_exact}")
-            for i, lvl in enumerate(levels):
-                if not check_contraction(lvl.matrix, r_exact):
-                    raise ValidationFailure(
-                        "contraction",
-                        f"level {i + 1}: inverse operator norm exceeds the declared bound r = {r_exact}",
-                    )
+    if r_val >= 1:
+        raise ValidationFailure(
+            "contraction",
+            f"derived inverse-norm bound {r_val:.6f} is not below 1; the system has no "
+            "uniform contraction ratio and the infinite convolution is not certified to exist",
+        )
+    if r_exact is not None:
+        if not (0 < r_exact < 1):
+            raise ValidationFailure("contraction", f"r must lie in (0, 1), got {r_exact}")
+        for i, lvl in enumerate(levels):
+            if not check_contraction(lvl.matrix, r_exact):
+                raise ValidationFailure(
+                    "contraction",
+                    f"level {i + 1}: inverse operator norm exceeds the declared bound r = {r_exact}",
+                )
     return MoranSystem(
         dimension=dimension,
         prime=prime,

@@ -1,7 +1,8 @@
 """Property tests of the decide path against copies of the code it replaced:
 zero directions enumerated as canonical representatives, admissibility
 candidates from exact integer bounds, the O(n) canonical direction, and the
-projected-gradient search, whose float output must not change by one bit."""
+exact nearest box point, checked by its KKT conditions, a dense float sample
+and the projected-gradient search it replaced."""
 import math
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from moranspec.decider import _box_widths, _coset_candidates, _nearest_box_point  # noqa: E402
@@ -110,6 +111,7 @@ def test_canonical_direction_is_smallest_scalar_multiple(m, direction):
 
 
 def reference_nearest_box_point(g, q, half, iterations):
+    """The float projected-gradient search the exact nearest point replaced."""
     x = np.clip(np.linalg.lstsq(g, q, rcond=None)[0], -half, half)
     step = 1.0 / max(2 * np.linalg.norm(g, 2) ** 2, 1e-9)
     for _ in range(iterations):
@@ -118,10 +120,35 @@ def reference_nearest_box_point(g, q, half, iterations):
     return x
 
 
-@given(candidate_cases(), st.sampled_from([1, 200, 300]))
-def test_nearest_box_point_is_bit_identical(case, iterations):
-    inv, half_ext, beta, nu, m = case
-    g = np.array(inv.floats())
-    q = np.array([float(Fraction(c, m)) + float(beta) for c in nu])
-    got = _nearest_box_point(g, q, float(half_ext), iterations)
-    assert got.tobytes() == reference_nearest_box_point(g, q, float(half_ext), iterations).tobytes()
+@st.composite
+def nearest_point_cases(draw):
+    inv, half_ext, _, _, _ = draw(candidate_cases())
+    assume(inv.det() != 0)
+    point = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 10))
+    return inv, half_ext, tuple(draw(st.lists(point, min_size=inv.n, max_size=inv.n)))
+
+
+@given(nearest_point_cases())
+def test_nearest_box_point_is_the_exact_minimizer(case):
+    inv, h, q = case
+    x = _nearest_box_point(inv, h, q)
+    # KKT, exactly: inside the box, zero gradient on free coordinates, and
+    # on coordinates held at -h or +h a descent direction that leaves the box.
+    residual = [yi - qi for yi, qi in zip(inv.mul_vec(x), q)]
+    grad = inv.transpose().mul_vec(residual)
+    for xi, gi in zip(x, grad):
+        assert -h <= xi <= h
+        if xi == -h:
+            assert gi >= 0
+        elif xi == h:
+            assert gi <= 0
+        else:
+            assert gi == 0
+    g, qf, half = np.array(inv.floats()), np.array([float(v) for v in q]), float(h)
+    best = math.sqrt(float(sum(r * r for r in residual)))
+    axis = np.linspace(-half, half, 41 if inv.n < 3 else 17)
+    sample = np.array(list(product(axis, repeat=inv.n)))
+    assert np.linalg.norm(sample @ g.T - qf, axis=1).min() >= best - 1e-12
+    for iterations in (1, 200, 300):
+        x_ref = reference_nearest_box_point(g, qf, half, iterations)
+        assert best <= np.linalg.norm(g @ x_ref - qf) + 1e-12

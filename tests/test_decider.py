@@ -208,8 +208,8 @@ def test_admissibility_slab_gap_matches_interval_argument():
 
 
 def test_admissibility_candidate_cap_is_checked_before_enumerating():
-    # A box of half-width 200 holds about 320,000 coset points of (1, 2)
-    # mod 3, over the 100,000 cap: the count is known from the spans alone.
+    # A box of half-width 200 holds 320,000 coset points of (1, 2) mod 3,
+    # over the 100,000 cap: the count is known from the spans alone.
     import tracemalloc
 
     from moranspec.decider import _certify_product_against_family
@@ -220,8 +220,24 @@ def test_admissibility_candidate_cap_is_checked_before_enumerating():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result == (False, None, False)
+    assert result == (False, {"candidates": 320_000}, False)
     assert peak < 2**20
+
+
+def test_admissibility_candidate_cap_makes_scan_inconclusive(monkeypatch):
+    # The R = 2I system below is a violation; with the cap lowered to one
+    # its two coset candidates are never decided, and the caveat says why.
+    import moranspec.decider as decider
+
+    system = build_system(2, 3, [], [([[2, 0], [0, 2]], SIERPINSKI.digits)], r="1/2", beta="1/24")
+    monkeypatch.setattr(decider, "_CANDIDATE_CAP", 1)
+    result = admissibility_scan(system)
+    assert result.status == "inconclusive"
+    assert result.exit_code == 2
+    assert result.witness == {"start_level": 1, "length": 1}
+    assert result.caveats == (
+        "product of length 1 from level 1 has 2 coset candidates, over the cap of 1; it was not checked",
+    )
 
 
 def test_admissibility_degenerate_params_rejected():
@@ -240,28 +256,52 @@ def test_admissibility_violation_detected():
     assert result.exit_code == 1
 
 
+def test_admissibility_boundary_distance_is_certified():
+    # A generated decide-sweep system whose box image lies at distance
+    # exactly beta from the coset point (1/5, -1/5, 0) of direction (1, 4, 0).
+    # The float search behind the earlier certificate could settle neither
+    # side of that boundary and reported "inconclusive"; the exact nearest
+    # box point decides it: distance >= beta is clear.
+    from moranspec.decider import _nearest_box_point
+    from moranspec.specfile import load_document
+
+    digits = [[1, -1, 0], [-1, 1, 3], [1, -3, -2], [-1, 3, -3], [0, 0, 2]]
+    doc = {
+        "dimension": 3,
+        "prime": 5,
+        "preamble": [{"R": [[5, 10, -5], [10, 10, -5], [-10, 5, 10]], "D": digits}],
+        "cycle": [{"R": [[6, -1, 0], [2, 10, -1], [-1, 0, 10]], "D": digits}],
+        "params": {"r": "219/500"},
+    }
+    system = load_document(doc)
+    result = admissibility_scan(system)
+    assert (result.status, result.unconditional, result.caveats) == ("certified", True, ())
+    inv = system.level(1).matrix.transpose().inverse()
+    q = (Fraction(1, 5), Fraction(-1, 5), Fraction(0))
+    x = _nearest_box_point(inv, Fraction(5, 8), q)
+    assert sum((y - c) ** 2 for y, c in zip(inv.mul_vec(x), q)) == system.beta**2 == Fraction(1, 1600)
+
+
 def test_admissibility_soundness_resampling():
     assert resample_admissibility(sierpinski_9i(), samples=2000, seed=4) is True
 
 
 def test_admissibility_growth_prefix_certified_only_up_to_horizon():
     # Banded prefix with doubling off-diagonal entries: no uniform
-    # contraction bound exists, so the validator rejects it; the scan can
-    # still run on the unvalidated prefix but cannot certify beyond the
-    # horizon (no radius tail without r < 1).
+    # contraction bound exists, so the validator rejects it.
     entries = [-6, -6, -12, -24, -48, -96]
     levels = [([[3, a], [0, 3]], SIERPINSKI.digits) for a in entries]
     with pytest.raises(ValidationFailure) as err:
         build_system(2, 3, levels, [([[9, 0], [0, 9]], SIERPINSKI.digits)])
     assert err.value.code == "contraction"
-    relaxed = build_system(
-        2, 3, levels, [([[9, 0], [0, 9]], SIERPINSKI.digits)], require_contraction=False
-    )
-    result = admissibility_scan(relaxed, horizon=6)
-    assert result.status in ("certified", "violation", "inconclusive")
-    if result.status == "certified":
-        assert not result.unconditional
-        assert any("horizon" in c for c in result.caveats)
+    # With beta = 1/m the radius tail has no room (1/m - beta = 0), so a
+    # valid system is certified only up to the horizon.
+    system = build_system(2, 5, [], [([[25, 5], [0, 25]], STAIRCASE.digits)], beta="1/5")
+    result = admissibility_scan(system, horizon=6)
+    assert result.tail_start is None
+    assert result.status == "certified"
+    assert not result.unconditional
+    assert result.caveats == ("product lengths beyond 6 were not certified (horizon limit)",)
 
 
 def test_decide_router_diagonal():

@@ -1,7 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private function or class is referenced by some module.
 
-A stdlib ``ast`` scan over ``src/moranspec/*.py``; ``__init__.py`` is
-skipped because its imports are the package's re-exports.
+A stdlib ``ast`` scan over ``src/moranspec/*.py``; the import check skips
+``__init__.py`` because its imports are the package's re-exports.
 """
 import ast
 from pathlib import Path
@@ -27,11 +28,49 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unreferenced_private_definitions(sources: dict) -> list:
+    """(module, name) of each module-level ``_private`` function or class that no source names.
+
+    A name counts as referenced when it is read (``_f``), looked up as an
+    attribute (``mod._f``) or imported (``from .mod import _f``) anywhere.
+    """
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted((module, name) for module, name in defined if name not in referenced)
+
+
 def test_scan_flags_an_unused_import():
     assert unused_imports("import math\nimport os\nprint(os.sep)\n") == [(1, "math")]
     assert unused_imports("from typing import Sequence\ndef f(x: Sequence): pass\n") == []
 
 
+def test_scan_flags_an_unreferenced_private_definition():
+    sources = {
+        "a": "def _kept(): pass\ndef _left(): pass\nclass _Gone: pass\ndef public(): return _kept()\n",
+        "b": "from .c import _imported\nimport a\na._by_attribute\n",
+        "c": "def _imported(): pass\n",
+        "d": "def _by_attribute(): pass\ndef outer():\n    def _nested(): pass\n",
+    }
+    assert unreferenced_private_definitions(sources) == [("a", "_Gone"), ("a", "_left")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_definitions(sources) == []
