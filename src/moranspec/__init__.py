@@ -36,7 +36,6 @@ from .decider import (
     decide_diagonal,
     decide_single_direction,
     decide_triangular,
-    has_infinite_orthogonal_set,
     resample_admissibility,
 )
 from .exact import (
@@ -52,7 +51,6 @@ from .masks import (
     find_zero_directions,
     mask_eval,
     residue_vanishing_test,
-    verify_zero_exactness,
 )
 from .pairs import (
     CompatiblePair,

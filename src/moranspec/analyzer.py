@@ -20,7 +20,7 @@ import numpy as np
 
 from .builder import SpectrumLevel
 from .errors import DimensionMismatch
-from .masks import _residue_orbit, mask_eval
+from .masks import mask_eval
 from .system import MoranSystem, inverse_transpose
 
 _INT64_LIMIT = 2**62
@@ -172,10 +172,11 @@ def _orthogonality_pairs(system: MoranSystem, pts: list):
     ``_PAIR_CHUNK`` pairs per chunk (or one row when a row is longer). Each
     difference is turned so its first nonzero coordinate is positive and
     packed into one key ``(diff + span) @ strides`` whose order is the tuple
-    order; keys are deduplicated per chunk, merged keeping the earliest
-    pair, and their zero levels found by one ``_zero_levels`` call. Arrays
-    are int64 when every coordinate and key fits, Python ints (object
-    dtype) otherwise.
+    order. Each chunk's keys are deduplicated and folded into a running
+    table of (key, earliest pair, count), so memory is one chunk plus the
+    distinct differences; their zero levels are found by one
+    ``_zero_levels`` call. Arrays are int64 when every coordinate and key
+    fits, Python ints (object dtype) otherwise.
     """
     count = len(pts)
     cols = list(zip(*pts))
@@ -188,7 +189,7 @@ def _orthogonality_pairs(system: MoranSystem, pts: list):
     strides = np.array([math.prod(dims[i + 1 :]) for i in range(len(dims))], dtype=dtype)
     row_len = np.arange(count - 1, -1, -1, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(row_len)))
-    parts = []
+    keys, pair, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     i0 = 0
     while i0 < count - 1:
         i1 = max(i0 + 1, int(np.searchsorted(starts, starts[i0] + _PAIR_CHUNK, side="right")) - 1)
@@ -197,14 +198,15 @@ def _orthogonality_pairs(system: MoranSystem, pts: list):
         j = np.arange(len(i)) - np.repeat(starts[i0:i1] - starts[i0], lens) + i + 1
         diff = arr[j] - arr[i]
         diff *= np.sign(diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)])[:, None]
-        keys, first, counts = np.unique((diff + span) @ strides, return_index=True, return_counts=True)
-        parts.append((keys, i[first] * count + j[first], counts))
+        new_keys, first, new_counts = np.unique((diff + span) @ strides, return_index=True, return_counts=True)
+        # fold the chunk into the table; the stable sort keeps the earlier pair first
+        chunk = (new_keys, i[first] * count + j[first], new_counts)
+        keys, pair, counts = (np.concatenate(col) for col in zip((keys, pair, counts), chunk))
+        order = np.argsort(keys, kind="stable")
+        keys, pair, counts = keys[order], pair[order], counts[order]
+        head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        keys, pair, counts = keys[head], pair[head], np.add.reduceat(counts, head)
         i0 = i1
-    keys, pair, counts = (np.concatenate(col) for col in zip(*parts))
-    order = np.argsort(keys, kind="stable")
-    keys, pair, counts = keys[order], pair[order], counts[order]
-    head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    keys, pair, counts = keys[head], pair[head], np.add.reduceat(counts, head)
     diffs = np.stack([keys // s % d for s, d in zip(strides, dims)], axis=1) - span
     levels = _zero_levels(system, diffs)
     levels_hit = {int(lvl): int(counts[levels == lvl].sum()) for lvl in np.unique(levels) if lvl}
@@ -263,7 +265,7 @@ def _residue_hits(level, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     hits = ~(mv % q[:, None]).any(axis=1)
     if hits.any():
         residues = mv[hits] // q[hits, None] % m
-        table = np.array(list(_residue_orbit(level.zeros)), dtype=np.int64).reshape(-1, v.shape[1])
+        table = np.array(list(level.zeros.residue_table), dtype=np.int64).reshape(-1, v.shape[1])
         hits[hits] = (residues[:, None, :] == table[None]).all(axis=2).any(axis=1)
     return hits
 

@@ -25,6 +25,7 @@ from .errors import (
     PairVerificationFailed,
 )
 from .exact import Matrix, mixed_radix_sums, vec_sub
+from .masks import coset_residues
 from .pairs import CompatiblePair, is_compatible_pair, tower_pair
 from .system import Level, MoranSystem
 
@@ -147,16 +148,8 @@ def choose_block_size(system: MoranSystem) -> int:
 
 def _centered_class(nu, m: int) -> tuple:
     """{0, c^(1), ..., c^(m-1)} with c^(l) = l*nu mod m, entries in (-m/2, m/2]."""
-    out = [tuple([0] * len(nu))]
-    for l in range(1, m):
-        vec = []
-        for comp in nu:
-            e = (l * comp) % m
-            if 2 * e > m:
-                e -= m
-            vec.append(e)
-        out.append(tuple(vec))
-    return tuple(out)
+    centered = (tuple(e - m if 2 * e > m else e for e in res) for res in coset_residues(nu, m))
+    return (tuple([0] * len(nu)), *centered)
 
 
 @dataclass(frozen=True)

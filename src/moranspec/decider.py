@@ -23,7 +23,7 @@ from .errors import (
     ValidationFailure,
 )
 from .exact import Matrix, vec_dot
-from .masks import DigitSet, find_zero_directions
+from .masks import DigitSet, coset_residues, find_zero_directions
 from .system import MoranSystem
 
 SPECTRAL = "Spectral"
@@ -84,22 +84,6 @@ def decide_diagonal(system: MoranSystem) -> Verdict:
                 "some zero directions have zero entries; the strict coset-line model assumes none",
             )
     return _diagonal_divisibility(system, "diagonal-divisibility", {}, caveats)
-
-
-def has_infinite_orthogonal_set(system: MoranSystem) -> bool:
-    """Whether some infinite orthogonal exponential family exists.
-
-    For diagonal systems this holds exactly when every coordinate sees
-    infinitely many divisible levels, i.e. each coordinate has at least
-    one divisible level inside the cycle.
-    """
-    for k, lvl in system.distinct_levels():
-        if not lvl.matrix.is_diagonal():
-            raise HypothesisViolation(f"level {k} is not diagonal")
-    for i in range(system.dimension):
-        if not any(lvl.matrix[i, i] % system.prime == 0 for lvl in system.cycle):
-            return False
-    return True
 
 
 def _phi_is_one(system: MoranSystem):
@@ -299,8 +283,7 @@ def _coset_candidates(widths, beta: Fraction, nu, m: int):
     """
     lims = [math.floor((w + beta) * m) for w in widths]
     per_j = []
-    for j in range(1, m):
-        b = [j * c % m for c in nu]
+    for b in coset_residues(nu, m):
         spans = [range(-((lim + bi) // m), (lim - bi) // m + 1) for lim, bi in zip(lims, b)]
         per_j.append((b, spans))
     count = sum(math.prod(len(span) for span in spans) for _, spans in per_j)
@@ -461,8 +444,8 @@ def resample_admissibility(system: MoranSystem, samples: int = 10_000, lengths=(
             pts = rng.uniform(-half, half, size=(per_product, system.dimension))
             images = pts @ inv.T
             for nu in set(families):
-                for j in range(1, m):
-                    target = np.array([((j * c) % m) / m for c in nu])
+                for b in coset_residues(nu, m):
+                    target = np.array(b) / m
                     diff = images - target
                     frac = diff - np.round(diff)
                     dist = np.sqrt((frac**2).sum(axis=1))

@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -128,20 +128,19 @@ class ZeroStructure:
     def count(self) -> int:
         return len(self.directions)
 
+    @cached_property
+    def residue_table(self) -> dict:
+        """{residue mod m: direction index} over every coset point of every direction."""
+        return {res: idx for idx, nu in enumerate(self.directions) for res in coset_residues(nu, self.modulus)}
+
     def direction_for_residue(self, residue: Sequence):
         """Index of the direction class containing ``residue`` (mod m), else None."""
-        key = tuple(int(c) % self.modulus for c in residue)
-        return _residue_orbit(self).get(key)
+        return self.residue_table.get(tuple(int(c) % self.modulus for c in residue))
 
 
-@lru_cache(maxsize=None)
-def _residue_orbit(structure: ZeroStructure) -> dict:
-    table = {}
-    m = structure.modulus
-    for idx, nu in enumerate(structure.directions):
-        for j in range(1, m):
-            table[tuple((j * c) % m for c in nu)] = idx
-    return table
+def coset_residues(nu: Sequence, m: int) -> tuple:
+    """j*nu mod m for j = 1..m-1: the numerators over m of the coset points (j/m)*nu + Z^n."""
+    return tuple(tuple(j * int(c) % m for c in nu) for j in range(1, m))
 
 
 def canonical_direction(direction: Sequence, modulus: int) -> IntVec:
@@ -170,53 +169,3 @@ def find_zero_directions(digits: DigitSet, modulus: int) -> ZeroStructure:
     found = tuple(nu for nu, hit in zip(reps, hits) if hit)
     compliant = tuple(all(c != 0 for c in nu) for nu in found)
     return ZeroStructure(modulus=m, directions=found, model_compliant=compliant)
-
-
-@dataclass(frozen=True)
-class ZeroScanReport:
-    grid: int
-    tol: float
-    min_modulus: float
-    min_point: tuple
-    suspected: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.suspected
-
-
-def _torus_dist_sq(p, q):
-    total = 0.0
-    for a, b in zip(p, q):
-        d = abs(a - b) % 1.0
-        d = min(d, 1.0 - d)
-        total += d * d
-    return total
-
-
-def verify_zero_exactness(digits: DigitSet, structure: ZeroStructure, grid: int = 64, tol: float = 1e-3) -> ZeroScanReport:
-    """Sampling falsifier for completeness of a claimed zero structure.
-
-    Scans |mask| on a grid^n lattice over [0,1)^n, skipping points within
-    ``tol`` (torus metric) of the claimed coset lines, and reports any
-    leftover point where the modulus drops below ``tol`` as a suspected
-    missing zero. Heuristic by design; it cannot prove completeness.
-    """
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
-    m = structure.modulus
-    claimed = [tuple(c / m for c in residue) for residue in _residue_orbit(structure)]
-    min_mod = math.inf
-    min_point = None
-    suspected = []
-    for idx in product(range(grid), repeat=digits.n):
-        point = tuple(i / grid for i in idx)
-        if any(_torus_dist_sq(point, q) < tol * tol for q in claimed):
-            continue
-        val = abs(mask_eval(digits, point))
-        if val < min_mod:
-            min_mod = val
-            min_point = point
-        if val < tol:
-            suspected.append(point)
-    return ZeroScanReport(grid=grid, tol=tol, min_modulus=min_mod, min_point=min_point, suspected=tuple(suspected))

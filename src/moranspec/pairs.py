@@ -76,8 +76,9 @@ def translate_pair(pair: CompatiblePair, label_shift, digit_shift) -> Compatible
 
 
 def reduce_pair_mod(pair: CompatiblePair, new_digits, new_labels) -> CompatiblePair:
-    """Replace digits mod R^t Z^n and labels mod R Z^n by congruent sets.
+    """Replace digits mod R Z^n and labels mod R^t Z^n by congruent sets.
 
+    The entries exp(2*pi*i*<R^-1 d, l>) are unchanged by those shifts.
     Verifies the elementwise congruences exactly and raises
     CongruenceViolation otherwise. The reduced pair stays compatible.
     """
@@ -88,11 +89,11 @@ def reduce_pair_mod(pair: CompatiblePair, new_digits, new_labels) -> CompatibleP
     inv = pair.matrix.inverse()
     inv_t = inv.transpose()
     for old, new in zip(pair.digits, new_digits):
-        if any(x % inv.den for x in inv_t.mul_vec_num(vec_sub(new, old))):
-            raise CongruenceViolation(f"digit {new} is not congruent to {old} mod R^t")
-    for old, new in zip(pair.labels, new_labels):
         if any(x % inv.den for x in inv.mul_vec_num(vec_sub(new, old))):
-            raise CongruenceViolation(f"label {new} is not congruent to {old} mod R")
+            raise CongruenceViolation(f"digit {new} is not congruent to {old} mod R")
+    for old, new in zip(pair.labels, new_labels):
+        if any(x % inv.den for x in inv_t.mul_vec_num(vec_sub(new, old))):
+            raise CongruenceViolation(f"label {new} is not congruent to {old} mod R^t")
     return replace(pair, digits=new_digits, labels=new_labels)
 
 
@@ -124,10 +125,3 @@ def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
         raise CongruenceViolation("tower produced colliding elements")
     matrix = digit_coef[0].mul(pairs[0].matrix)
     return CompatiblePair(matrix=matrix, digits=tuple(digits), labels=tuple(labels))
-
-
-def distinct_mod(vectors, matrix: Matrix) -> bool:
-    """Whether all vectors fall in distinct cosets of Z^n / matrix Z^n."""
-    inv = matrix.inverse()
-    keys = {tuple(x % inv.den for x in inv.mul_vec_num(v)) for v in vectors}
-    return len(keys) == len(vectors)

@@ -348,6 +348,31 @@ def test_verify_orthogonality_memory_is_bounded_by_chunks():
     assert peak < 64 * 2**20
 
 
+def test_verify_orthogonality_memory_does_not_grow_with_chunk_count():
+    # 2,000 random points of [-30, 30]^2 make 2.0M pairs but only about 7k
+    # distinct differences; with 1,024 pairs per chunk that is about 1,950
+    # chunks, whose per-chunk tables must not pile up
+    import tracemalloc
+    from itertools import product
+    from unittest import mock
+
+    from moranspec import analyzer
+
+    system = sierpinski_3i()
+    points = random.Random(0).sample(list(product(range(-30, 31), repeat=2)), 2000)
+    expected = verify_orthogonality(system, points)
+    with mock.patch.object(analyzer, "_PAIR_CHUNK", 1024):
+        tracemalloc.start()
+        try:
+            report = verify_orthogonality(system, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert (report.passed, report.witnesses, report.details) == (expected.passed, expected.witnesses, expected.details)
+    assert report.details["distinct_differences"] > 7000
+    assert peak < 16 * 2**20
+
+
 def test_verify_orthogonality_rejects_non_integral_points():
     # int(c) would read (1/2, 0) as (0, 0) and (0.9, 0) as (0, 0).
     system = sierpinski_3i()

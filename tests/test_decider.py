@@ -14,7 +14,6 @@ from moranspec.decider import (
     decide_diagonal,
     decide_single_direction,
     decide_triangular,
-    has_infinite_orthogonal_set,
     matching_templates,
     resample_admissibility,
 )
@@ -72,22 +71,11 @@ def test_decide_diagonal_hypothesis_violations():
         decide_diagonal(banded_system())
 
 
-def test_infinite_orthogonal_set_examples():
-    assert has_infinite_orthogonal_set(staircase_system((10, 5))) is True
-    assert has_infinite_orthogonal_set(staircase_system((6, 5))) is False
-    # divisibility only in the preamble is not enough
-    first = ([[10, 0], [0, 10]], STAIRCASE.digits)
-    rep = ([[6, 0], [0, 5]], STAIRCASE.digits)
-    system = build_system(2, 5, [first], [rep], r="1/5")
-    assert has_infinite_orthogonal_set(system) is False
-
-
 def test_not_spectral_diagonal_witness_matches_divisibility_failure():
     system = staircase_system((6, 5))
     verdict = decide_diagonal(system)
     k, i = verdict.certificate["witness"]
     assert system.level(k).matrix[i - 1, i - 1] % system.prime != 0
-    assert has_infinite_orthogonal_set(system) is False
 
 
 def test_decide_triangular_spectral_and_not():

@@ -10,10 +10,10 @@ from moranspec.errors import DimensionMismatch, ModelViolation
 from moranspec.masks import (
     DigitSet,
     ZeroStructure,
+    coset_residues,
     find_zero_directions,
     mask_eval,
     residue_vanishing_test,
-    verify_zero_exactness,
 )
 
 
@@ -135,6 +135,18 @@ def test_direction_lookup_by_residue():
     assert z.direction_for_residue((0, 0)) is None
 
 
+def test_coset_residues_and_residue_table():
+    assert coset_residues((1, 3), 5) == ((1, 3), (2, 1), (3, 4), (4, 2))
+    assert coset_residues((-1, 7), 3) == ((2, 1), (1, 2))
+    z = ZeroStructure(modulus=5, directions=((0, 1), (1, 3)), model_compliant=(False, True))
+    assert z.residue_table == {
+        **{(0, j): 0 for j in range(1, 5)},
+        (1, 3): 1, (2, 1): 1, (3, 4): 1, (4, 2): 1,
+    }
+    assert z.residue_table is z.residue_table
+    assert [z.direction_for_residue(r) for r in [(0, 7), (-4, 3), (1, 1)]] == [0, 1, None]
+
+
 def test_exhaustive_small_sets_match_brute_force():
     # Every 3-element digit set inside {0..4}^2, against |mask| evaluated on
     # the 3x3 rational grid (a/3, b/3).
@@ -153,22 +165,6 @@ def test_exhaustive_small_sets_match_brute_force():
             if abs(mask_eval(d, xi)) < 1e-9:
                 brute.add(p)
         assert claimed == brute, (combo, claimed, brute)
-
-
-def test_verify_zero_exactness_clean_cases():
-    for digits, m in [(SIERPINSKI, 3), (SQUARE_PLUS_MIRROR, 5)]:
-        z = find_zero_directions(digits, m)
-        report = verify_zero_exactness(digits, z, grid=64, tol=1e-3)
-        assert report.passed
-        assert report.min_modulus > 1e-3
-
-
-def test_verify_zero_exactness_detects_missing_zero():
-    d = DigitSet.from_vectors([(0,), (2,)])
-    empty = ZeroStructure(modulus=2, directions=(), model_compliant=())
-    report = verify_zero_exactness(d, empty, grid=64, tol=1e-3)
-    assert not report.passed
-    assert any(abs(p[0] - 0.25) < 1e-9 or abs(p[0] - 0.75) < 1e-9 for p in report.suspected)
 
 
 def test_digit_set_validation():

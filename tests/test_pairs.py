@@ -9,7 +9,6 @@ from moranspec.errors import CongruenceViolation, SizeMismatch
 from moranspec.exact import Matrix, vec_dot
 from moranspec.pairs import (
     CompatiblePair,
-    distinct_mod,
     is_compatible_pair,
     reduce_pair_mod,
     tower_pair,
@@ -79,6 +78,24 @@ def test_reduce_pair_mod():
         reduce_pair_mod(pair, pair.digits, ((0, 0), (1, 1), (2, 1)))
 
 
+def test_reduce_pair_mod_shifts_digits_mod_r_and_labels_mod_r_transpose():
+    # an upper-triangular R, so R Z^2 and R^t Z^2 differ: R e2 = (1, 3), R^t e1 = (3, 1), R^t e2 = (0, 3)
+    mat = Matrix(((3, 1), (0, 3)))
+    pair = CompatiblePair(mat, ((0, 0), (1, 0), (2, 0)), ((0, 0), (-4, -4), (-2, -4)))
+    assert is_compatible_pair(pair.matrix, pair.digits, pair.labels) == (True, None)
+    reduced = reduce_pair_mod(pair, pair.digits, ((0, 0), (-4, -1), (-2, -4)))
+    assert is_compatible_pair(reduced.matrix, reduced.digits, reduced.labels) == (True, None)
+    reduced = reduce_pair_mod(pair, ((0, 0), (2, 3), (2, 0)), pair.labels)
+    assert is_compatible_pair(reduced.matrix, reduced.digits, reduced.labels) == (True, None)
+    # the swapped shifts break compatibility and must be rejected
+    assert not is_compatible_pair(pair.matrix, pair.digits, ((0, 0), (-3, -1), (-2, -4)))[0]
+    with pytest.raises(CongruenceViolation, match="mod R\\^t"):
+        reduce_pair_mod(pair, pair.digits, ((0, 0), (-3, -1), (-2, -4)))
+    assert not is_compatible_pair(pair.matrix, ((0, 0), (4, 1), (2, 0)), pair.labels)[0]
+    with pytest.raises(CongruenceViolation, match="mod R$"):
+        reduce_pair_mod(pair, ((0, 0), (4, 1), (2, 0)), pair.labels)
+
+
 def test_tower_pair_single_level_identity():
     pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
     tower = tower_pair([pair])
@@ -96,12 +113,6 @@ def test_tower_pair_two_sierpinski_levels():
     assert gram_defect(tower.matrix, tower.digits, tower.labels) < 1e-10
     ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels)
     assert ok
-
-
-def test_verified_pairs_have_distinct_cosets():
-    pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
-    assert distinct_mod(pair.digits, pair.matrix.transpose())
-    assert distinct_mod(pair.labels, pair.matrix)
 
 
 def _random_unimodular(rng, n):

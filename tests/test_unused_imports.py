@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level private function or class is referenced by some module.
+"""Every name a library module imports is used in that module, no module
+imports another module's private name, and every module-level private
+function or class is referenced by some module.
 
 A stdlib ``ast`` scan over ``src/moranspec/*.py``; the import check skips
 ``__init__.py`` because its imports are the package's re-exports.
@@ -26,6 +27,17 @@ def unused_imports(source: str) -> list:
                 imported.setdefault(name, node.lineno)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each ``_private`` name brought in by ``from module import``."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
 
 
 def unreferenced_private_definitions(sources: dict) -> list:
@@ -56,6 +68,12 @@ def test_scan_flags_an_unused_import():
     assert unused_imports("from typing import Sequence\ndef f(x: Sequence): pass\n") == []
 
 
+def test_scan_flags_a_private_import():
+    source = "from .masks import _orbit, mask_eval\nfrom . import exact\nfrom .a import __version__\nexact._x\n"
+    assert private_imports(source) == [(1, "_orbit")]
+    assert private_imports("from .masks import mask_eval as _mask_eval\n") == []
+
+
 def test_scan_flags_an_unreferenced_private_definition():
     sources = {
         "a": "def _kept(): pass\ndef _left(): pass\nclass _Gone: pass\ndef public(): return _kept()\n",
@@ -69,6 +87,11 @@ def test_scan_flags_an_unreferenced_private_definition():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
 
 
 def test_no_unreferenced_private_definitions():
