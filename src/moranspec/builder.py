@@ -103,10 +103,6 @@ class BlockSizeInfo:
     digit_norm: float
     tail_bound: float  # value of the geometric bound at K
 
-    @property
-    def K(self) -> int:
-        return self.block
-
 
 def block_size_parameters(system: MoranSystem) -> BlockSizeInfo:
     s = system.digit_norm_bound()
@@ -282,8 +278,9 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = 10**6, enf
     coefs = [Matrix.identity(n)]  # R~_0^t ... R~_{k-1}^t
     for block in blocks[:-1]:
         coefs.append(coefs[-1].mul(block.matrix.transpose()))
-    # the earliest block varies fastest, so level k is a prefix of the top level
-    top = mixed_radix_sums(coefs, [block.labels for block in blocks])
+    # the earliest block varies fastest, so level k is a prefix of the top level;
+    # the coefficients are integer matrices, so the denominator is 1
+    top, _ = mixed_radix_sums(coefs, [block.labels for block in blocks])
     levels = []
     seen = set()
     size = 1

@@ -86,7 +86,7 @@ def cmd_validate(args, start):
         "report": "valid",
         "params": _system_summary(system),
         "zero_directions": {
-            str(k): [list(nu) for nu in lvl.zeros.directions] for k, lvl in system.distinct_levels()
+            str(k): [list(nu) for nu in lvl.zeros.directions] for k, lvl in system.levels_from(1)
         },
     }
     return _emit(args, payload, 0, start)
@@ -95,7 +95,7 @@ def cmd_validate(args, start):
 def cmd_zeros(args, start):
     system = load_system(args.file)
     table = {}
-    for k, lvl in system.distinct_levels():
+    for k, lvl in system.levels_from(1):
         table[str(k)] = [
             {"direction": list(nu), "model_compliant": ok}
             for nu, ok in zip(lvl.zeros.directions, lvl.zeros.model_compliant)

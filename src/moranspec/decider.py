@@ -76,7 +76,7 @@ def decide_diagonal(system: MoranSystem) -> Verdict:
     if system.prime <= 2:
         raise HypothesisViolation("the diagonal criterion needs a prime larger than 2")
     caveats = ()
-    for k, lvl in system.distinct_levels():
+    for k, lvl in system.levels_from(1):
         if not lvl.matrix.is_diagonal():
             raise HypothesisViolation(f"level {k} is not diagonal")
         if not all(lvl.zeros.model_compliant):
@@ -87,7 +87,7 @@ def decide_diagonal(system: MoranSystem) -> Verdict:
 
 
 def _phi_is_one(system: MoranSystem):
-    for k, lvl in system.distinct_levels():
+    for k, lvl in system.levels_from(1):
         if lvl.zeros.count != 1:
             return k, lvl.zeros.count
     return None
@@ -170,7 +170,7 @@ def decide_triangular(system: MoranSystem) -> Verdict:
     if bad is not None:
         raise HypothesisViolation(f"level {bad[0]} has {bad[1]} zero directions, criterion needs exactly 1")
     common = set(_TEMPLATES)
-    for k, lvl in system.distinct_levels():
+    for k, lvl in system.levels_from(1):
         common &= set(matching_templates(lvl.matrix))
         if not common:
             raise TemplateMismatch(f"level {k} breaks every shared triangular template")
@@ -340,7 +340,7 @@ def admissibility_scan(system: MoranSystem, horizon=None) -> AdmissibilityResult
     r = Fraction(system.r)
     n = system.dimension
 
-    families = list(dict.fromkeys(nu for _, lvl in system.distinct_levels() for nu in lvl.zeros.directions))
+    families = list(dict.fromkeys(nu for _, lvl in system.levels_from(1) for nu in lvl.zeros.directions))
 
     # tail threshold: r^p * half_ext * sqrt(n) + beta <= 1/m
     tail_start = None
@@ -430,7 +430,7 @@ def resample_admissibility(system: MoranSystem, samples: int = 10_000, lengths=(
     beta = float(system.beta)
     half = float(Fraction(1, 2) + system.delta)
     families = []
-    for _, lvl in system.distinct_levels():
+    for _, lvl in system.levels_from(1):
         families.extend(lvl.zeros.directions)
     per_product = max(1, samples // (len(lengths) * (len(system.preamble) + len(system.cycle))))
     for start in range(1, len(system.preamble) + len(system.cycle) + 1):
@@ -459,7 +459,7 @@ def _planar_families(system: MoranSystem):
     if system.dimension != 2 or system.prime != 3:
         return None
     families = {}
-    for k, lvl in system.distinct_levels():
+    for k, lvl in system.levels_from(1):
         try:
             got = classify_planar_digit_set(lvl.digits)
         except (ModelViolation, DeterminantViolation):
@@ -485,7 +485,7 @@ def decide(system: MoranSystem, horizon=None) -> Verdict:
             criterion="none",
             caveats=("no implemented criterion covers digit cardinality 2",),
         )
-    if all(lvl.matrix.is_diagonal() for _, lvl in system.distinct_levels()):
+    if all(lvl.matrix.is_diagonal() for _, lvl in system.levels_from(1)):
         return decide_diagonal(system)
     phi_one = _phi_is_one(system) is None
     if phi_one:

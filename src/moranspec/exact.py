@@ -171,13 +171,14 @@ class Matrix:
         return all(self.num[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
 
 
-def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> list:
-    """All sums ``coefs[0] v_0 + coefs[1] v_1 + ...`` with v_j in ``sets[j]``.
+def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> tuple:
+    """(numerators, den): all sums ``coefs[0] v_0 + coefs[1] v_1 + ...`` with
+    v_j in ``sets[j]``, as integer numerator tuples over one positive ``den``.
 
-    The earliest set varies fastest, so with the zero vector first in every
-    set the sums over the first j sets form a prefix of the result. Terms
-    are accumulated as integer numerators over one common denominator and
-    divided once at the end; entries are ints when that denominator is 1.
+    ``den`` is the lcm of the coefficient denominators, so it is 1 for
+    integer matrices and the numerators are then the sums themselves. The
+    earliest set varies fastest, so with the zero vector first in every
+    set the sums over the first j sets form a prefix of the result.
     """
     if not coefs or len(coefs) != len(sets):
         raise SizeMismatch("need one coefficient matrix per nonempty list of sets")
@@ -187,9 +188,7 @@ def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> list:
         scale = den // coef.den
         terms = [tuple(scale * x for x in coef.mul_vec_num(v)) for v in vecs]
         acc = [tuple(a + b for a, b in zip(base, t)) for t in terms for base in acc]
-    if den == 1:
-        return acc
-    return [tuple(Fraction(x, den) for x in p) for p in acc]
+    return acc, den
 
 
 def _log2_fraction(x: Fraction) -> float:

@@ -119,8 +119,9 @@ def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
     label_coef = [Matrix.identity(n)]
     for p in pairs[:-1]:
         label_coef.append(label_coef[-1].mul(p.matrix.transpose()))
-    digits = mixed_radix_sums(digit_coef, [p.digits for p in pairs])
-    labels = mixed_radix_sums(label_coef, [p.labels for p in pairs])
+    # integer coefficients, so both denominators are 1
+    digits, _ = mixed_radix_sums(digit_coef, [p.digits for p in pairs])
+    labels, _ = mixed_radix_sums(label_coef, [p.labels for p in pairs])
     if len(set(digits)) != len(digits) or len(set(labels)) != len(labels):
         raise CongruenceViolation("tower produced colliding elements")
     matrix = digit_coef[0].mul(pairs[0].matrix)

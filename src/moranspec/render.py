@@ -1,38 +1,48 @@
 """Truncated attractor point clouds and file emission (CSV, SVG, PPM).
 
 Support points are the finite sums over digit strings of the inverse
-matrix products applied to digits, accumulated exactly as integers over
-one common denominator and converted to floats only for output, so
-rounding never compounds across levels. Enumeration is mixed-radix over
-digit indices with the deepest level fastest, which makes every emitted
-file byte-reproducible.
+matrix products applied to digits. A cloud keeps them exactly, as integer
+numerators over one common denominator, and each coordinate becomes a
+float by one correctly rounded integer division, so rounding never
+compounds across levels. Enumeration is mixed-radix over digit indices
+with the deepest level fastest, which makes every emitted file
+byte-reproducible. The PPM canvas side is capped at ``MAX_PPM_SIDE``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import CapExceeded, IoFailure
 from .exact import mixed_radix_sums
 from .system import MoranSystem
 
+# largest PPM side: the canvas is side^2 * 3 bytes, 48 MiB at this cap
+MAX_PPM_SIDE = 4096
+
 
 @dataclass(frozen=True)
 class PointCloud:
     depth: int
-    points: tuple  # tuples of Fractions, odometer order
+    points: tuple  # integer numerator tuples over den, odometer order
+    den: int  # positive common denominator
 
     @property
     def size(self) -> int:
         return len(self.points)
 
     def floats(self):
-        return [tuple(float(c) for c in p) for p in self.points]
+        # int / int is correctly rounded: the same float as float(Fraction(x, den))
+        den = self.den
+        return [tuple(x / den for x in p) for p in self.points]
 
     def bounding_box(self):
-        lo = [min(p[i] for p in self.points) for i in range(len(self.points[0]))]
-        hi = [max(p[i] for p in self.points) for i in range(len(self.points[0]))]
-        return tuple(lo), tuple(hi)
+        """Exact (lo, hi) corners, as Fractions, of the cloud's coordinate box."""
+        cols = list(zip(*self.points))
+        lo = tuple(Fraction(min(c), self.den) for c in cols)
+        hi = tuple(Fraction(max(c), self.den) for c in cols)
+        return lo, hi
 
 
 def support_points(system: MoranSystem, depth: int, cap: int = 200_000) -> PointCloud:
@@ -47,8 +57,8 @@ def support_points(system: MoranSystem, depth: int, cap: int = 200_000) -> Point
         coefs.append(coefs[-1].mul(system.level(k).matrix.inverse()))
     # the deepest level varies fastest, the order every emitted file keeps
     sets = [system.level(k).digits.digits for k in range(1, depth + 1)]
-    points = mixed_radix_sums(coefs[::-1], sets[::-1])
-    return PointCloud(depth=depth, points=tuple(points))
+    points, den = mixed_radix_sums(coefs[::-1], sets[::-1])
+    return PointCloud(depth=depth, points=tuple(points), den=den)
 
 
 def render(cloud: PointCloud, fmt: str, out, size: int = 512):
@@ -69,7 +79,7 @@ def render(cloud: PointCloud, fmt: str, out, size: int = 512):
 
 
 def _write_csv(cloud: PointCloud, out: Path):
-    lines = [",".join(f"{float(c):.12f}" for c in p) for p in cloud.points]
+    lines = [",".join(f"{c:.12f}" for c in p) for p in cloud.floats()]
     out.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -79,12 +89,7 @@ def parse_csv(path) -> list:
 
 def _planar(points):
     """Project to the first two coordinates; lift 1-d clouds onto y = 0."""
-    out = []
-    for p in points:
-        x = float(p[0])
-        y = float(p[1]) if len(p) > 1 else 0.0
-        out.append((x, y))
-    return out
+    return [(p[0], p[1] if len(p) > 1 else 0.0) for p in points]
 
 
 def _padded_box(pts):
@@ -98,7 +103,7 @@ def _padded_box(pts):
 
 
 def _write_svg(cloud: PointCloud, out: Path):
-    pts = _planar(cloud.points)
+    pts = _planar(cloud.floats())
     x0, x1, y0, y1 = _padded_box(pts)
     # marker side 1/(2 m^depth): shrinks with the level so copies separate
     side = 1.0 / (2.0 * cloud.size)
@@ -115,7 +120,9 @@ def _write_svg(cloud: PointCloud, out: Path):
 
 
 def _write_ppm(cloud: PointCloud, out: Path, size: int):
-    pts = _planar(cloud.points)
+    if size > MAX_PPM_SIDE:
+        raise CapExceeded(f"PPM side {size} exceeds the cap {MAX_PPM_SIDE}")
+    pts = _planar(cloud.floats())
     x0, x1, y0, y1 = _padded_box(pts)
     width = height = max(16, size)
     canvas = bytearray(b"\xff" * (width * height * 3))

@@ -43,15 +43,6 @@ class MoranSystem:
             return self.preamble[k - 1]
         return self.cycle[(k - len(self.preamble) - 1) % len(self.cycle)]
 
-    def distinct_levels(self) -> tuple:
-        """(first_index, level) for each distinct slot, preamble then cycle."""
-        out = []
-        for i in range(len(self.preamble)):
-            out.append((i + 1, self.preamble[i]))
-        for i in range(len(self.cycle)):
-            out.append((len(self.preamble) + i + 1, self.cycle[i]))
-        return tuple(out)
-
     def levels_from(self, start: int) -> tuple:
         """(representative_index, level) for every slot that occurs at some k >= start.
 
@@ -74,7 +65,7 @@ class MoranSystem:
         return len(self.preamble) + 1
 
     def digit_norm_bound(self) -> float:
-        return max(lvl.digits.max_norm() for _, lvl in self.distinct_levels())
+        return max(lvl.digits.max_norm() for _, lvl in self.levels_from(1))
 
 
 def _level_from_parts(dimension: int, prime: int, matrix: Matrix, digits: DigitSet, zeros, where: str) -> Level:

@@ -6,8 +6,6 @@ import time
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from conftest import LINE_3, SIERPINSKI, SQUARE_PLUS, SQUARE_PLUS_MIRROR, STAIRCASE, TRIPLE_A, TRIPLE_B
 from moranspec.analyzer import (
     completeness_scan,
@@ -24,7 +22,6 @@ from moranspec.decider import (
     resample_admissibility,
 )
 from moranspec.errors import DeterminantViolation
-from moranspec.exact import Matrix
 from moranspec.masks import DigitSet, find_zero_directions, mask_eval
 from moranspec.pairs import is_compatible_pair, reduce_pair_mod, tower_pair, translate_pair
 from moranspec.render import read_ppm, render, support_points

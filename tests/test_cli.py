@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from moranspec.cli import main
+from moranspec.render import MAX_PPM_SIDE
 from moranspec.specfile import load_document, load_system
 from moranspec.errors import ValidationFailure
 
@@ -142,6 +143,16 @@ def test_cli_render(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert doc["report"]["points"] == 25
+
+
+def test_cli_render_ppm_side_over_the_cap_exits_3(tmp_path, capsys):
+    out = tmp_path / "cloud.ppm"
+    argv = ["render", fixture("staircase_spectral.json"), "--format", "ppm", "--out", str(out), "--json"]
+    code = main([*argv, "--size", str(MAX_PPM_SIDE + 1)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["error"]["code"] == "CapExceeded"
+    assert not out.exists()
 
 
 def test_cli_json_reports_are_byte_identical(capsys):

@@ -7,7 +7,6 @@ from conftest import SIERPINSKI, SQUARE_PLUS, STAIRCASE, TRIPLE_A, TRIPLE_B
 from moranspec.analyzer import verify_orthogonality
 from moranspec.builder import build_blocks, spectrum_levels
 from moranspec.decider import (
-    AdmissibilityResult,
     admissibility_scan,
     classify_planar_digit_set,
     decide,

@@ -42,7 +42,11 @@ COMMANDS = {
 }
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 # Cases beyond the command x fixture grid: (case name, fixture, command, argv tail).
-EXTRA = [("spectrum-default", "banded_spectral", "spectrum", [])]
+EXTRA = [
+    ("spectrum-default", "banded_spectral", "spectrum", []),
+    ("render-svg", "staircase_spectral", "render", ["--level", "3", "--format", "svg", "--out", "cloud.svg"]),
+    ("render-ppm", "staircase_spectral", "render", ["--level", "3", "--format", "ppm", "--out", "cloud.ppm"]),
+]
 
 CASES = [(f"{fx}/{cmd}", fx, cmd, tail) for fx in FIXTURE_NAMES for cmd, tail in COMMANDS.items()]
 CASES += [(f"{fx}/{name}", fx, cmd, tail) for name, fx, cmd, tail in EXTRA]
@@ -54,8 +58,8 @@ def run_case(fixture: str, command: str, tail) -> dict:
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, str(FIXTURES / f"{fixture}.json"), "--json", *tail])
     out = {"exit": code, "stdout": buf.getvalue()}
-    written = Path("cloud.csv")
-    if command == "render" and written.exists():
+    written = Path(tail[tail.index("--out") + 1]) if "--out" in tail else None
+    if written is not None and written.exists():
         out["file_sha256"] = hashlib.sha256(written.read_bytes()).hexdigest()
         written.unlink()
     return out

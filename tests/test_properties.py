@@ -1,6 +1,7 @@
-"""Property tests: the scaled-integer Matrix and mixed_radix_sums against
-plain Fraction oracles (cofactor determinant and adjugate inverse from
-test_exact, schoolbook products, itertools.product enumeration)."""
+"""Property tests: the scaled-integer Matrix, mixed_radix_sums and support
+point clouds against plain Fraction oracles (cofactor determinant and
+adjugate inverse from test_exact, schoolbook products, itertools.product
+enumeration)."""
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from moranspec.errors import SingularMatrix  # noqa: E402
 from moranspec.exact import Matrix, mixed_radix_sums  # noqa: E402
+from moranspec.render import support_points  # noqa: E402
+from moranspec.system import build_system  # noqa: E402
 from test_exact import adjugate_inverse, cofactor_det  # noqa: E402
 
 small_int = st.integers(-12, 12)
@@ -97,7 +100,9 @@ def tower_inputs(n):
 def test_mixed_radix_sums_matches_product_order(levels):
     coefs = [Matrix.from_rows(rows) for rows, _ in levels]
     sets = [vecs for _, vecs in levels]
-    got = mixed_radix_sums(coefs, sets)
+    nums, den = mixed_radix_sums(coefs, sets)
+    assert den > 0 and all(type(x) is int for p in nums for x in p)
+    got = [tuple(Fraction(x, den) for x in p) for p in nums]
     # itertools.product varies its last factor fastest, so feed it the sets
     # reversed to make the earliest set fastest
     want = []
@@ -108,6 +113,48 @@ def test_mixed_radix_sums_matches_product_order(levels):
         want.append(tuple(total))
     assert got == want
     if len(sets) > 1:
-        head = mixed_radix_sums(coefs[:-1], sets[:-1])
+        head_nums, head_den = mixed_radix_sums(coefs[:-1], sets[:-1])
+        head = [tuple(Fraction(x, head_den) for x in h) for h in head_nums]
         shift = coefs[-1].mul_vec(sets[-1][0])
         assert got[: len(head)] == [tuple(x + y for x, y in zip(h, shift)) for h in head]
+
+
+@st.composite
+def triangular_levels(draw, n, m=3):
+    """(R, D): R upper triangular with a nonzero entry above a diagonal of
+    5..9, so it contracts and is not diagonal; D's first coordinate runs
+    through 0..m-1, which makes e_1 a zero direction."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.integers(5, 9))
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-2, 2))
+    i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+    rows[i][j] = draw(st.sampled_from([-2, -1, 1, 2]))
+    rest = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * (n - 1)), min_size=m, max_size=m))
+    return rows, [(k, *r) for k, r in enumerate(rest)]
+
+
+level_lists = st.sampled_from([2, 3]).flatmap(lambda n: st.lists(triangular_levels(n), min_size=1, max_size=3))
+
+
+@given(level_lists, st.integers(1, 3))
+def test_point_cloud_floats_and_box_match_fractions(levels, depth):
+    system = build_system(len(levels[0][1][0]), 3, levels[:-1], levels[-1:])
+    cloud = support_points(system, depth)
+    exact = [tuple(Fraction(x, cloud.den) for x in p) for p in cloud.points]
+    # the sums over (R_k ... R_1)^-1 d_k, the deepest level fastest
+    inv = [system.level(1).matrix.inverse()]
+    for k in range(2, depth + 1):
+        inv.append(inv[-1].mul(system.level(k).matrix.inverse()))
+    want = []
+    for picks in product(*(system.level(k).digits.digits for k in range(1, depth + 1))):
+        total = [Fraction(0)] * system.dimension
+        for coef, d in zip(inv, picks):
+            total = [t + x for t, x in zip(total, coef.mul_vec(d))]
+        want.append(tuple(total))
+    assert exact == want
+    assert cloud.floats() == [tuple(float(x) for x in p) for p in exact]
+    lo, hi = cloud.bounding_box()
+    assert lo == tuple(min(col) for col in zip(*exact))
+    assert hi == tuple(max(col) for col in zip(*exact))

@@ -18,9 +18,13 @@ def figure_system():
     return build_system(2, 5, [first], [rep], r="1/5")
 
 
+def exact_points(cloud):
+    return [tuple(Fraction(x, cloud.den) for x in p) for p in cloud.points]
+
+
 def test_support_points_level_one():
     cloud = support_points(sierpinski_3i(), 1)
-    assert set(cloud.points) == {
+    assert set(exact_points(cloud)) == {
         (Fraction(0), Fraction(0)),
         (Fraction(1, 3), Fraction(0)),
         (Fraction(0), Fraction(1, 3)),
@@ -53,9 +57,9 @@ def test_cloud_inside_geometric_ball():
     cloud = support_points(system, 3)
     s = system.digit_norm_bound()
     r = system.r
-    first = {p: None for p in support_points(system, 1).points}
+    first = exact_points(support_points(system, 1))
     bound = s * r / (1 - r)
-    for p in cloud.points:
+    for p in exact_points(cloud):
         best = min(
             sum((float(a) - float(b)) ** 2 for a, b in zip(p, q)) ** 0.5 for q in first
         )

@@ -12,7 +12,6 @@ from moranspec.analyzer import (
 )
 from moranspec.builder import build_blocks, spectrum_levels
 from moranspec.decider import admissibility_scan, decide, decide_diagonal
-from moranspec.masks import find_zero_directions
 from moranspec.render import render, support_points
 from moranspec.system import build_system
 

@@ -1,17 +1,20 @@
-"""Every name a library module imports is used in that module, no module
-imports another module's private name, and every module-level private
-function or class is referenced by some module.
+"""Every name a library module or test file imports is used in that file, no
+module imports another module's private name, and every module-level
+private function or class is referenced by some module.
 
-A stdlib ``ast`` scan over ``src/moranspec/*.py``; the import check skips
-``__init__.py`` because its imports are the package's re-exports.
+A stdlib ``ast`` scan over ``src/moranspec/*.py`` and ``tests/*.py``; the
+import check skips ``__init__.py`` because its imports are the package's
+re-exports.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "moranspec"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "moranspec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -84,7 +87,7 @@ def test_scan_flags_an_unreferenced_private_definition():
     assert unreferenced_private_definitions(sources) == [("a", "_Gone"), ("a", "_left")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
