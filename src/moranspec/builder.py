@@ -6,9 +6,9 @@ c^(l) congruent to l*nu mod m with c^(l)/m inside (-1/2, 1/2]^n, and the
 level pair (R, D, (1/m) R^t C), integral exactly when the chosen direction
 nu satisfies m | nu^t R. The block pair is the tower of its level pairs,
 with labels (1/m) * (R_1^t C_1 + R_1^t R_2^t C_2 + ...). The labels are
-then reduced into the fundamental domain N = R~^t(-1/2,1/2]^n
-and re-verified exactly as a compatible pair. Spectrum level k is the
-mixed-radix sum L_0 + R~_0^t L_1 + ... + R~_0^t...R~_{k-1}^t L_k.
+then reduced into the fundamental domain N = R~^t(-1/2,1/2]^n; the block
+is certified by the composition lemma for Hadamard triples from its exactly
+verified level pairs. Spectrum level k is L_0 + R~_0^t L_1 + ... + R~_0^t...R~_{k-1}^t L_k.
 """
 from __future__ import annotations
 
@@ -23,10 +23,11 @@ from .errors import (
     ContainmentViolation,
     NoAdmissibleDirection,
     PairVerificationFailed,
+    ValidationFailure,
 )
 from .exact import Matrix, mixed_radix_sums, vec_sub
 from .masks import coset_residues
-from .pairs import CompatiblePair, is_compatible_pair, tower_pair
+from .pairs import CompatiblePair, is_compatible_pair, reduce_pair_mod, tower_pair
 from .system import Level, MoranSystem
 
 
@@ -180,7 +181,7 @@ def _reduce_into_fundamental_domain(vec, rt: Matrix, rt_inv: Matrix):
 
 
 def _level_pair(system: MoranSystem, k: int, b: int):
-    """(R_k, D_k, (1/m) R_k^t C_k) for the least admissible direction, and its index."""
+    """(R_k, D_k, (1/m) R_k^t C_k) for the least admissible direction, verified exactly, and its index."""
     m = system.prime
     level = system.level(k)
     idx = find_admissible_direction(system, k)
@@ -201,17 +202,22 @@ def _level_pair(system: MoranSystem, k: int, b: int):
                 "the chosen direction does not divide the matrix",
             )
         labels.append(tuple(x // m for x in val))
+    ok, witness = is_compatible_pair(level.matrix, level.digits.digits, labels)
+    if not ok:
+        raise PairVerificationFailed(b, witness, f"block {b}: level {k} pair fails at labels {witness}")
     return CompatiblePair(matrix=level.matrix, digits=level.digits.digits, labels=tuple(labels)), idx
 
 
 def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposition:
     """Materialize the first ``blocks`` block pairs for block size K.
 
-    K defaults to choose_block_size. Each block is the tower of its level
-    pairs with the labels reduced into the fundamental domain, re-verified
-    exactly as a compatible pair; failure raises PairVerificationFailed and
-    signals an index-interpretation bug rather than a valid state.
+    K defaults to choose_block_size. Each block is certified by the
+    composition lemma: compatible level pairs, distinct tower labels, and
+    reduced labels congruent mod R~^t Z^n and distinct. A failure raises
+    PairVerificationFailed and signals an index-interpretation bug.
     """
+    if (K is not None and K < 1) or blocks < 1:
+        raise ValidationFailure("params", f"K and blocks must be at least 1, got K = {K}, blocks = {blocks}")
     certified_K = None
     if K is None:
         certified_K = choose_block_size(system)
@@ -221,16 +227,14 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
         level_pairs, dir_idx = zip(*(_level_pair(system, k, b) for k in range(b * K + 1, (b + 1) * K + 1)))
         try:
             tower = tower_pair(level_pairs)
+            rt = tower.matrix.transpose()
+            rt_inv = rt.inverse()
+            labels = tuple(_reduce_into_fundamental_domain(v, rt, rt_inv) for v in tower.labels)
+            reduce_pair_mod(tower, tower.digits, labels)
         except CongruenceViolation as exc:
             raise PairVerificationFailed(b, message=f"block {b}: {exc}") from exc
-        rt = tower.matrix.transpose()
-        rt_inv = rt.inverse()
-        labels = tuple(_reduce_into_fundamental_domain(v, rt, rt_inv) for v in tower.labels)
         if len(set(labels)) != len(labels):
             raise PairVerificationFailed(b, message=f"block {b}: label tower collided after reduction")
-        ok, witness = is_compatible_pair(tower.matrix, tower.digits, labels)
-        if not ok:
-            raise PairVerificationFailed(b, witness=witness)
         built.append(
             Block(index=b, matrix=tower.matrix, digits=tower.digits, labels=labels, direction_indices=dir_idx)
         )

@@ -304,10 +304,20 @@ _HANDLERS = {
 }
 
 
+def _check_sizes(args):
+    """Reject a size option below its least value; render's --level is a depth."""
+    least = {"cap": 1, "block_size": 1, "levels": 0, "level": 1 if args.command == "render" else 0}
+    for attr, low in least.items():
+        value = getattr(args, attr, None)
+        if value is not None and value < low:
+            raise ValidationFailure("params", f"--{attr.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        _check_sizes(args)
         return _HANDLERS[args.command](args, start)
     except MoranError as exc:
         code = exc.code if isinstance(exc, ValidationFailure) else type(exc).__name__

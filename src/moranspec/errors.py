@@ -34,7 +34,7 @@ class NoAdmissibleDirection(MoranError):
 
 
 class PairVerificationFailed(MoranError):
-    """A constructed pair failed exact re-verification."""
+    """A constructed pair failed its exact certificate."""
 
     def __init__(self, block, witness=None, message=None):
         self.block = block

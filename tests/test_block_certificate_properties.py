@@ -1,0 +1,155 @@
+"""Property tests: block certification by the composition lemma against the
+full compatible-pair oracle on random small towers (m in {3, 5}, n <= 3,
+at most 125 labels per block), and corrupted towers that must be refused."""
+import itertools
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from moranspec import builder  # noqa: E402
+from moranspec.errors import PairVerificationFailed, ValidationFailure  # noqa: E402
+from moranspec.exact import vec_add  # noqa: E402
+from moranspec.pairs import is_compatible_pair  # noqa: E402
+from moranspec.system import build_system  # noqa: E402
+
+# largest K with m^K <= 125
+MAX_K = {3: 4, 5: 3}
+
+
+@st.composite
+def level(draw, m, n):
+    """(m U, D): U triangular with diagonal in {1, 2}, D complete mod m along a drawn direction.
+
+    m | nu^t (m U) for every nu, so every zero direction of D is admissible.
+    """
+    code = draw(st.integers(1, m**n - 1))
+    nu = [code // m**i % m for i in range(n)]
+    c = next(i for i, x in enumerate(nu) if x)
+    inv = pow(nu[c], -1, m)
+    digits = []
+    for j in range(m):
+        v = list(draw(st.tuples(*[st.integers(-2, 2)] * n)))
+        rest = sum(nu[i] * v[i] for i in range(n) if i != c)
+        v[c] = (j - rest) * inv % m + m * draw(st.integers(-1, 0))
+        digits.append(v)
+    upper = draw(st.booleans())
+    off = st.integers(-1, 1)
+    rows = [
+        [draw(st.integers(1, 2)) if i == j else (draw(off) if (j > i) == upper else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return [[m * x for x in row] for row in rows], digits
+
+
+@st.composite
+def towers(draw):
+    """A validated system, its block size K and the number of blocks.
+
+    Two blocks are drawn only below the largest K, which keeps the full
+    oracle's N(N-1)/2 label pairs affordable.
+    """
+    m = draw(st.sampled_from((3, 5)))
+    n = draw(st.integers(1, 3))
+    cycle = [draw(level(m, n)) for _ in range(draw(st.integers(1, 3)))]
+    try:
+        system = build_system(n, m, [], cycle)
+    except ValidationFailure:
+        assume(False)
+    K = draw(st.sampled_from(range(1, MAX_K[m] + 1)))
+    return system, K, draw(st.integers(1, 1 if K == MAX_K[m] else 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(towers())
+def test_certified_blocks_pass_the_full_oracle(case):
+    system, K, blocks = case
+    decomp = builder.build_blocks(system, K=K, blocks=blocks)
+    assert len(decomp.blocks) == blocks
+    for block in decomp.blocks:
+        assert len(block.labels) == system.prime**K
+        assert is_compatible_pair(block.matrix, block.digits, block.labels) == (True, None)
+
+
+def _raises_for_block(system, K, blocks, target_block):
+    with pytest.raises(PairVerificationFailed) as err:
+        builder.build_blocks(system, K=K, blocks=blocks)
+    assert err.value.block == target_block
+    return err.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(towers(), st.data())
+def test_non_coset_level_label_is_refused(case, data):
+    # c^(j) of level k's coset class moves by a vector; R_k = m U keeps the
+    # label (1/m) R_k^t c^(j) integral, so only the compatibility test can refuse it
+    system, K, blocks = case
+    m, n = system.prime, system.dimension
+    k = data.draw(st.integers(1, K * blocks), label="level")
+    j = data.draw(st.integers(1, m - 1), label="label")
+    shift = data.draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any), label="shift")
+    good, _ = builder._level_pair(system, k, 0)
+    labels = list(good.labels)
+    labels[j] = vec_add(labels[j], tuple(x // m for x in good.matrix.transpose().mul_vec(shift)))
+    assume(not is_compatible_pair(good.matrix, good.digits, labels)[0])
+    original = builder._centered_class
+    calls = itertools.count(1)  # one class per level, levels in order
+
+    def corrupt(nu, m_):
+        cls = list(original(nu, m_))
+        if next(calls) == k:
+            cls[j] = vec_add(cls[j], shift)
+        return tuple(cls)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builder, "_centered_class", corrupt)
+        exc = _raises_for_block(system, K, blocks, (k - 1) // K)
+    assert f"level {k} pair" in str(exc) and exc.witness is not None
+
+
+def _patch_reduction(mp, replace):
+    """Pass each reduced label through ``replace(call, value, earlier values)``.
+
+    Labels are reduced block by block, so label i of block b is call b * N + i.
+    """
+    original = builder._reduce_into_fundamental_domain
+    counter = itertools.count()
+    done = []
+
+    def patched(vec, rt, rt_inv):
+        value = replace(next(counter), original(vec, rt, rt_inv), done)
+        done.append(value)
+        return value
+
+    mp.setattr(builder, "_reduce_into_fundamental_domain", patched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(towers(), st.data())
+def test_reduced_label_shifted_off_the_lattice_is_refused(case, data):
+    system, K, blocks = case
+    n, N = system.dimension, system.prime**K
+    b = data.draw(st.integers(0, blocks - 1), label="block")
+    i = data.draw(st.integers(0, N - 1), label="label")
+    shift = data.draw(st.tuples(*[st.integers(-3, 3)] * n), label="shift")
+    block = builder.build_blocks(system, K=K, blocks=blocks).block(b)
+    rt_inv = block.matrix.transpose().inverse()
+    assume(any(y % rt_inv.den for y in rt_inv.mul_vec_num(shift)))
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_reduction(mp, lambda at, value, done: vec_add(value, shift) if at == b * N + i else value)
+        _raises_for_block(system, K, blocks, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(towers(), st.data())
+def test_colliding_reduced_labels_are_refused(case, data):
+    system, K, blocks = case
+    N = system.prime**K
+    b = data.draw(st.integers(0, blocks - 1), label="block")
+    i = data.draw(st.integers(1, N - 1), label="label")
+    j = data.draw(st.integers(0, i - 1), label="copied")
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_reduction(mp, lambda at, value, done: done[b * N + j] if at == b * N + i else value)
+        _raises_for_block(system, K, blocks, b)

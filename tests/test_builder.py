@@ -14,7 +14,7 @@ from moranspec.builder import (
     normalize_first_level,
     spectrum_levels,
 )
-from moranspec.errors import CapExceeded, ContainmentViolation, NoAdmissibleDirection
+from moranspec.errors import CapExceeded, ContainmentViolation, NoAdmissibleDirection, ValidationFailure
 from moranspec.exact import Matrix
 from moranspec.pairs import is_compatible_pair
 from moranspec.specfile import load_system
@@ -242,3 +242,10 @@ def test_build_blocks_staircase_certified_block():
     block = build_blocks(system, K=3, blocks=1).block(0)
     assert len(block.labels) == 125
     assert gram_defect(block.matrix, block.digits, block.labels) < 1e-9
+
+
+@pytest.mark.parametrize("K, blocks", [(0, 1), (-1, 2), (1, 0), (None, 0)])
+def test_build_blocks_rejects_empty_sizes(K, blocks):
+    with pytest.raises(ValidationFailure) as err:
+        build_blocks(sierpinski_3i(), K=K, blocks=blocks)
+    assert err.value.code == "params"

@@ -250,3 +250,36 @@ def test_cli_spectrum_cap_fails_before_building(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert doc["error"]["code"] == "CapExceeded"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("spectrum", "--cap", "0"),
+        ("verify-orth", "--cap", "0"),
+        ("verify-complete", "--cap", "0"),
+        ("render", "--cap", "0"),
+        ("spectrum", "--block-size", "0"),
+        ("verify-orth", "--block-size", "-2"),
+        ("verify-complete", "--block-size", "0"),
+        ("spectrum", "--levels", "-1"),
+        ("verify-complete", "--levels", "-1"),
+        ("verify-orth", "--level", "-1"),
+        ("render", "--level", "0"),
+    ],
+)
+def test_cli_rejects_sizes_below_their_least_value(command, flag, value, tmp_path, capsys):
+    out = tmp_path / "cloud.csv"
+    argv = [command, fixture("sierpinski_3i.json"), flag, value, "--json"]
+    code = main(argv + ["--out", str(out)] if command == "render" else argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["error"]["code"] == "params"
+    assert doc["error"]["message"].startswith(f"{flag} must be at least")
+    assert not out.exists()
+
+
+def test_cli_accepts_the_least_sizes(capsys):
+    argv = ["spectrum", fixture("sierpinski_3i.json"), "--levels", "0", "--block-size", "1", "--cap", "3", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["level_sizes"] == [3]

@@ -46,6 +46,8 @@ EXTRA = [
     ("spectrum-default", "banded_spectral", "spectrum", []),
     ("render-svg", "staircase_spectral", "render", ["--level", "3", "--format", "svg", "--out", "cloud.svg"]),
     ("render-ppm", "staircase_spectral", "render", ["--level", "3", "--format", "ppm", "--out", "cloud.ppm"]),
+    # the paper-scale example at its certified K = 9: one level of 19,683 elements
+    ("spectrum-k9", "banded_spectral", "spectrum", ["--levels", "0", "--cap", "20000"]),
 ]
 
 CASES = [(f"{fx}/{cmd}", fx, cmd, tail) for fx in FIXTURE_NAMES for cmd, tail in COMMANDS.items()]
