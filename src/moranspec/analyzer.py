@@ -20,14 +20,17 @@ import numpy as np
 
 from .builder import SpectrumLevel
 from .errors import DimensionMismatch
+from .exact import Matrix
 from .masks import mask_eval
 from .system import MoranSystem, inverse_transpose
 
 _INT64_LIMIT = 2**62
 # level cap of the zero-level searches; the stopping rule ends them long before
 _MAX_LEVELS = 10_000
-# pairs per numpy chunk in verify_orthogonality: under 20 MB of work arrays for n = 2
+# pairs per chunk in verify_orthogonality: about 9 MB of int64 work arrays in any dimension
 _PAIR_CHUNK = 1 << 18
+# transform values per chunk of bases: 16 MB of complex values
+_VALUE_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ def find_zero_level(system: MoranSystem, point: Sequence):
     Stops once c^2 * |eta_k| < 1/m: from there on every iterate has sup
     norm below 1/m, while every coset point of the model zero sets has
     some coordinate at distance >= 1/m from 0 (j*nu is nonzero mod the
-    prime m). Exact rational comparisons throughout.
+    prime m). Exact rational comparisons throughout. The stopping rule
+    assumes condition (ii), the coset-line model, still unverified (ROADMAP.md item 1).
     """
     point = tuple(Fraction(c) for c in point)
     if all(c == 0 for c in point):
@@ -168,53 +172,68 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
 def _orthogonality_pairs(system: MoranSystem, pts: list):
     """(witnesses, distinct differences, pairs per zero level) of two or more points.
 
-    Pairs i < j are taken in row-major order, whole rows at a time, at most
-    ``_PAIR_CHUNK`` pairs per chunk (or one row when a row is longer). Each
-    difference is turned so its first nonzero coordinate is positive and
-    packed into one key ``(diff + span) @ strides`` whose order is the tuple
-    order. Each chunk's keys are deduplicated and folded into a running
-    table of (key, earliest pair, count), so memory is one chunk plus the
-    distinct differences; their zero levels are found by one
-    ``_zero_levels`` call. Arrays are int64 when every coordinate and key
+    Points are packed once as ``P = (p - lo) @ strides``, and the key
+    ``|P_j - P_i| + span @ strides`` of a pair is its packed difference with
+    the first nonzero coordinate positive, in the tuple order. Chunk tables
+    are folded into one (key, count) table once they hold as many keys, so
+    memory is one chunk plus about twice the distinct differences. Only a
+    difference that misses the zero set gets its earliest row-major pair,
+    from a second pass. Arrays are int64 when every coordinate and key
     fits, Python ints (object dtype) otherwise.
     """
-    count = len(pts)
     cols = list(zip(*pts))
     lo, hi = [min(c) for c in cols], [max(c) for c in cols]
     dims = [2 * (b - a) + 1 for a, b in zip(lo, hi)]
     fits = math.prod(dims) < _INT64_LIMIT and max(map(abs, lo + hi)) < _INT64_LIMIT
     dtype = np.int64 if fits else object
-    arr = np.array(pts, dtype=dtype)
     span = np.array([b - a for a, b in zip(lo, hi)], dtype=dtype)
     strides = np.array([math.prod(dims[i + 1 :]) for i in range(len(dims))], dtype=dtype)
-    row_len = np.arange(count - 1, -1, -1, dtype=np.int64)
+    packed = (np.array(pts, dtype=dtype) - np.array(lo, dtype=dtype)) @ strides
+    tables = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))]
+    for _, _, chunk in _pair_chunks(packed, span @ strides):
+        tables.append(np.unique(chunk, return_counts=True))
+        if sum(len(k) for k, _ in tables[1:]) >= len(tables[0][0]):
+            tables = [_merge_counts(tables)]
+    keys, counts = _merge_counts(tables)
+    diffs = np.stack([keys // s % d for s, d in zip(strides, dims)], axis=1) - span
+    levels = _zero_levels(system, diffs)
+    levels_hit = {int(lvl): int(counts[levels == lvl].sum()) for lvl in np.unique(levels) if lvl}
+    miss = levels == 0
+    bad, first = keys[miss], np.full((miss.sum(), 2), -1)
+    for i, j, chunk in _pair_chunks(packed, span @ strides) if len(bad) else ():
+        pos = np.minimum(np.searchsorted(bad, chunk), len(bad) - 1)
+        hit = np.flatnonzero(bad[pos] == chunk)
+        rows, at = np.unique(pos[hit], return_index=True)  # the first hit is the earliest pair
+        new = first[rows, 0] < 0
+        first[rows[new], 0], first[rows[new], 1] = j[hit[at[new]]], i[hit[at[new]]]
+        if (first >= 0).all():
+            break
+    witnesses = tuple((pts[j], pts[i], tuple(int(x) for x in d)) for (j, i), d in zip(first, diffs[miss]))
+    return witnesses, len(keys), levels_hit
+
+
+def _merge_counts(tables):
+    """One (key, count) table of the sorted tables; the stable sort merges their sorted runs."""
+    keys, counts = (np.concatenate(col) for col in zip(*tables))
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[head], np.add.reduceat(counts, head)
+
+
+def _pair_chunks(packed: np.ndarray, offset):
+    """(i, j, |packed[j] - packed[i]| + offset) of the pairs i < j in row-major order, whole
+    rows at a time, at most ``_PAIR_CHUNK`` pairs per chunk (or one row when a row is longer)."""
+    row_len = np.arange(len(packed) - 1, -1, -1, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(row_len)))
-    keys, pair, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     i0 = 0
-    while i0 < count - 1:
+    while i0 < len(packed) - 1:
         i1 = max(i0 + 1, int(np.searchsorted(starts, starts[i0] + _PAIR_CHUNK, side="right")) - 1)
         lens = row_len[i0:i1]
         i = np.repeat(np.arange(i0, i1), lens)
         j = np.arange(len(i)) - np.repeat(starts[i0:i1] - starts[i0], lens) + i + 1
-        diff = arr[j] - arr[i]
-        diff *= np.sign(diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)])[:, None]
-        new_keys, first, new_counts = np.unique((diff + span) @ strides, return_index=True, return_counts=True)
-        # fold the chunk into the table; the stable sort keeps the earlier pair first
-        chunk = (new_keys, i[first] * count + j[first], new_counts)
-        keys, pair, counts = (np.concatenate(col) for col in zip((keys, pair, counts), chunk))
-        order = np.argsort(keys, kind="stable")
-        keys, pair, counts = keys[order], pair[order], counts[order]
-        head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        keys, pair, counts = keys[head], pair[head], np.add.reduceat(counts, head)
+        yield i, j, np.abs(packed[j] - packed[i]) + offset
         i0 = i1
-    diffs = np.stack([keys // s % d for s, d in zip(strides, dims)], axis=1) - span
-    levels = _zero_levels(system, diffs)
-    levels_hit = {int(lvl): int(counts[levels == lvl].sum()) for lvl in np.unique(levels) if lvl}
-    witnesses = []
-    for r in np.flatnonzero(levels == 0):
-        i, j = divmod(int(pair[r]), count)
-        witnesses.append((pts[j], pts[i], tuple(int(x) for x in diffs[r])))
-    return tuple(witnesses), len(keys), levels_hit
 
 
 def _zero_levels(system: MoranSystem, points) -> np.ndarray:
@@ -222,9 +241,9 @@ def _zero_levels(system: MoranSystem, points) -> np.ndarray:
 
     Rows may be int64 or Python ints (object dtype). All undecided rows
     advance one level at a time in int64, with the same gcd reduction,
-    residue test and stopping inequality as the scalar search. A row whose
-    next step could overflow int64 is finished by the scalar
-    ``find_zero_level``.
+    residue test and stopping inequality as the scalar search, so the same
+    unverified coset-line model, condition (ii). A row whose next step could
+    overflow int64 is finished by the scalar ``find_zero_level``.
     """
     points = np.asarray(points)
     if not (points != 0).any(axis=1).all():
@@ -286,59 +305,54 @@ def _below_coset_norm(c: float, m: int, v: np.ndarray, q: np.ndarray) -> np.ndar
     return below
 
 
-def _exact_inverse_tables(system: MoranSystem, depth: int):
-    """Per level k: (M_k, q_k) with (R_1^t ... R_k^t)^-1 = M_k / q_k."""
-    tables = []
-    acc = None
-    for k in range(1, depth + 1):
-        inv_t = inverse_transpose(system.level(k).matrix)
-        acc = inv_t if acc is None else inv_t.mul(acc)
-        tables.append((acc.num, acc.den))
-    return tables
-
-
 def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth: int) -> np.ndarray:
-    """Transform values at base_b + offset_p for every pair, shape (B, P).
+    """Transform values at base_b + offset_p for every pair, shape (B, P)."""
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
+    return np.concatenate([np.empty((0, len(offsets)), dtype=complex), *_transform_chunks(system, offsets, bases, depth)])
 
-    Per level the integer phase parts are exact residues mod q (int64 when
-    they fit, Python ints otherwise), turned once into their (m, P) roots
-    of unity; each mask factor is then a small matrix product against the
-    per-base phase shifts, which keeps the scan cost dominated by BLAS
-    rather than by complex exponentials.
+
+def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
+    """Yield the rows of ``transform_batch_multi``, a chunk of bases at a time.
+
+    Per level the exact integer phase residues mod q (int64 when they fit,
+    Python ints otherwise) become roots of unity once, and each mask factor
+    is a BLAS product of them with the per-base phase shifts. A factor is
+    computed on the first w offsets: the least w, a power of m dividing P
+    or else P, no less than the last level's, with phase column i equal to
+    column i mod w exactly (m^k at level k of a spectrum level). The
+    running product is tiled as w grows, keeping each value's products.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim == 1:
-        offsets = offsets[None, :]
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
     bases_f = np.array([[float(c) for c in b] for b in bases], dtype=float)
-    tables = _exact_inverse_tables(system, depth)
     n_points = len(offsets)
-    n_bases = len(bases_f)
     max_lam = int(np.abs(offsets).max(initial=0)) + 1
     n = system.dimension
 
-    plans = []
+    plans, width, acc = [], 1, Matrix.identity(n)
     for k in range(1, depth + 1):
-        level = system.level(k)
-        d_arr = np.array(level.digits.digits, dtype=np.int64)
-        m_int, q = tables[k - 1]
+        acc = inverse_transpose(system.level(k).matrix).mul(acc)  # (R_1^t ... R_k^t)^-1 = m_int / q
+        m_int, q = acc.num, acc.den
+        d_arr = np.array(system.level(k).digits.digits, dtype=np.int64)
         max_m = max(abs(v) for row in m_int for v in row) + 1
         max_d = int(np.abs(d_arr).max(initial=0)) + 1
         fits = n * n * max_m * max_lam * max_d < _INT64_LIMIT and q < _INT64_LIMIT
         m_arr = np.array(m_int, dtype=np.int64 if fits else object)
         int_phases = (d_arr @ (m_arr @ offsets.T)) % q  # (m, P)
-        roots = np.exp((2j * np.pi * int_phases / q).astype(complex, copy=False))
+        while width < n_points and not (int_phases.reshape(len(d_arr), -1, width) == int_phases[:, None, :width]).all():
+            width = width * system.prime if n_points % (width * system.prime) == 0 else n_points
+        roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
         plans.append((d_arr, np.array(m_int, dtype=float) / q, roots))
 
-    out = np.empty((n_bases, n_points), dtype=complex)
-    chunk = max(1, 4_000_000 // max(n_points, 1))
-    for b0 in range(0, n_bases, chunk):
+    chunk = max(1, _VALUE_CHUNK // max(n_points, 1))
+    for b0 in range(0, len(bases_f), chunk):
         sub = bases_f[b0 : b0 + chunk]
-        vals = np.ones((len(sub), n_points), dtype=complex)
+        vals = np.ones((len(sub), 1), dtype=complex)
         for d_arr, a_float, roots in plans:
+            if roots.shape[1] > vals.shape[1]:
+                vals = np.tile(vals, roots.shape[1] // vals.shape[1])
             shifts = np.exp(2j * np.pi * (d_arr @ (a_float @ sub.T)))  # (m, B)
             vals *= (shifts.T @ roots) / len(d_arr)
-        out[b0 : b0 + chunk] = vals
-    return out
+        yield np.tile(vals, n_points // vals.shape[1]) if n_points > vals.shape[1] else vals
 
 
 def finite_level_identity(system: MoranSystem, level: SpectrumLevel, count: int = 20, seed: int = 0) -> float:
@@ -379,13 +393,12 @@ def completeness_scan(
         raise ValueError("grid must be at least 4")
     if not levels:
         raise ValueError("need at least one spectrum level")
-    K = levels[-1].K
     top = levels[-1]
     sizes = [lvl.size for lvl in levels]
     for small, big in zip(levels, levels[1:]):
         if big.elements[: small.size] != small.elements:
             raise ValueError("levels must be nested prefixes; build them together")
-    min_depth = (top.index + 1) * K
+    min_depth = (top.index + 1) * top.K
     if depth is None:
         depth = min_depth
     if depth < min_depth:
@@ -402,12 +415,12 @@ def completeness_scan(
     per_level_gap = [0.0] * len(levels)
     max_q = 0.0
     min_final = math.inf
-    all_vals = transform_batch_multi(system, offsets, pts, depth)
-    for pt_index, xi in enumerate(pts):
-        sq = np.abs(all_vals[pt_index]) ** 2
+    # each chunk of values is reduced to its per-level sums as soon as it is made
+    squares = (np.abs(vals) ** 2 for vals in _transform_chunks(system, offsets, pts, depth))
+    sums = np.concatenate([np.stack([sq[:, :size].sum(axis=1) for size in sizes], axis=1) for sq in squares])
+    for xi, q_row in zip(pts, sums):
         prev = -math.inf
-        for li, size in enumerate(sizes):
-            q_val = float(np.sum(sq[:size]))
+        for li, q_val in enumerate(map(float, q_row)):
             if q_val < prev - 1e-12:
                 witnesses.append((tuple(xi), "monotonicity", li, q_val, prev))
             prev = q_val
@@ -431,10 +444,9 @@ def completeness_scan(
         eta_norm = system.c**2 * (system.r ** (depth - min_depth)) * (box + 1.0) * math.sqrt(n)
         rel = 2 * math.pi * s * system.c**2 * (system.r / (1 - system.r)) * eta_norm
         certified_tail = eps_numeric + min(1.0, 2 * rel + rel * rel)
-    passed = not witnesses
     return VerificationReport(
         kind="completeness",
-        passed=passed,
+        passed=not witnesses,
         witnesses=tuple(witnesses),
         details={
             "grid": grid,

@@ -173,6 +173,7 @@ def cmd_verify_orth(args, start):
 def cmd_verify_complete(args, start):
     system = load_system(args.file)
     normalized, _, decomp = _prepare_blocks(system, args, args.levels)
+    _check_sizes(args, depth=(args.levels + 1) * decomp.K)
     levels = spectrum_levels(decomp, args.levels, cap=args.cap or 10**6)
     report = completeness_scan(
         normalized,
@@ -304,10 +305,10 @@ _HANDLERS = {
 }
 
 
-def _check_sizes(args):
-    """Reject a size option below its least value; render's --level is a depth."""
-    least = {"cap": 1, "block_size": 1, "levels": 0, "level": 1 if args.command == "render" else 0}
-    for attr, low in least.items():
+def _check_sizes(args, **known):
+    """Reject a size option below its least value (render's --level is a depth, ``known`` depends on the system)."""
+    least = dict(cap=1, block_size=1, levels=0, level=int(args.command == "render"), grid=4, depth=1, size=16, horizon=1)
+    for attr, low in {**least, **known}.items():
         value = getattr(args, attr, None)
         if value is not None and value < low:
             raise ValidationFailure("params", f"--{attr.replace('_', '-')} must be at least {low}, got {value}")

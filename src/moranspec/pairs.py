@@ -36,10 +36,10 @@ def _normalize_vectors(vectors) -> tuple:
 def is_compatible_pair(matrix: Matrix, digits, labels):
     """Check unitarity of the pair matrix exactly; returns (ok, witness).
 
-    ``witness`` is the offending label pair on failure, else None. Every
-    label difference goes through the cyclotomic vanishing test with the
-    least common denominator of the inner products, so composite
-    denominators outside the prime model class are covered too.
+    ``witness`` is the first offending label pair on failure, else None.
+    Each label difference, up to sign (their sums are conjugate), goes once
+    through the cyclotomic vanishing test with the least common denominator
+    of the inner products, so composite denominators are covered too.
     """
     digits = _normalize_vectors(digits)
     labels = _normalize_vectors(labels)
@@ -53,13 +53,15 @@ def is_compatible_pair(matrix: Matrix, digits, labels):
     inv = matrix.inverse()
     den = inv.den
     rows = [inv.mul_vec_num(d) for d in digits]
+    vanishes = {}
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
-            diff = vec_sub(labels[a], labels[b])
-            inner = [vec_dot(r, diff) for r in rows]
-            g = math.gcd(den, *inner)
-            q = den // g
-            if not exact.cyclotomic_vanishes([(x // g) % q for x in inner], q):
+            diff = max(vec_sub(labels[a], labels[b]), vec_sub(labels[b], labels[a]))
+            if diff not in vanishes:
+                inner = [vec_dot(r, diff) for r in rows]
+                g = math.gcd(den, *inner)
+                vanishes[diff] = exact.cyclotomic_vanishes([(x // g) % (den // g) for x in inner], den // g)
+            if not vanishes[diff]:
                 return False, (labels[a], labels[b])
     return True, None
 

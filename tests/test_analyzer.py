@@ -310,15 +310,19 @@ def test_transform_batch_memory_stays_below_root_table():
     import tracemalloc
     from pathlib import Path
 
-    from moranspec.analyzer import _exact_inverse_tables
     from moranspec.builder import normalize_first_level
+    from moranspec.exact import Matrix
     from moranspec.specfile import load_system
+    from moranspec.system import inverse_transpose
 
     system, _ = normalize_first_level(load_system(Path(__file__).parent / "fixtures" / "staircase_spectral.json"))
     levels = spectrum_levels(build_blocks(system, K=2, blocks=2), 1, enforce_containment=False)
     offsets = np.array(levels[-1].elements, dtype=np.int64)
     bases = [np.array(idx, dtype=float) / 8 for idx in np.ndindex(8, 8)]
-    table_bytes = 16 * max(q for _, q in _exact_inverse_tables(system, 7))
+    acc = Matrix.identity(2)
+    for k in range(1, 8):
+        acc = inverse_transpose(system.level(k).matrix).mul(acc)
+    table_bytes = 16 * acc.den  # (R_1^t ... R_7^t)^-1 = num / den
     assert table_bytes >= 80e6
     tracemalloc.start()
     try:

@@ -62,7 +62,7 @@ def towers(draw):
     return system, K, draw(st.integers(1, 1 if K == MAX_K[m] else 2))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(towers())
 def test_certified_blocks_pass_the_full_oracle(case):
     system, K, blocks = case

@@ -266,6 +266,13 @@ def test_cli_spectrum_cap_fails_before_building(capsys, monkeypatch):
         ("verify-complete", "--levels", "-1"),
         ("verify-orth", "--level", "-1"),
         ("render", "--level", "0"),
+        ("verify-complete", "--grid", "3"),
+        ("verify-complete", "--depth", "0"),
+        # the top level of --levels 2 at the certified K = 3 has product length 9
+        ("verify-complete", "--depth", "8"),
+        ("render", "--size", "0"),
+        ("decide", "--horizon", "-1"),
+        ("admissible", "--horizon", "0"),
     ],
 )
 def test_cli_rejects_sizes_below_their_least_value(command, flag, value, tmp_path, capsys):

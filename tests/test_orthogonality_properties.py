@@ -1,5 +1,8 @@
 """Property tests: the numpy orthogonality check against a plain pair loop,
-and the batched zero-level search against the scalar find_zero_level."""
+the batched zero-level search against the scalar find_zero_level, the
+prefix-width transform against a full-width evaluation, and the streamed
+completeness scan against its default run."""
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -10,11 +13,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from test_block_certificate_properties import towers  # noqa: E402
+
 from moranspec import analyzer  # noqa: E402
+from moranspec.builder import build_blocks, spectrum_levels  # noqa: E402
 from moranspec.errors import DimensionMismatch  # noqa: E402
-from moranspec.exact import vec_neg, vec_sub  # noqa: E402
+from moranspec.exact import Matrix, vec_dot, vec_neg, vec_sub  # noqa: E402
 from moranspec.specfile import load_system  # noqa: E402
-from moranspec.system import build_system  # noqa: E402
+from moranspec.system import build_system, inverse_transpose  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LINE = [(0,), (1,), (2,)]
@@ -79,6 +85,19 @@ def test_orthogonality_matches_pair_loop(case, chunk):
     # small chunks split rows across chunks, so the merge must keep the
     # earliest pair of every difference
     system, points = case
+    with mock.patch.object(analyzer, "_PAIR_CHUNK", chunk):
+        report = analyzer.verify_orthogonality(system, points)
+    assert as_tuple(report) == reference_report(system, points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SYSTEMS)), st.data(), st.integers(1, 64))
+def test_orthogonality_matches_pair_loop_on_repeated_differences(name, data, chunk):
+    # points of a small box repeat each missing difference in many rows and
+    # chunks; the witness pass must keep the earliest pair of each
+    system = SYSTEMS[name]
+    box = st.tuples(*[st.integers(-3, 3)] * system.dimension)
+    points = data.draw(st.lists(box, min_size=2, max_size=30, unique=True))
     with mock.patch.object(analyzer, "_PAIR_CHUNK", chunk):
         report = analyzer.verify_orthogonality(system, points)
     assert as_tuple(report) == reference_report(system, points)
@@ -169,3 +188,79 @@ def test_points_of_another_dimension_are_rejected_before_any_work():
         for points in ([(0, 0, 0), (1, 0, 0)], [(0, 0), (1, 0, 0)], [(1,)]):
             with pytest.raises(DimensionMismatch):
                 analyzer.verify_orthogonality(system, points)
+
+
+def full_width_transform(system, offsets, bases, depth):
+    """Every level's factor on all P offsets for all bases at once, with the
+    offset phases reduced in Python Fractions."""
+    bases = np.array(bases, dtype=float)
+    vals = np.ones((len(bases), len(offsets)), dtype=complex)
+    acc = Matrix.identity(system.dimension)
+    for k in range(1, depth + 1):
+        acc = inverse_transpose(system.level(k).matrix).mul(acc)
+        digits = system.level(k).digits.digits
+        phases = [[Fraction(vec_dot(d, acc.mul_vec_num(o)), acc.den) % 1 for o in offsets] for d in digits]
+        roots = np.exp(2j * np.pi * np.array(phases, dtype=float))
+        a_float = np.array(acc.num, dtype=float) / acc.den
+        shifts = np.exp(2j * np.pi * (np.array(digits, dtype=float) @ (a_float @ bases.T)))
+        vals *= (shifts.T @ roots) / len(digits)
+    return vals
+
+
+def prefix_transform(system, offsets, bases, depth):
+    """transform_batch_multi and the widths its running product is tiled to."""
+    with mock.patch.object(np, "tile", wraps=np.tile) as tile:
+        values = analyzer.transform_batch_multi(system, np.array(offsets, dtype=np.int64), bases, depth)
+    return values, [call.args[0].shape[1] * call.args[1] for call in tile.call_args_list]
+
+
+@settings(max_examples=40, deadline=None)
+@given(towers(), st.integers(0, 2), st.sampled_from(("nested", "perturbed", "arbitrary")), st.data())
+def test_prefix_width_transform_matches_full_width(case, extra_depth, kind, data):
+    system, K, blocks = case
+    decomp = build_blocks(system, K=K, blocks=blocks)
+    offsets = list(spectrum_levels(decomp, blocks - 1, enforce_containment=False)[-1].elements)
+    coordinate = st.integers(-40, 40)
+    if kind == "perturbed":
+        index = data.draw(st.integers(1, len(offsets) - 1))
+        shift = data.draw(st.tuples(*[coordinate] * system.dimension).filter(any))
+        offsets[index] = tuple(x + y for x, y in zip(offsets[index], shift))
+    elif kind == "arbitrary":
+        offsets = data.draw(st.lists(st.tuples(*[coordinate] * system.dimension), min_size=1, max_size=40))
+    bases = data.draw(st.lists(st.tuples(*[st.floats(-2, 2)] * system.dimension), min_size=1, max_size=4))
+    depth = blocks * K + extra_depth
+    values, widths = prefix_transform(system, offsets, bases, depth)
+    np.testing.assert_allclose(values, full_width_transform(system, offsets, bases, depth), rtol=0, atol=1e-12)
+    if kind == "nested":
+        # level 1 depends on the first label only, which varies fastest
+        assert widths[0] <= system.prime
+
+
+def test_prefix_widths_fall_back_when_the_tower_is_broken():
+    system = SYSTEMS["sierpinski_3i"]
+    nested = list(spectrum_levels(build_blocks(system, K=2, blocks=2), 1, enforce_containment=False)[-1].elements)
+    perturbed = nested[:5] + [(nested[5][0] + 1, nested[5][1])] + nested[6:]
+    arbitrary = [(7 * i * i % 23, 5 * i - 11) for i in range(10)]
+    bases = [(0.1, 0.7), (0.375, -1.25)]
+    for offsets, expected in ((nested, [3, 9, 27, 81]), (perturbed, [81]), (arbitrary, [10])):
+        values, widths = prefix_transform(system, offsets, bases, 4)
+        assert widths == expected
+        np.testing.assert_allclose(values, full_width_transform(system, offsets, bases, 4), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 60, 100])
+def test_streamed_completeness_scan_matches_default_run(budget):
+    # 27 offsets and 21 bases: 1, 2 or 3 bases per chunk, the last one short
+    system = SYSTEMS["sierpinski_3i"]
+    levels = spectrum_levels(build_blocks(system, K=1, blocks=3), 2, enforce_containment=False)
+    # depth beyond the product length leaves gaps above gap_tol, so witnesses appear
+    kwargs = dict(grid=4, depth=6, extra_points=5, seed=3, gap_tol=1e-3)
+    expected = analyzer.completeness_scan(system, levels, **kwargs)
+    with mock.patch.object(analyzer, "_VALUE_CHUNK", budget):
+        got = analyzer.completeness_scan(system, levels, **kwargs)
+    allowance = expected.details["numeric_allowance"]
+    assert expected.witnesses and got.passed == expected.passed
+    assert [w[:3] for w in got.witnesses] == [w[:3] for w in expected.witnesses]
+    np.testing.assert_allclose([w[3:] for w in got.witnesses], [w[3:] for w in expected.witnesses], rtol=0, atol=allowance)
+    for key, value in expected.details.items():
+        np.testing.assert_allclose(got.details[key], value, rtol=0, atol=allowance)

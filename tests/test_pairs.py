@@ -236,3 +236,24 @@ def test_is_compatible_pair_rejects_non_integral_labels():
     with pytest.raises(ValueError, match=r"\(1\.9, 0\)"):
         is_compatible_pair(R3, SIERPINSKI.digits, [(0, 0), (1.9, 0), (0, 1)])
     assert is_compatible_pair(R3, SIERPINSKI.digits, [(0, 0), (1.0, Fraction(4, 2)), (2, 1)]) == (True, None)
+
+
+def test_witness_is_the_first_failing_pair_in_row_major_order():
+    # a two-level Sierpinski tower repeats its label differences, and moving
+    # two labels makes several pairs fail; the cached test must still name
+    # the first of them, found here by the numeric Gram matrix
+    rng = random.Random(77)
+    level = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
+    tower = tower_pair([level, level])
+    inv = np.linalg.inv(np.array(tower.matrix.rows, dtype=float))
+    for _ in range(30):
+        labels = list(tower.labels)
+        for idx in rng.sample(range(len(labels)), 2):
+            labels[idx] = tuple(x + rng.randint(-2, 2) for x in labels[idx])
+        phases = (np.array(tower.digits, float) @ inv.T) @ np.array(labels, float).T
+        h = np.exp(2j * np.pi * phases)
+        gram = np.abs(h.conj().T @ h)
+        failing = [(a, b) for a in range(len(labels)) for b in range(a + 1, len(labels)) if gram[a, b] > 1e-9]
+        ok, witness = is_compatible_pair(tower.matrix, tower.digits, labels)
+        assert ok == (not failing)
+        assert witness == (None if ok else (labels[failing[0][0]], labels[failing[0][1]]))
