@@ -284,7 +284,7 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = 10**6, enf
         coefs.append(coefs[-1].mul(block.matrix.transpose()))
     # the earliest block varies fastest, so level k is a prefix of the top level;
     # the coefficients are integer matrices, so the denominator is 1
-    top, _ = mixed_radix_sums(coefs, [block.labels for block in blocks])
+    top = list(map(tuple, mixed_radix_sums(coefs, [block.labels for block in blocks])[0].tolist()))
     levels = []
     seen = set()
     size = 1

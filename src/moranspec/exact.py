@@ -172,22 +172,33 @@ class Matrix:
 
 
 def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> tuple:
-    """(numerators, den): all sums ``coefs[0] v_0 + coefs[1] v_1 + ...`` with
-    v_j in ``sets[j]``, as integer numerator tuples over one positive ``den``.
+    """(nums, den): all sums ``coefs[0] v_0 + coefs[1] v_1 + ...`` with v_j
+    in ``sets[j]``, as an (N, n) array of integer numerators over one
+    positive ``den``.
 
     ``den`` is the lcm of the coefficient denominators, so it is 1 for
     integer matrices and the numerators are then the sums themselves. The
     earliest set varies fastest, so with the zero vector first in every
     set the sums over the first j sets form a prefix of the result.
+
+    Every numerator is bounded, exactly and before anything is built, by
+    the sum over the sets of their largest term coordinate. When that bound
+    and ``den`` are both below 2^53 the array is int64; otherwise it holds
+    Python ints (dtype object). Either way each numerator and ``den`` are
+    exact floats or exact ints, so ``nums / den`` is correctly rounded: the
+    float of ``Fraction(x, den)``.
     """
     if not coefs or len(coefs) != len(sets):
         raise SizeMismatch("need one coefficient matrix per nonempty list of sets")
+    n = coefs[0].n
     den = math.lcm(*(c.den for c in coefs))
-    acc = [(0,) * coefs[0].n]
-    for coef, vecs in zip(coefs, sets):
-        scale = den // coef.den
-        terms = [tuple(scale * x for x in coef.mul_vec_num(v)) for v in vecs]
-        acc = [tuple(a + b for a, b in zip(base, t)) for t in terms for base in acc]
+    terms = [[[den // coef.den * x for x in coef.mul_vec_num(v)] for v in vecs] for coef, vecs in zip(coefs, sets)]
+    bound = sum(max((abs(x) for t in level for x in t), default=0) for level in terms)
+    dtype = np.int64 if max(bound, den) < 2**53 else object
+    acc = np.zeros((1, n), dtype=dtype)
+    for level in terms:
+        t = np.array(level, dtype=dtype).reshape(-1, n)
+        acc = (t[:, None, :] + acc[None, :, :]).reshape(-1, n)
     return acc, den
 
 

@@ -122,9 +122,9 @@ def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
     for p in pairs[:-1]:
         label_coef.append(label_coef[-1].mul(p.matrix.transpose()))
     # integer coefficients, so both denominators are 1
-    digits, _ = mixed_radix_sums(digit_coef, [p.digits for p in pairs])
-    labels, _ = mixed_radix_sums(label_coef, [p.labels for p in pairs])
+    digits = tuple(map(tuple, mixed_radix_sums(digit_coef, [p.digits for p in pairs])[0].tolist()))
+    labels = tuple(map(tuple, mixed_radix_sums(label_coef, [p.labels for p in pairs])[0].tolist()))
     if len(set(digits)) != len(digits) or len(set(labels)) != len(labels):
         raise CongruenceViolation("tower produced colliding elements")
     matrix = digit_coef[0].mul(pairs[0].matrix)
-    return CompatiblePair(matrix=matrix, digits=tuple(digits), labels=tuple(labels))
+    return CompatiblePair(matrix=matrix, digits=digits, labels=labels)

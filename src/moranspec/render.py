@@ -1,18 +1,24 @@
 """Truncated attractor point clouds and file emission (CSV, SVG, PPM).
 
 Support points are the finite sums over digit strings of the inverse
-matrix products applied to digits. A cloud keeps them exactly, as integer
-numerators over one common denominator, and each coordinate becomes a
-float by one correctly rounded integer division, so rounding never
-compounds across levels. Enumeration is mixed-radix over digit indices
-with the deepest level fastest, which makes every emitted file
-byte-reproducible. The PPM canvas side is capped at ``MAX_PPM_SIDE``.
+matrix products applied to digits. A cloud keeps them exactly, as an
+(N, n) array of integer numerators over one common denominator, and each
+coordinate becomes a float by one correctly rounded division, so rounding
+never compounds across levels. Enumeration is mixed-radix over digit
+indices with the deepest level fastest, which makes every emitted file
+byte-reproducible. The writers work on whole arrays: one ``%`` template
+per text file and one indexed store per PPM canvas, with the same float
+operations, in the same order, as formatting point by point. The PPM
+canvas side is capped at ``MAX_PPM_SIDE``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CapExceeded, IoFailure
 from .exact import mixed_radix_sums
@@ -22,26 +28,47 @@ from .system import MoranSystem
 MAX_PPM_SIDE = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
+    """``nums / den``: the support points of one depth, in odometer order.
+
+    ``nums`` is the read-only (N, n) numerator array from
+    ``mixed_radix_sums``: int64 when every numerator and ``den`` are below
+    2^53, Python ints (dtype object) otherwise.
+    """
+
     depth: int
-    points: tuple  # integer numerator tuples over den, odometer order
+    nums: np.ndarray
     den: int  # positive common denominator
+
+    def __post_init__(self):
+        self.nums.flags.writeable = False
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.nums)
 
-    def floats(self):
-        # int / int is correctly rounded: the same float as float(Fraction(x, den))
-        den = self.den
-        return [tuple(x / den for x in p) for p in self.points]
+    @cached_property
+    def points(self) -> tuple:
+        """The numerators as a tuple of int tuples, built on first access."""
+        return tuple(map(tuple, self.nums.tolist()))
+
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        # both operands are exact floats (the 2^53 rule), so each quotient is
+        # correctly rounded: the same float as float(Fraction(x, den))
+        out = np.asarray(self.nums / self.den, dtype=np.float64)
+        out.flags.writeable = False
+        return out
+
+    def floats(self) -> np.ndarray:
+        """The (N, n) float64 array ``nums / den``, computed once per cloud."""
+        return self._floats
 
     def bounding_box(self):
         """Exact (lo, hi) corners, as Fractions, of the cloud's coordinate box."""
-        cols = list(zip(*self.points))
-        lo = tuple(Fraction(min(c), self.den) for c in cols)
-        hi = tuple(Fraction(max(c), self.den) for c in cols)
+        lo = tuple(Fraction(int(v), self.den) for v in self.nums.min(axis=0))
+        hi = tuple(Fraction(int(v), self.den) for v in self.nums.max(axis=0))
         return lo, hi
 
 
@@ -57,8 +84,8 @@ def support_points(system: MoranSystem, depth: int, cap: int = 200_000) -> Point
         coefs.append(coefs[-1].mul(system.level(k).matrix.inverse()))
     # the deepest level varies fastest, the order every emitted file keeps
     sets = [system.level(k).digits.digits for k in range(1, depth + 1)]
-    points, den = mixed_radix_sums(coefs[::-1], sets[::-1])
-    return PointCloud(depth=depth, points=tuple(points), den=den)
+    nums, den = mixed_radix_sums(coefs[::-1], sets[::-1])
+    return PointCloud(depth=depth, nums=nums, den=den)
 
 
 def render(cloud: PointCloud, fmt: str, out, size: int = 512):
@@ -79,73 +106,69 @@ def render(cloud: PointCloud, fmt: str, out, size: int = 512):
 
 
 def _write_csv(cloud: PointCloud, out: Path):
-    lines = [",".join(f"{c:.12f}" for c in p) for p in cloud.floats()]
-    out.write_text("\n".join(lines) + "\n", encoding="ascii")
+    f = cloud.floats()
+    row = ",".join(["%.12f"] * f.shape[1]) + "\n"
+    out.write_text(row * len(f) % tuple(f.ravel().tolist()), encoding="ascii")
 
 
 def parse_csv(path) -> list:
     return [tuple(float(v) for v in line.split(",")) for line in Path(path).read_text().splitlines() if line]
 
 
-def _planar(points):
-    """Project to the first two coordinates; lift 1-d clouds onto y = 0."""
-    return [(p[0], p[1] if len(p) > 1 else 0.0) for p in points]
+def _planar(cloud: PointCloud):
+    """(xs, ys): the first two coordinates; 1-d clouds lie on y = 0."""
+    f = cloud.floats()
+    return f[:, 0], f[:, 1] if f.shape[1] > 1 else np.zeros(len(f))
 
 
-def _padded_box(pts):
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+def _padded_box(xs, ys):
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
     pad_x = max(x1 - x0, 1e-9) * 0.05
     pad_y = max(y1 - y0, 1e-9) * 0.05
     return x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
 
 
 def _write_svg(cloud: PointCloud, out: Path):
-    pts = _planar(cloud.floats())
-    x0, x1, y0, y1 = _padded_box(pts)
+    xs, ys = _planar(cloud)
+    x0, x1, y0, y1 = _padded_box(xs, ys)
     # marker side 1/(2 m^depth): shrinks with the level so copies separate
     side = 1.0 / (2.0 * cloud.size)
     half = side / 2
-    rows = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x0:.6f} {y0:.6f} {x1 - x0:.6f} {y1 - y0:.6f}">'
-    ]
-    for x, y in pts:
-        # flip y so larger coordinates render upward
-        fy = y0 + y1 - y
-        rows.append(f'<rect x="{x - half:.9f}" y="{fy - half:.9f}" width="{side:.9f}" height="{side:.9f}" fill="black"/>')
-    rows.append("</svg>")
-    out.write_text("\n".join(rows) + "\n", encoding="ascii")
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x0:.6f} {y0:.6f} {x1 - x0:.6f} {y1 - y0:.6f}">\n'
+    rect = f'<rect x="%.9f" y="%.9f" width="{side:.9f}" height="{side:.9f}" fill="black"/>\n'
+    # flip y so larger coordinates render upward: fy = y0 + y1 - y
+    corners = np.column_stack((xs - half, (y0 + y1 - ys) - half))
+    out.write_text(head + rect * len(corners) % tuple(corners.ravel().tolist()) + "</svg>\n", encoding="ascii")
 
 
 def _write_ppm(cloud: PointCloud, out: Path, size: int):
     if size > MAX_PPM_SIDE:
         raise CapExceeded(f"PPM side {size} exceeds the cap {MAX_PPM_SIDE}")
-    pts = _planar(cloud.floats())
-    x0, x1, y0, y1 = _padded_box(pts)
+    xs, ys = _planar(cloud)
+    x0, x1, y0, y1 = _padded_box(xs, ys)
     width = height = max(16, size)
-    canvas = bytearray(b"\xff" * (width * height * 3))
-    for x, y in pts:
-        px = int((x - x0) / (x1 - x0) * (width - 1) + 0.5)
-        py = int((y1 - y) / (y1 - y0) * (height - 1) + 0.5)
-        idx = (py * width + px) * 3
-        canvas[idx : idx + 3] = b"\x00\x00\x00"
+    # every value is >= 0, where astype truncates exactly as int() does
+    px = ((xs - x0) / (x1 - x0) * (width - 1) + 0.5).astype(np.int64)
+    py = ((y1 - ys) / (y1 - y0) * (height - 1) + 0.5).astype(np.int64)
+    canvas = np.full((height * width, 3), 255, dtype=np.uint8)
+    canvas[py * width + px] = 0
     header = f"P6 {width} {height} 255\n".encode("ascii")
-    out.write_bytes(header + bytes(canvas))
+    out.write_bytes(header + canvas.tobytes())
 
 
 def read_ppm(path):
     """(width, height, dark_pixel_count) of a binary P6 file."""
     raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 1)
-    fields = parts[0].split()
-    if fields[0] != b"P6":
+    header, _, body = raw.partition(b"\n")
+    fields = header.split()
+    if fields[:1] != [b"P6"]:
         raise IoFailure("not a binary P6 file")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    body = parts[1]
-    dark = 0
-    for i in range(0, width * height * 3, 3):
-        if body[i] < 128:
-            dark += 1
-    return width, height, dark
+    if len(fields) != 4 or not all(f.isdigit() for f in fields[1:]):
+        raise IoFailure(f"P6 header needs width, height and maxval, got {header!r}")
+    width, height = int(fields[1]), int(fields[2])
+    want = width * height * 3
+    if len(body) < want:
+        raise IoFailure(f"P6 body holds {len(body)} bytes, {width}x{height} pixels need {want}")
+    dark = np.frombuffer(body, np.uint8, want)[::3] < 128
+    return width, height, int(dark.sum())

@@ -5,6 +5,7 @@ enumeration)."""
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -101,8 +102,12 @@ def test_mixed_radix_sums_matches_product_order(levels):
     coefs = [Matrix.from_rows(rows) for rows, _ in levels]
     sets = [vecs for _, vecs in levels]
     nums, den = mixed_radix_sums(coefs, sets)
-    assert den > 0 and all(type(x) is int for p in nums for x in p)
-    got = [tuple(Fraction(x, den) for x in p) for p in nums]
+    assert den > 0 and all(type(x) is int for p in nums.tolist() for x in p)
+    # int64 exactly when the numerator bound and den are both below 2^53
+    scales = [den // c.den for c in coefs]
+    bound = sum(max(abs(s * x) for v in vecs for x in c.mul_vec_num(v)) for c, s, vecs in zip(coefs, scales, sets))
+    assert nums.dtype == (np.int64 if max(bound, den) < 2**53 else object)
+    got = [tuple(Fraction(x, den) for x in p) for p in nums.tolist()]
     # itertools.product varies its last factor fastest, so feed it the sets
     # reversed to make the earliest set fastest
     want = []
@@ -114,7 +119,7 @@ def test_mixed_radix_sums_matches_product_order(levels):
     assert got == want
     if len(sets) > 1:
         head_nums, head_den = mixed_radix_sums(coefs[:-1], sets[:-1])
-        head = [tuple(Fraction(x, head_den) for x in h) for h in head_nums]
+        head = [tuple(Fraction(x, head_den) for x in h) for h in head_nums.tolist()]
         shift = coefs[-1].mul_vec(sets[-1][0])
         assert got[: len(head)] == [tuple(x + y for x, y in zip(h, shift)) for h in head]
 
@@ -154,7 +159,7 @@ def test_point_cloud_floats_and_box_match_fractions(levels, depth):
             total = [t + x for t, x in zip(total, coef.mul_vec(d))]
         want.append(tuple(total))
     assert exact == want
-    assert cloud.floats() == [tuple(float(x) for x in p) for p in exact]
+    assert cloud.floats().tolist() == [[float(x) for x in p] for p in exact]
     lo, hi = cloud.bounding_box()
     assert lo == tuple(min(col) for col in zip(*exact))
     assert hi == tuple(max(col) for col in zip(*exact))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIERPINSKI, STAIRCASE
-from moranspec.errors import CapExceeded
+from moranspec.errors import CapExceeded, IoFailure
 from moranspec.render import parse_csv, read_ppm, render, support_points
 from moranspec.system import build_system
 
@@ -107,3 +107,18 @@ def test_one_dimensional_cloud_renders(tmp_path):
     render(cloud, "ppm", tmp_path / "line.ppm", size=128)
     width, height, dark = read_ppm(tmp_path / "line.ppm")
     assert dark == 9
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"P6 16 16 255\n" + bytes(30), "holds 30 bytes, 16x16 pixels need 768"),
+        (b"P6 16\n" + bytes(768), "header needs width, height and maxval"),
+        (b"P6 16 x 255\n" + bytes(768), "header needs width, height and maxval"),
+    ],
+)
+def test_read_ppm_rejects_malformed_files(tmp_path, raw, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(raw)
+    with pytest.raises(IoFailure, match=message):
+        read_ppm(path)
