@@ -14,7 +14,6 @@ from .analyzer import (
     verify_orthogonality,
 )
 from .builder import (
-    Block,
     BlockDecomposition,
     BlockSizeInfo,
     SpectrumLevel,

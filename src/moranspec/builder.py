@@ -30,6 +30,8 @@ from .masks import coset_residues
 from .pairs import CompatiblePair, is_compatible_pair, reduce_pair_mod, tower_pair
 from .system import Level, MoranSystem
 
+LEVEL_CAP = 10**6  # default cap on the elements of the top spectrum level
+
 
 @dataclass(frozen=True)
 class TransformRecord:
@@ -150,23 +152,11 @@ def _centered_class(nu, m: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class Block:
-    index: int
-    matrix: Matrix  # R~ = R_{(k+1)K} ... R_{kK+1}
-    digits: tuple
-    labels: tuple  # 0 first
-    direction_indices: tuple
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
     system: MoranSystem
     K: int
-    blocks: tuple
+    blocks: tuple  # CompatiblePair per block: R~ = R_{(b+1)K} ... R_{bK+1}, digits, reduced labels (0 first)
     meets_certified_bound: bool
-
-    def block(self, k: int) -> Block:
-        return self.blocks[k]
 
 
 def _reduce_into_fundamental_domain(vec, rt: Matrix, rt_inv: Matrix):
@@ -181,7 +171,7 @@ def _reduce_into_fundamental_domain(vec, rt: Matrix, rt_inv: Matrix):
 
 
 def _level_pair(system: MoranSystem, k: int, b: int):
-    """(R_k, D_k, (1/m) R_k^t C_k) for the least admissible direction, verified exactly, and its index."""
+    """(R_k, D_k, (1/m) R_k^t C_k) for the least admissible direction, verified exactly."""
     m = system.prime
     level = system.level(k)
     idx = find_admissible_direction(system, k)
@@ -205,7 +195,7 @@ def _level_pair(system: MoranSystem, k: int, b: int):
     ok, witness = is_compatible_pair(level.matrix, level.digits.digits, labels)
     if not ok:
         raise PairVerificationFailed(b, witness, f"block {b}: level {k} pair fails at labels {witness}")
-    return CompatiblePair(matrix=level.matrix, digits=level.digits.digits, labels=tuple(labels)), idx
+    return CompatiblePair(matrix=level.matrix, digits=level.digits.digits, labels=tuple(labels))
 
 
 def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposition:
@@ -224,20 +214,18 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
         K = certified_K
     built = []
     for b in range(blocks):
-        level_pairs, dir_idx = zip(*(_level_pair(system, k, b) for k in range(b * K + 1, (b + 1) * K + 1)))
         try:
-            tower = tower_pair(level_pairs)
+            tower = tower_pair([_level_pair(system, k, b) for k in range(b * K + 1, (b + 1) * K + 1)])
             rt = tower.matrix.transpose()
             rt_inv = rt.inverse()
-            labels = tuple(_reduce_into_fundamental_domain(v, rt, rt_inv) for v in tower.labels)
-            reduce_pair_mod(tower, tower.digits, labels)
+            block = reduce_pair_mod(
+                tower, tower.digits, [_reduce_into_fundamental_domain(v, rt, rt_inv) for v in tower.labels]
+            )
         except CongruenceViolation as exc:
             raise PairVerificationFailed(b, message=f"block {b}: {exc}") from exc
-        if len(set(labels)) != len(labels):
+        if len(set(block.labels)) != len(block.labels):
             raise PairVerificationFailed(b, message=f"block {b}: label tower collided after reduction")
-        built.append(
-            Block(index=b, matrix=tower.matrix, digits=tower.digits, labels=labels, direction_indices=dir_idx)
-        )
+        built.append(block)
     meets = certified_K is not None or K >= block_size_parameters(system).block
     return BlockDecomposition(system=system, K=K, blocks=tuple(built), meets_certified_bound=meets)
 
@@ -260,7 +248,7 @@ def check_level_cap(m: int, K: int, upto: int, cap: int):
         raise CapExceeded(f"level {upto} holds m^(K*(k+1)) = {m ** (K * (upto + 1))} elements, cap is {cap}")
 
 
-def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = 10**6, enforce_containment=None):
+def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP, enforce_containment=None):
     """Spectrum levels 0..upto, each nested as a prefix of the next.
 
     Raises CapExceeded before materializing more than ``cap`` elements,
@@ -316,9 +304,9 @@ def _check_containment(decomp: BlockDecomposition, k: int, elements):
     total = [Fraction(0)] * n
     tail = Matrix.identity(n)
     for j in range(k, -1, -1):
-        tail = decomp.block(j).matrix.transpose().mul(tail)
+        tail = decomp.blocks[j].matrix.transpose().mul(tail)
         w = tail.inverse()
-        images = [w.mul_vec_num(l) for l in decomp.block(j).labels]
+        images = [w.mul_vec_num(l) for l in decomp.blocks[j].labels]
         total = [t + Fraction(max(abs(y[i]) for y in images), w.den) for i, t in enumerate(total)]
     if all(t <= bound for t in total):
         return

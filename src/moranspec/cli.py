@@ -3,7 +3,9 @@
 Exit codes: 0 pass/Spectral, 1 fail/NotSpectral, 2 Unknown/Inconclusive,
 3 input error. With --json a machine-readable report (schema 1) goes to
 stdout; diagnostics always go to stderr. Reports are byte-identical for
-identical inputs: timings are omitted unless --timings is given.
+identical inputs: timings are omitted unless --timings is given. Only main
+loads the system and emits the report; a command returns its payload and
+exit code, and main adds the envelope and the system's params.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from functools import lru_cache
 from . import __version__
 from .analyzer import completeness_scan, verify_orthogonality
 from .builder import (
+    LEVEL_CAP,
     block_size_parameters,
     build_blocks,
     check_level_cap,
@@ -26,7 +29,7 @@ from .builder import (
 )
 from .decider import admissibility_scan, decide
 from .errors import MoranError, ValidationFailure
-from .render import render, support_points
+from .render import POINT_CAP, render, support_points
 from .specfile import load_system
 
 SCHEMA = 1
@@ -51,20 +54,12 @@ def _emit(args, payload, exit_code, start):
     payload["timings"] = {"seconds": round(time.monotonic() - start, 3)} if args.timings else None
     if args.json:
         print(json.dumps(_sanitize(payload), sort_keys=True, indent=2))
-    else:
-        _print_human(payload)
-    return exit_code
-
-
-def _print_human(payload):
-    skip = {"schema", "command", "timings"}
-    print(f"[{payload['command']}]")
+        return exit_code
+    print(f"[{args.command}]")
     for key, value in payload.items():
-        if key in skip or value is None:
-            continue
-        print(f"  {key}: {_sanitize(value)}")
-    if payload.get("timings"):
-        print(f"  timings: {payload['timings']}")
+        if key not in ("schema", "command") and value is not None:
+            print(f"  {key}: {_sanitize(value)}")
+    return exit_code
 
 
 def _system_summary(system):
@@ -80,31 +75,22 @@ def _system_summary(system):
     }
 
 
-def cmd_validate(args, start):
-    system = load_system(args.file)
-    payload = {
-        "report": "valid",
-        "params": _system_summary(system),
-        "zero_directions": {
-            str(k): [list(nu) for nu in lvl.zeros.directions] for k, lvl in system.levels_from(1)
-        },
-    }
-    return _emit(args, payload, 0, start)
+def cmd_validate(args, system):
+    zeros = {str(k): [list(nu) for nu in lvl.zeros.directions] for k, lvl in system.levels_from(1)}
+    return {"report": "valid", "zero_directions": zeros}, 0
 
 
-def cmd_zeros(args, start):
-    system = load_system(args.file)
+def cmd_zeros(args, system):
     table = {}
     for k, lvl in system.levels_from(1):
         table[str(k)] = [
             {"direction": list(nu), "model_compliant": ok}
             for nu, ok in zip(lvl.zeros.directions, lvl.zeros.model_compliant)
         ]
-    return _emit(args, {"report": table, "params": _system_summary(system)}, 0, start)
+    return {"report": table}, 0
 
 
-def cmd_decide(args, start):
-    system = load_system(args.file)
+def cmd_decide(args, system):
     verdict = decide(system, horizon=args.horizon)
     payload = {
         "verdict": verdict.outcome,
@@ -112,50 +98,50 @@ def cmd_decide(args, start):
         "witnesses": verdict.certificate.get("witness"),
         "certificate": verdict.certificate,
         "caveats": list(verdict.caveats),
-        "params": _system_summary(system),
     }
-    return _emit(args, payload, verdict.exit_code, start)
+    return payload, verdict.exit_code
 
 
-def _prepare_blocks(system, args, levels_needed):
+def _prepare_blocks(system, args):
+    """Fit K to an explicit --cap, test the cap and --depth, then build the normalized system's blocks and levels.
+
+    Returns (record, decomposition, levels). verify-orth builds levels
+    0..--level unchecked for containment, the others 0..--levels.
+    """
+    orth = args.command == "verify-orth"
+    top = args.level if orth else args.levels
+    cap = args.cap or LEVEL_CAP
     normalized, record = normalize_first_level(system)
     if args.block_size is not None:
         K = args.block_size
     else:
         K = choose_block_size(normalized)
-        while args.cap and normalized.prime ** (K * (levels_needed + 1)) > args.cap and K > 1:
+        while args.cap and normalized.prime ** (K * (top + 1)) > cap and K > 1:
             K -= 1
-    check_level_cap(normalized.prime, K, levels_needed, args.cap or 10**6)
-    decomp = build_blocks(normalized, K=K, blocks=levels_needed + 1)
-    return normalized, record, decomp
+    check_level_cap(normalized.prime, K, top, cap)
+    _check_sizes(args, depth=(top + 1) * K)
+    decomp = build_blocks(normalized, K=K, blocks=top + 1)
+    return record, decomp, spectrum_levels(decomp, top, cap=cap, enforce_containment=False if orth else None)
 
 
-def cmd_spectrum(args, start):
-    system = load_system(args.file)
-    normalized, record, decomp = _prepare_blocks(system, args, args.levels)
-    levels = spectrum_levels(decomp, args.levels, cap=args.cap or 10**6)
-    info = block_size_parameters(normalized)
-    payload = {
-        "report": {
-            "block_size": decomp.K,
-            "certified_block_size": info.block,
-            "meets_certified_bound": decomp.meets_certified_bound,
-            "level_sizes": [lvl.size for lvl in levels],
-            "containment_checked": [lvl.containment_checked for lvl in levels],
-            "normalized_first_level": not record.is_identity,
-            "spectrum_transform_back": [[str(v) for v in row] for row in record.back.rows],
-            "top_level_sample": [list(v) for v in levels[-1].elements[:10]],
-        },
-        "params": _system_summary(system),
+def cmd_spectrum(args, system):
+    record, decomp, levels = _prepare_blocks(system, args)
+    report = {
+        "block_size": decomp.K,
+        "certified_block_size": block_size_parameters(decomp.system).block,
+        "meets_certified_bound": decomp.meets_certified_bound,
+        "level_sizes": [lvl.size for lvl in levels],
+        "containment_checked": [lvl.containment_checked for lvl in levels],
+        "normalized_first_level": not record.is_identity,
+        "spectrum_transform_back": [[str(v) for v in row] for row in record.back.rows],
+        "top_level_sample": [list(v) for v in levels[-1].elements[:10]],
     }
-    return _emit(args, payload, 0, start)
+    return {"report": report}, 0
 
 
-def cmd_verify_orth(args, start):
-    system = load_system(args.file)
-    normalized, _, decomp = _prepare_blocks(system, args, args.level)
-    levels = spectrum_levels(decomp, args.level, cap=args.cap or 10**6, enforce_containment=False)
-    report = verify_orthogonality(normalized, levels[args.level].elements)
+def cmd_verify_orth(args, system):
+    _, decomp, levels = _prepare_blocks(system, args)
+    report = verify_orthogonality(decomp.system, levels[args.level].elements)
     payload = {
         "report": {
             "passed": report.passed,
@@ -165,18 +151,14 @@ def cmd_verify_orth(args, start):
             "distinct_differences": report.details["distinct_differences"],
         },
         "witnesses": [list(map(list, w)) for w in report.witnesses[:10]],
-        "params": _system_summary(system),
     }
-    return _emit(args, payload, 0 if report.passed else 1, start)
+    return payload, 0 if report.passed else 1
 
 
-def cmd_verify_complete(args, start):
-    system = load_system(args.file)
-    normalized, _, decomp = _prepare_blocks(system, args, args.levels)
-    _check_sizes(args, depth=(args.levels + 1) * decomp.K)
-    levels = spectrum_levels(decomp, args.levels, cap=args.cap or 10**6)
+def cmd_verify_complete(args, system):
+    _, decomp, levels = _prepare_blocks(system, args)
     report = completeness_scan(
-        normalized,
+        decomp.system,
         levels,
         grid=args.grid,
         depth=args.depth,
@@ -185,19 +167,13 @@ def cmd_verify_complete(args, start):
         gap_tol=args.gap_tol,
     )
     payload = {
-        "report": {
-            "passed": report.passed,
-            "block_size": decomp.K,
-            **report.details,
-        },
+        "report": {"passed": report.passed, "block_size": decomp.K, **report.details},
         "witnesses": [list(map(str, w)) for w in report.witnesses[:10]],
-        "params": _system_summary(system),
     }
-    return _emit(args, payload, 0 if report.passed else 1, start)
+    return payload, 0 if report.passed else 1
 
 
-def cmd_admissible(args, start):
-    system = load_system(args.file)
+def cmd_admissible(args, system):
     result = admissibility_scan(system, horizon=args.horizon)
     payload = {
         "report": {
@@ -210,27 +186,22 @@ def cmd_admissible(args, start):
         },
         "witnesses": result.witness,
         "caveats": list(result.caveats),
-        "params": _system_summary(system),
     }
-    return _emit(args, payload, result.exit_code, start)
+    return payload, result.exit_code
 
 
-def cmd_render(args, start):
-    system = load_system(args.file)
-    cloud = support_points(system, args.level, cap=args.cap or 200_000)
+def cmd_render(args, system):
+    cloud = support_points(system, args.level, cap=args.cap or POINT_CAP)
     out = render(cloud, args.format, args.out, size=args.size)
     lo, hi = cloud.bounding_box()
-    payload = {
-        "report": {
-            "points": cloud.size,
-            "depth": cloud.depth,
-            "format": args.format,
-            "out": str(out),
-            "bounding_box": [[str(v) for v in lo], [str(v) for v in hi]],
-        },
-        "params": _system_summary(system),
+    report = {
+        "points": cloud.size,
+        "depth": cloud.depth,
+        "format": args.format,
+        "out": str(out),
+        "bounding_box": [[str(v) for v in lo], [str(v) for v in hi]],
     }
-    return _emit(args, payload, 0, start)
+    return {"report": report}, 0
 
 
 @lru_cache(maxsize=None)
@@ -240,35 +211,31 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("file", help="system description JSON")
         p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings (breaks byte-for-byte reproducibility)")
+        return p
 
-    p = sub.add_parser("validate", help="structural checks of a system file")
-    common(p)
+    command("validate", cmd_validate, "structural checks of a system file")
+    command("zeros", cmd_zeros, "zero directions per level")
 
-    p = sub.add_parser("zeros", help="zero directions per level")
-    common(p)
-
-    p = sub.add_parser("decide", help="spectrality decision")
-    common(p)
+    p = command("decide", cmd_decide, "spectrality decision")
     p.add_argument("--horizon", type=int, default=None)
 
-    p = sub.add_parser("spectrum", help="build candidate spectrum levels")
-    common(p)
+    p = command("spectrum", cmd_spectrum, "build candidate spectrum levels")
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--block-size", type=int, default=None)
     p.add_argument("--cap", type=int, default=None)
 
-    p = sub.add_parser("verify-orth", help="exact orthogonality of a spectrum level")
-    common(p)
+    p = command("verify-orth", cmd_verify_orth, "exact orthogonality of a spectrum level")
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--block-size", type=int, default=None)
     p.add_argument("--cap", type=int, default=10**4)
 
-    p = sub.add_parser("verify-complete", help="sampled completeness scan")
-    common(p)
+    p = command("verify-complete", cmd_verify_complete, "sampled completeness scan")
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--grid", type=int, default=8)
     p.add_argument("--depth", type=int, default=None)
@@ -278,12 +245,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--extra-points", type=int, default=16)
 
-    p = sub.add_parser("admissible", help="certify the padded-box condition")
-    common(p)
+    p = command("admissible", cmd_admissible, "certify the padded-box condition")
     p.add_argument("--horizon", type=int, default=None)
 
-    p = sub.add_parser("render", help="emit attractor point clouds")
-    common(p)
+    p = command("render", cmd_render, "emit attractor point clouds")
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--format", choices=("csv", "svg", "ppm"), default="csv")
     p.add_argument("--out", required=True)
@@ -293,21 +258,10 @@ def build_parser():
     return parser
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "zeros": cmd_zeros,
-    "decide": cmd_decide,
-    "spectrum": cmd_spectrum,
-    "verify-orth": cmd_verify_orth,
-    "verify-complete": cmd_verify_complete,
-    "admissible": cmd_admissible,
-    "render": cmd_render,
-}
-
-
 def _check_sizes(args, **known):
     """Reject a size option below its least value (render's --level is a depth, ``known`` depends on the system)."""
-    least = dict(cap=1, block_size=1, levels=0, level=int(args.command == "render"), grid=4, depth=1, size=16, horizon=1)
+    least = dict(cap=1, block_size=1, levels=0, level=int(args.command == "render"), grid=4, depth=1, size=16)
+    least.update(horizon=1, seed=0, extra_points=0)
     for attr, low in {**least, **known}.items():
         value = getattr(args, attr, None)
         if value is not None and value < low:
@@ -319,7 +273,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         _check_sizes(args)
-        return _HANDLERS[args.command](args, start)
+        system = load_system(args.file)
+        payload, exit_code = args.handler(args, system)
     except MoranError as exc:
         code = exc.code if isinstance(exc, ValidationFailure) else type(exc).__name__
         print(f"error [{code}]: {exc}", file=sys.stderr)
@@ -327,6 +282,7 @@ def main(argv=None) -> int:
             doc = {"schema": SCHEMA, "command": args.command, "error": {"code": code, "message": str(exc)}}
             print(json.dumps(_sanitize(doc), sort_keys=True, indent=2))
         return 3
+    return _emit(args, {**payload, "params": _system_summary(system)}, exit_code, start)
 
 
 def entry():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -73,8 +73,7 @@ def decide_diagonal(system: MoranSystem) -> Verdict:
     spectral exactly when m divides every diagonal entry from level 2 on.
     No admissibility hypothesis is needed in the diagonal case.
     """
-    if system.prime <= 2:
-        raise HypothesisViolation("the diagonal criterion needs a prime larger than 2")
+    _require_hypotheses(system, one_direction=False)
     caveats = ()
     for k, lvl in system.levels_from(1):
         if not lvl.matrix.is_diagonal():
@@ -93,6 +92,28 @@ def _phi_is_one(system: MoranSystem):
     return None
 
 
+def _require_hypotheses(system: MoranSystem, one_direction=True):
+    """Raise HypothesisViolation unless m > 2 and, if asked, every level has exactly one zero direction."""
+    if system.prime <= 2:
+        raise HypothesisViolation("criterion needs a prime larger than 2")
+    bad = _phi_is_one(system) if one_direction else None
+    if bad is not None:
+        raise HypothesisViolation(f"level {bad[0]} has {bad[1]} zero directions, criterion needs exactly 1")
+
+
+def _box_gate(system: MoranSystem, criterion: str, horizon):
+    """The admissibility scan, and the Unknown verdict to return when it leaves the box condition uncertified."""
+    scan = admissibility_scan(system, horizon=horizon)
+    if scan.status == "certified":
+        return scan, None
+    return scan, Verdict(
+        outcome=UNKNOWN,
+        criterion=criterion,
+        certificate={"admissibility": scan.status},
+        caveats=("box condition could not be certified",) + scan.caveats,
+    )
+
+
 def decide_single_direction(system: MoranSystem, horizon=None) -> Verdict:
     """Divisibility criterion when every level has exactly one direction.
 
@@ -100,19 +121,10 @@ def decide_single_direction(system: MoranSystem, horizon=None) -> Verdict:
     if it cannot, the verdict is Unknown. Otherwise the measure is
     spectral exactly when m | nu_k^t R_k for every level k >= 2.
     """
-    if system.prime <= 2:
-        raise HypothesisViolation("criterion needs a prime larger than 2")
-    bad = _phi_is_one(system)
-    if bad is not None:
-        raise HypothesisViolation(f"level {bad[0]} has {bad[1]} zero directions, criterion needs exactly 1")
-    scan = admissibility_scan(system, horizon=horizon)
-    if scan.status != "certified":
-        return Verdict(
-            outcome=UNKNOWN,
-            criterion="single-direction-divisibility",
-            certificate={"admissibility": scan.status},
-            caveats=("box condition could not be certified",) + scan.caveats,
-        )
+    _require_hypotheses(system)
+    scan, unknown = _box_gate(system, "single-direction-divisibility", horizon)
+    if unknown:
+        return unknown
     caveats = scan.caveats
     for k, lvl in system.levels_from(2):
         nu = lvl.zeros.directions[0]
@@ -164,11 +176,7 @@ def decide_triangular(system: MoranSystem) -> Verdict:
     triangular with constant rows or columns); the diagonal entries play
     the role of the divisibility targets.
     """
-    if system.prime <= 2:
-        raise HypothesisViolation("criterion needs a prime larger than 2")
-    bad = _phi_is_one(system)
-    if bad is not None:
-        raise HypothesisViolation(f"level {bad[0]} has {bad[1]} zero directions, criterion needs exactly 1")
+    _require_hypotheses(system)
     common = set(_TEMPLATES)
     for k, lvl in system.levels_from(1):
         common &= set(matching_templates(lvl.matrix))
@@ -487,20 +495,14 @@ def decide(system: MoranSystem, horizon=None) -> Verdict:
         )
     if all(lvl.matrix.is_diagonal() for _, lvl in system.levels_from(1)):
         return decide_diagonal(system)
-    phi_one = _phi_is_one(system) is None
-    if phi_one:
+    if _phi_is_one(system) is None:
         annotate = _planar_families(system)
         try:
             verdict = decide_triangular(system)
         except TemplateMismatch:
             verdict = decide_single_direction(system, horizon=horizon)
         if annotate:
-            verdict = Verdict(
-                outcome=verdict.outcome,
-                criterion=verdict.criterion,
-                certificate={**verdict.certificate, "planar_families": annotate},
-                caveats=verdict.caveats,
-            )
+            verdict = replace(verdict, certificate={**verdict.certificate, "planar_families": annotate})
         return verdict
     missing = [k for k, _ in system.levels_from(2) if find_admissible_direction(system, k) is None]
     if missing:
@@ -510,14 +512,9 @@ def decide(system: MoranSystem, horizon=None) -> Verdict:
             certificate={"levels_without_admissible_direction": missing},
             caveats=("sufficiency needs a divisible direction at every level from 2 on",),
         )
-    scan = admissibility_scan(system, horizon=horizon)
-    if scan.status != "certified":
-        return Verdict(
-            outcome=UNKNOWN,
-            criterion="block-construction-sufficiency",
-            certificate={"admissibility": scan.status},
-            caveats=("box condition could not be certified",) + scan.caveats,
-        )
+    scan, unknown = _box_gate(system, "block-construction-sufficiency", horizon)
+    if unknown:
+        return unknown
     return Verdict(
         outcome=SPECTRAL,
         criterion="block-construction-sufficiency",

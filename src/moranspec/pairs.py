@@ -81,7 +81,7 @@ def reduce_pair_mod(pair: CompatiblePair, new_digits, new_labels) -> CompatibleP
     """Replace digits mod R Z^n and labels mod R^t Z^n by congruent sets.
 
     The entries exp(2*pi*i*<R^-1 d, l>) are unchanged by those shifts.
-    Verifies the elementwise congruences exactly and raises
+    Verifies the congruence of each changed vector exactly and raises
     CongruenceViolation otherwise. The reduced pair stays compatible.
     """
     new_digits = _normalize_vectors(new_digits)
@@ -91,10 +91,10 @@ def reduce_pair_mod(pair: CompatiblePair, new_digits, new_labels) -> CompatibleP
     inv = pair.matrix.inverse()
     inv_t = inv.transpose()
     for old, new in zip(pair.digits, new_digits):
-        if any(x % inv.den for x in inv.mul_vec_num(vec_sub(new, old))):
+        if new != old and any(x % inv.den for x in inv.mul_vec_num(vec_sub(new, old))):
             raise CongruenceViolation(f"digit {new} is not congruent to {old} mod R")
     for old, new in zip(pair.labels, new_labels):
-        if any(x % inv.den for x in inv_t.mul_vec_num(vec_sub(new, old))):
+        if new != old and any(x % inv.den for x in inv_t.mul_vec_num(vec_sub(new, old))):
             raise CongruenceViolation(f"label {new} is not congruent to {old} mod R^t")
     return replace(pair, digits=new_digits, labels=new_labels)
 

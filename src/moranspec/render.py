@@ -26,6 +26,7 @@ from .system import MoranSystem
 
 # largest PPM side: the canvas is side^2 * 3 bytes, 48 MiB at this cap
 MAX_PPM_SIDE = 4096
+POINT_CAP = 200_000  # default cap on the points of a cloud
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +73,7 @@ class PointCloud:
         return lo, hi
 
 
-def support_points(system: MoranSystem, depth: int, cap: int = 200_000) -> PointCloud:
+def support_points(system: MoranSystem, depth: int, cap: int = POINT_CAP) -> PointCloud:
     """All sums over digit strings of length ``depth``, exactly."""
     if depth < 1:
         raise ValueError("depth must be at least 1")

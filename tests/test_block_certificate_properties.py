@@ -90,7 +90,7 @@ def test_non_coset_level_label_is_refused(case, data):
     k = data.draw(st.integers(1, K * blocks), label="level")
     j = data.draw(st.integers(1, m - 1), label="label")
     shift = data.draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any), label="shift")
-    good, _ = builder._level_pair(system, k, 0)
+    good = builder._level_pair(system, k, 0)
     labels = list(good.labels)
     labels[j] = vec_add(labels[j], tuple(x // m for x in good.matrix.transpose().mul_vec(shift)))
     assume(not is_compatible_pair(good.matrix, good.digits, labels)[0])
@@ -134,7 +134,7 @@ def test_reduced_label_shifted_off_the_lattice_is_refused(case, data):
     b = data.draw(st.integers(0, blocks - 1), label="block")
     i = data.draw(st.integers(0, N - 1), label="label")
     shift = data.draw(st.tuples(*[st.integers(-3, 3)] * n), label="shift")
-    block = builder.build_blocks(system, K=K, blocks=blocks).block(b)
+    block = builder.build_blocks(system, K=K, blocks=blocks).blocks[b]
     rt_inv = block.matrix.transpose().inverse()
     assume(any(y % rt_inv.den for y in rt_inv.mul_vec_num(shift)))
     with pytest.MonkeyPatch.context() as mp:

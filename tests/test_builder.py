@@ -116,7 +116,7 @@ def test_choose_block_size_requires_admissible_directions():
 
 def test_build_blocks_sierpinski_k1():
     decomp = build_blocks(sierpinski_3i(), K=1, blocks=2)
-    block = decomp.block(0)
+    block = decomp.blocks[0]
     assert block.labels[0] == (0, 0)
     assert set(block.labels) == {(0, 0), (1, -1), (-1, 1)}
     assert set(block.digits) == set(SIERPINSKI.digits)
@@ -128,7 +128,7 @@ def test_build_blocks_sierpinski_k1():
 def test_build_blocks_first_level_already_reduced():
     # R_1 = m I makes C/m sit inside (-1/2,1/2]^n, so L_0 is C itself.
     decomp = build_blocks(staircase_system(), K=1, blocks=1)
-    assert set(decomp.block(0).labels) == {(0, 0), (1, 1), (2, 2), (-2, -2), (-1, -1)}
+    assert set(decomp.blocks[0].labels) == {(0, 0), (1, 1), (2, 2), (-2, -2), (-1, -1)}
 
 
 def test_build_blocks_cardinality():
@@ -141,7 +141,7 @@ def test_build_blocks_cardinality():
 def test_spectrum_level_zero_is_first_block_labels():
     decomp = build_blocks(sierpinski_3i(), K=1, blocks=1)
     lvl = spectrum_levels(decomp, 0)[0]
-    assert set(lvl.elements) == set(decomp.block(0).labels)
+    assert set(lvl.elements) == set(decomp.blocks[0].labels)
 
 
 def test_spectrum_levels_nested_and_distinct():
@@ -169,18 +169,12 @@ def test_spectrum_containment_with_certified_block_size():
 def test_spectrum_containment_violation_detected():
     # A label congruent mod R~^t but outside the fundamental domain must
     # trip the exact containment check: (4,-1) is (1,-1) shifted by 3*(1,0).
-    from moranspec.builder import Block, BlockDecomposition
+    from dataclasses import replace
 
     system = sierpinski_3i()
     good = build_blocks(system, K=1, blocks=1)
-    bad_block = Block(
-        index=0,
-        matrix=good.block(0).matrix,
-        digits=good.block(0).digits,
-        labels=((0, 0), (4, -1), (-1, 1)),
-        direction_indices=good.block(0).direction_indices,
-    )
-    bad = BlockDecomposition(system=system, K=1, blocks=(bad_block,), meets_certified_bound=False)
+    bad_block = replace(good.blocks[0], labels=((0, 0), (4, -1), (-1, 1)))
+    bad = replace(good, blocks=(bad_block,))
     with pytest.raises(ContainmentViolation):
         spectrum_levels(bad, 0, enforce_containment=True)
 
@@ -239,7 +233,7 @@ def test_build_blocks_staircase_certified_block():
     from test_pairs import gram_defect
 
     system, _ = normalize_first_level(load_system(Path(__file__).parent / "fixtures" / "staircase_spectral.json"))
-    block = build_blocks(system, K=3, blocks=1).block(0)
+    block = build_blocks(system, K=3, blocks=1).blocks[0]
     assert len(block.labels) == 125
     assert gram_defect(block.matrix, block.digits, block.labels) < 1e-9
 

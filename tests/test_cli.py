@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from test_golden import COMMANDS
 from moranspec.cli import main
 from moranspec.render import MAX_PPM_SIDE
 from moranspec.specfile import load_document, load_system
@@ -273,6 +274,8 @@ def test_cli_spectrum_cap_fails_before_building(capsys, monkeypatch):
         ("render", "--size", "0"),
         ("decide", "--horizon", "-1"),
         ("admissible", "--horizon", "0"),
+        ("verify-complete", "--seed", "-1"),
+        ("verify-complete", "--extra-points", "-1"),
     ],
 )
 def test_cli_rejects_sizes_below_their_least_value(command, flag, value, tmp_path, capsys):
@@ -290,3 +293,33 @@ def test_cli_accepts_the_least_sizes(capsys):
     argv = ["spectrum", fixture("sierpinski_3i.json"), "--levels", "0", "--block-size", "1", "--cap", "3", "--json"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["report"]["level_sizes"] == [3]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_shares_one_report_envelope(command, tmp_path, monkeypatch, capsys):
+    # --timings adds only the timings entry, and the human report ends with the params line
+    monkeypatch.chdir(tmp_path)
+    argv = [command, fixture("sierpinski_3i.json"), *COMMANDS[command]]
+    code = main([*argv, "--json"])
+    plain = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--json", "--timings"]) == code
+    timed = json.loads(capsys.readouterr().out)
+    assert plain.pop("timings") is None and timed.pop("timings")["seconds"] >= 0
+    assert timed == plain
+    assert plain["command"] == command and plain["params"]["prime"] == 3
+    assert main(argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"[{command}]"
+    assert lines[-1].startswith("  params: {'dimension': 2, 'prime': 3,")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_load_failure_reports_an_error_without_params(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main([command, fixture("invalid_det0.json"), *COMMANDS[command], "--json"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 3
+    assert set(doc) == {"schema", "command", "error"}
+    assert captured.err.startswith(f"error [{doc['error']['code']}]: ")
+    assert not list(tmp_path.iterdir())
