@@ -9,7 +9,6 @@ from .analyzer import (
     VerificationReport,
     completeness_scan,
     find_zero_level,
-    finite_level_identity,
     truncated_transform,
     verify_orthogonality,
 )
@@ -56,7 +55,6 @@ from .pairs import (
     is_compatible_pair,
     reduce_pair_mod,
     tower_pair,
-    translate_pair,
 )
 from .render import PointCloud, parse_csv, read_ppm, render, support_points
 from .specfile import load_document, load_system

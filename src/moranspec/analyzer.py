@@ -35,7 +35,6 @@ _VALUE_CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class TruncatedTransform:
-    depth: int
     value: complex
     tail_bound: float
     certified: bool
@@ -97,7 +96,6 @@ def truncated_transform(system: MoranSystem, point: Sequence, depth: int) -> Tru
     tail_bound = 0.0 if exact_zero else abs(value) * min(2.0, rel)
     certified = 2 * math.pi * s * c2 * r * eta_norm <= 0.5
     return TruncatedTransform(
-        depth=depth,
         value=value,
         tail_bound=tail_bound,
         certified=certified,
@@ -131,7 +129,6 @@ def find_zero_level(system: MoranSystem, point: Sequence):
 
 @dataclass
 class VerificationReport:
-    kind: str
     passed: bool
     witnesses: tuple
     details: dict = field(default_factory=dict)
@@ -158,7 +155,6 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
         raise ValueError("points must be pairwise distinct")
     witnesses, distinct, levels_hit = _orthogonality_pairs(system, pts) if len(pts) > 1 else ((), 0, {})
     return VerificationReport(
-        kind="orthogonality",
         passed=not witnesses,
         witnesses=witnesses,
         details={
@@ -355,22 +351,6 @@ def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
         yield np.tile(vals, n_points // vals.shape[1]) if n_points > vals.shape[1] else vals
 
 
-def finite_level_identity(system: MoranSystem, level: SpectrumLevel, count: int = 20, seed: int = 0) -> float:
-    """Max deviation of sum |transform_l(xi + lambda)|^2 from 1.
-
-    Uses the exact finite product over (k+1)K levels, for which the level
-    set is a genuine spectrum of the finite convolution, so the sum is 1
-    for every xi up to floating error.
-    """
-    depth = (level.index + 1) * level.K
-    rng = np.random.default_rng(seed)
-    offsets = np.array(level.elements, dtype=np.int64)
-    bases = rng.random((count, system.dimension))
-    vals = transform_batch_multi(system, offsets, bases, depth)
-    totals = np.sum(np.abs(vals) ** 2, axis=1)
-    return float(np.abs(1.0 - totals).max())
-
-
 def completeness_scan(
     system: MoranSystem,
     levels: Sequence[SpectrumLevel],
@@ -406,8 +386,9 @@ def completeness_scan(
 
     n = system.dimension
     rng = np.random.default_rng(seed)
-    pts = [np.array(idx, dtype=float) / grid for idx in np.ndindex(*([grid] * n))]
-    pts += [rng.random(n) for _ in range(extra_points)]
+    # sample points as tuples of Python floats, which witnesses report as they are
+    pts = [tuple(i / grid for i in idx) for idx in np.ndindex(*([grid] * n))]
+    pts += [tuple(rng.random(n).tolist()) for _ in range(extra_points)]
     offsets = np.array(top.elements, dtype=np.int64)
 
     eps_numeric = 16 * depth * 1e-13 * math.sqrt(len(offsets)) + len(offsets) * 2.3e-16
@@ -422,15 +403,15 @@ def completeness_scan(
         prev = -math.inf
         for li, q_val in enumerate(map(float, q_row)):
             if q_val < prev - 1e-12:
-                witnesses.append((tuple(xi), "monotonicity", li, q_val, prev))
+                witnesses.append((xi, "monotonicity", li, q_val, prev))
             prev = q_val
             if q_val > 1.0 + eps_numeric:
-                witnesses.append((tuple(xi), "bound", li, q_val))
+                witnesses.append((xi, "bound", li, q_val))
             per_level_gap[li] = max(per_level_gap[li], 1.0 - q_val)
             max_q = max(max_q, q_val)
         min_final = min(min_final, prev)
         if gap_tol is not None and 1.0 - prev > gap_tol:
-            witnesses.append((tuple(xi), "gap", len(sizes) - 1, prev))
+            witnesses.append((xi, "gap", len(sizes) - 1, prev))
 
     final_gap = per_level_gap[-1]
     # Truncation contribution: zero when the depth equals the finite product
@@ -445,7 +426,6 @@ def completeness_scan(
         rel = 2 * math.pi * s * system.c**2 * (system.r / (1 - system.r)) * eta_norm
         certified_tail = eps_numeric + min(1.0, 2 * rel + rel * rel)
     return VerificationReport(
-        kind="completeness",
         passed=not witnesses,
         witnesses=tuple(witnesses),
         details={

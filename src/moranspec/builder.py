@@ -13,7 +13,7 @@ verified level pairs. Spectrum level k is L_0 + R~_0^t L_1 + ... + R~_0^t...R~_{
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
 from .exact import Matrix, mixed_radix_sums, vec_sub
 from .masks import coset_residues
 from .pairs import CompatiblePair, is_compatible_pair, reduce_pair_mod, tower_pair
-from .system import Level, MoranSystem
+from .system import MoranSystem
 
 LEVEL_CAP = 10**6  # default cap on the elements of the top spectrum level
 
@@ -66,24 +66,13 @@ def normalize_first_level(system: MoranSystem):
     record = TransformRecord(forward=forward, back=back)
     if first.matrix == target:
         return system, record
-    new_first = Level(matrix=target, digits=first.digits, zeros=first.zeros)
+    new_first = replace(first, matrix=target)
     if system.preamble:
-        preamble = (new_first,) + system.preamble[1:]
-        cycle = system.cycle
+        preamble, cycle = (new_first,) + system.preamble[1:], system.cycle
     else:
-        preamble = (new_first,)
-        cycle = tuple(system.cycle[(i + 1) % len(system.cycle)] for i in range(len(system.cycle)))
+        preamble, cycle = (new_first,), system.cycle[1:] + system.cycle[:1]
     r = max(system.r, (1.0 / m) * (1 + 1e-12))
-    normalized = MoranSystem(
-        dimension=n,
-        prime=m,
-        preamble=preamble,
-        cycle=cycle,
-        r=r,
-        delta=system.delta,
-        beta=system.beta,
-        c=system.c,
-    )
+    normalized = replace(system, preamble=preamble, cycle=cycle, r=r)
     return normalized, record
 
 
@@ -102,9 +91,6 @@ def find_admissible_direction(system: MoranSystem, k: int):
 class BlockSizeInfo:
     warmup: int  # least depth M after which every remaining mask factor is >= 1/2
     block: int  # chosen K
-    contraction: float
-    digit_norm: float
-    tail_bound: float  # value of the geometric bound at K
 
 
 def block_size_parameters(system: MoranSystem) -> BlockSizeInfo:
@@ -130,7 +116,7 @@ def block_size_parameters(system: MoranSystem) -> BlockSizeInfo:
         K += 1
         if K > 10_000:
             raise ValueError("contraction too weak, block size exploded")
-    return BlockSizeInfo(warmup=M, block=K, contraction=r, digit_norm=s, tail_bound=tail(K))
+    return BlockSizeInfo(warmup=M, block=K)
 
 
 def choose_block_size(system: MoranSystem) -> int:
@@ -156,7 +142,11 @@ class BlockDecomposition:
     system: MoranSystem
     K: int
     blocks: tuple  # CompatiblePair per block: R~ = R_{(b+1)K} ... R_{bK+1}, digits, reduced labels (0 first)
-    meets_certified_bound: bool
+    certified_K: int  # least K for which the containment bound is certified
+
+    @property
+    def meets_certified_bound(self) -> bool:
+        return self.K >= self.certified_K
 
 
 def _reduce_into_fundamental_domain(vec, rt: Matrix, rt_inv: Matrix):
@@ -208,10 +198,10 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
     """
     if (K is not None and K < 1) or blocks < 1:
         raise ValidationFailure("params", f"K and blocks must be at least 1, got K = {K}, blocks = {blocks}")
-    certified_K = None
     if K is None:
-        certified_K = choose_block_size(system)
-        K = certified_K
+        K = certified_K = choose_block_size(system)
+    else:
+        certified_K = block_size_parameters(system).block
     built = []
     for b in range(blocks):
         try:
@@ -226,8 +216,7 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
         if len(set(block.labels)) != len(block.labels):
             raise PairVerificationFailed(b, message=f"block {b}: label tower collided after reduction")
         built.append(block)
-    meets = certified_K is not None or K >= block_size_parameters(system).block
-    return BlockDecomposition(system=system, K=K, blocks=tuple(built), meets_certified_bound=meets)
+    return BlockDecomposition(system=system, K=K, blocks=tuple(built), certified_K=certified_K)
 
 
 @dataclass(frozen=True)

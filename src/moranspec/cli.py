@@ -20,7 +20,6 @@ from . import __version__
 from .analyzer import completeness_scan, verify_orthogonality
 from .builder import (
     LEVEL_CAP,
-    block_size_parameters,
     build_blocks,
     check_level_cap,
     choose_block_size,
@@ -102,14 +101,12 @@ def cmd_decide(args, system):
     return payload, verdict.exit_code
 
 
-def _prepare_blocks(system, args):
-    """Fit K to an explicit --cap, test the cap and --depth, then build the normalized system's blocks and levels.
+def _prepare_blocks(system, args, top, containment):
+    """Fit K to an explicit --cap, test the cap and --depth, then build the normalized system's blocks and levels 0..top.
 
-    Returns (record, decomposition, levels). verify-orth builds levels
-    0..--level unchecked for containment, the others 0..--levels.
+    Returns (record, decomposition, levels); ``containment`` is the
+    ``enforce_containment`` of ``spectrum_levels``.
     """
-    orth = args.command == "verify-orth"
-    top = args.level if orth else args.levels
     cap = args.cap or LEVEL_CAP
     normalized, record = normalize_first_level(system)
     if args.block_size is not None:
@@ -121,14 +118,14 @@ def _prepare_blocks(system, args):
     check_level_cap(normalized.prime, K, top, cap)
     _check_sizes(args, depth=(top + 1) * K)
     decomp = build_blocks(normalized, K=K, blocks=top + 1)
-    return record, decomp, spectrum_levels(decomp, top, cap=cap, enforce_containment=False if orth else None)
+    return record, decomp, spectrum_levels(decomp, top, cap=cap, enforce_containment=containment)
 
 
 def cmd_spectrum(args, system):
-    record, decomp, levels = _prepare_blocks(system, args)
+    record, decomp, levels = _prepare_blocks(system, args, args.levels, None)
     report = {
         "block_size": decomp.K,
-        "certified_block_size": block_size_parameters(decomp.system).block,
+        "certified_block_size": decomp.certified_K,
         "meets_certified_bound": decomp.meets_certified_bound,
         "level_sizes": [lvl.size for lvl in levels],
         "containment_checked": [lvl.containment_checked for lvl in levels],
@@ -140,7 +137,7 @@ def cmd_spectrum(args, system):
 
 
 def cmd_verify_orth(args, system):
-    _, decomp, levels = _prepare_blocks(system, args)
+    _, decomp, levels = _prepare_blocks(system, args, args.level, False)
     report = verify_orthogonality(decomp.system, levels[args.level].elements)
     payload = {
         "report": {
@@ -156,7 +153,7 @@ def cmd_verify_orth(args, system):
 
 
 def cmd_verify_complete(args, system):
-    _, decomp, levels = _prepare_blocks(system, args)
+    _, decomp, levels = _prepare_blocks(system, args, args.levels, None)
     report = completeness_scan(
         decomp.system,
         levels,
@@ -261,10 +258,10 @@ def build_parser():
 def _check_sizes(args, **known):
     """Reject a size option below its least value (render's --level is a depth, ``known`` depends on the system)."""
     least = dict(cap=1, block_size=1, levels=0, level=int(args.command == "render"), grid=4, depth=1, size=16)
-    least.update(horizon=1, seed=0, extra_points=0)
+    least.update(horizon=1, seed=0, extra_points=0, gap_tol=0)
     for attr, low in {**least, **known}.items():
         value = getattr(args, attr, None)
-        if value is not None and value < low:
+        if value is not None and not value >= low:  # NaN is rejected too
             raise ValidationFailure("params", f"--{attr.replace('_', '-')} must be at least {low}, got {value}")
 
 

@@ -426,13 +426,14 @@ def admissibility_scan(system: MoranSystem, horizon=None) -> AdmissibilityResult
     )
 
 
-def resample_admissibility(system: MoranSystem, samples: int = 10_000, lengths=(1, 2, 3), seed: int = 0) -> bool:
+def resample_admissibility(system: MoranSystem, samples: int = 10_000, seed: int = 0) -> bool:
     """Soundness cross-check: random box points never land beta-close to a coset.
 
     Draws uniform points in the padded box, pushes them through each
     product inverse, and measures the true distance to the nearest coset
     point of every family in floats.
     """
+    longest = 3  # products of 1, 2 and 3 consecutive levels
     rng = np.random.default_rng(seed)
     m = system.prime
     beta = float(system.beta)
@@ -440,14 +441,12 @@ def resample_admissibility(system: MoranSystem, samples: int = 10_000, lengths=(
     families = []
     for _, lvl in system.levels_from(1):
         families.extend(lvl.zeros.directions)
-    per_product = max(1, samples // (len(lengths) * (len(system.preamble) + len(system.cycle))))
+    per_product = max(1, samples // (longest * (len(system.preamble) + len(system.cycle))))
     for start in range(1, len(system.preamble) + len(system.cycle) + 1):
         acc = None
-        for p in range(1, max(lengths) + 1):
-            mat_t = system.level(start + p - 1).matrix.transpose()
+        for p in range(longest):
+            mat_t = system.level(start + p).matrix.transpose()
             acc = mat_t if acc is None else acc.mul(mat_t)
-            if p not in lengths:
-                continue
             inv = np.array(acc.inverse().floats())
             pts = rng.uniform(-half, half, size=(per_product, system.dimension))
             images = pts @ inv.T

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import exact
 from .errors import CongruenceViolation, DimensionMismatch, SizeMismatch
-from .exact import Matrix, intvec, mixed_radix_sums, vec_add, vec_dot, vec_sub
+from .exact import Matrix, intvec, mixed_radix_sums, vec_dot, vec_sub
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,6 @@ def is_compatible_pair(matrix: Matrix, digits, labels):
             if not vanishes[diff]:
                 return False, (labels[a], labels[b])
     return True, None
-
-
-def translate_pair(pair: CompatiblePair, label_shift, digit_shift) -> CompatiblePair:
-    """Shift labels by s and digits by d0; compatibility is preserved."""
-    s = intvec(label_shift)
-    d0 = intvec(digit_shift)
-    return replace(
-        pair,
-        digits=tuple(vec_add(d, d0) for d in pair.digits),
-        labels=tuple(vec_add(l, s) for l in pair.labels),
-    )
 
 
 def reduce_pair_mod(pair: CompatiblePair, new_digits, new_labels) -> CompatiblePair:

@@ -55,16 +55,13 @@ class PointCloud:
         return tuple(map(tuple, self.nums.tolist()))
 
     @cached_property
-    def _floats(self) -> np.ndarray:
+    def floats(self) -> np.ndarray:
+        """The read-only (N, n) float64 array ``nums / den``, computed once per cloud."""
         # both operands are exact floats (the 2^53 rule), so each quotient is
         # correctly rounded: the same float as float(Fraction(x, den))
         out = np.asarray(self.nums / self.den, dtype=np.float64)
         out.flags.writeable = False
         return out
-
-    def floats(self) -> np.ndarray:
-        """The (N, n) float64 array ``nums / den``, computed once per cloud."""
-        return self._floats
 
     def bounding_box(self):
         """Exact (lo, hi) corners, as Fractions, of the cloud's coordinate box."""
@@ -107,7 +104,7 @@ def render(cloud: PointCloud, fmt: str, out, size: int = 512):
 
 
 def _write_csv(cloud: PointCloud, out: Path):
-    f = cloud.floats()
+    f = cloud.floats
     row = ",".join(["%.12f"] * f.shape[1]) + "\n"
     out.write_text(row * len(f) % tuple(f.ravel().tolist()), encoding="ascii")
 
@@ -118,7 +115,7 @@ def parse_csv(path) -> list:
 
 def _planar(cloud: PointCloud):
     """(xs, ys): the first two coordinates; 1-d clouds lie on y = 0."""
-    f = cloud.floats()
+    f = cloud.floats
     return f[:, 0], f[:, 1] if f.shape[1] > 1 else np.zeros(len(f))
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from conftest import SIERPINSKI, STAIRCASE
 from moranspec.analyzer import (
     completeness_scan,
     find_zero_level,
-    finite_level_identity,
     transform_batch_multi,
     truncated_transform,
     verify_orthogonality,
@@ -171,7 +171,8 @@ def test_finite_level_identity_small():
     decomp = build_blocks(system, K=2, blocks=3)
     levels = spectrum_levels(decomp, 2)
     for lvl in levels:
-        assert finite_level_identity(system, lvl, count=5, seed=11) < 1e-10
+        details = completeness_scan(system, [lvl], grid=4, extra_points=5, seed=11).details
+        assert max(details["final_gap"], details["max_q"] - 1) < 1e-10
 
 
 def test_completeness_scan_reports_monotone_and_bounded():
@@ -219,6 +220,22 @@ def test_deleted_element_leaves_visible_gap():
         assert q <= 1 + 1e-9
         worst = max(worst, 1.0 - q)
     assert worst > 1e-3
+
+
+def test_added_element_gives_bound_witnesses_at_float_points():
+    # One point beside a member of a finite spectrum adds a positive term to
+    # the exact identity Q = 1, so some sample points exceed the bound Q <= 1.
+    system = sierpinski_3i()
+    levels = spectrum_levels(build_blocks(system, K=1, blocks=2), 1, enforce_containment=False)
+    extra = (levels[1].elements[1][0] + 1, levels[1].elements[1][1])
+    assert extra not in levels[1].elements
+    padded = replace(levels[1], elements=levels[1].elements + (extra,))
+    report = completeness_scan(system, [levels[0], padded], grid=4, extra_points=4, seed=3)
+    assert not report.passed
+    bound = [w for w in report.witnesses if w[1] == "bound"]
+    assert bound and all(w[2] == 1 and w[3] > 1 for w in bound)
+    assert all(type(c) is float for w in report.witnesses for c in w[0])
+    assert "np." not in str(report.witnesses[0][0])
 
 
 def test_truncated_transform_float_input_path():

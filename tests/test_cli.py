@@ -253,6 +253,25 @@ def test_cli_spectrum_cap_fails_before_building(capsys, monkeypatch):
     assert doc["error"]["code"] == "CapExceeded"
 
 
+def test_cli_verify_orth_fits_k_to_the_default_cap(capsys):
+    # the certified K = 3 puts 3^9 points in level 2, over the default cap of 10^4
+    code = main(["verify-orth", fixture("sierpinski_3i.json"), "--level", "2", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["report"]["block_size"] == 2
+    assert doc["report"]["points"] == 729
+
+
+def test_cli_spectrum_fits_k_to_an_explicit_cap(capsys):
+    code = main(["spectrum", fixture("sierpinski_3i.json"), "--levels", "1", "--cap", "100", "--json"])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert code == 0
+    assert report["block_size"] == 2 and report["certified_block_size"] == 3
+    assert report["meets_certified_bound"] is False
+    assert report["level_sizes"] == [9, 81]
+    assert report["containment_checked"] == [False, False]
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -276,6 +295,8 @@ def test_cli_spectrum_cap_fails_before_building(capsys, monkeypatch):
         ("admissible", "--horizon", "0"),
         ("verify-complete", "--seed", "-1"),
         ("verify-complete", "--extra-points", "-1"),
+        ("verify-complete", "--gap-tol", "-1"),
+        ("verify-complete", "--gap-tol", "nan"),
     ],
 )
 def test_cli_rejects_sizes_below_their_least_value(command, flag, value, tmp_path, capsys):

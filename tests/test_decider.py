@@ -108,6 +108,20 @@ def test_decide_single_direction_requires_phi_one():
     assert decide_single_direction(system).outcome == "Spectral"
 
 
+@pytest.mark.parametrize(
+    "rows, outcome, witness",
+    [([[4, 1], [1, 4]], "Spectral", None), ([[4, 1], [1, 5]], "NotSpectral", 2)],
+)
+def test_decide_routes_a_non_triangular_single_direction_system(rows, outcome, witness):
+    # one zero direction nu = (1, 2) and no triangular template, so decide
+    # falls through to the single-direction test: R^t nu is (6, 9), then (6, 11)
+    system = build_system(2, 3, [], [(rows, SIERPINSKI.digits)], r="1/3")
+    assert system.level(1).zeros.count == 1
+    verdict = decide(system)
+    assert (verdict.outcome, verdict.criterion) == (outcome, "single-direction-divisibility")
+    assert verdict.certificate.get("witness") == witness
+
+
 def test_templates_all_four_shapes():
     a, b, c = 3, 6, 9
     upper_row = Matrix.from_rows([[a, a, a], [0, b, b], [0, 0, c]])
@@ -367,7 +381,7 @@ def test_diagonal_caveat_for_zero_entry_directions():
 def test_random_diagonal_decisions_consistent_with_construction():
     import random
 
-    from moranspec.analyzer import finite_level_identity, verify_orthogonality
+    from moranspec.analyzer import completeness_scan, verify_orthogonality
     from moranspec.builder import build_blocks, choose_block_size, normalize_first_level, spectrum_levels
     from moranspec.errors import NoAdmissibleDirection
 
@@ -384,7 +398,8 @@ def test_random_diagonal_decisions_consistent_with_construction():
             decomp = build_blocks(normalized, K=1, blocks=2)
             lvls = spectrum_levels(decomp, 1, enforce_containment=False)
             assert verify_orthogonality(normalized, lvls[1].elements).passed
-            assert finite_level_identity(normalized, lvls[1], count=3, seed=1) < 1e-9
+            details = completeness_scan(normalized, [lvls[1]], grid=4, extra_points=3, seed=1).details
+            assert max(details["final_gap"], details["max_q"] - 1) < 1e-9
         else:
             # the failing divisibility also blocks the block construction
             try:

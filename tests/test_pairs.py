@@ -12,7 +12,6 @@ from moranspec.pairs import (
     is_compatible_pair,
     reduce_pair_mod,
     tower_pair,
-    translate_pair,
 )
 
 R3 = Matrix.diagonal([3, 3])
@@ -54,16 +53,6 @@ def test_quarter_cantor_pair_composite_denominator():
 def test_size_mismatch():
     with pytest.raises(SizeMismatch):
         is_compatible_pair(R3, SIERPINSKI.digits, [(0, 0), (1, 2)])
-
-
-def test_translate_pair():
-    pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
-    same = translate_pair(pair, (0, 0), (0, 0))
-    assert same.digits == pair.digits and same.labels == pair.labels
-    moved = translate_pair(pair, (2, -1), (1, 1))
-    ok, _ = is_compatible_pair(moved.matrix, moved.digits, moved.labels)
-    assert ok
-    assert moved.digits[0] == (1, 1)
 
 
 def test_reduce_pair_mod():
@@ -201,8 +190,11 @@ def test_closure_operations_reverify_on_random_towers():
             levels.append(CompatiblePair(mat, digits, labels))
 
         # (ii) translation closure
-        shifted = translate_pair(levels[0], tuple(rng.randint(-3, 3) for _ in range(n)), tuple(rng.randint(-3, 3) for _ in range(n)))
-        ok, _ = is_compatible_pair(shifted.matrix, shifted.digits, shifted.labels)
+        s = tuple(rng.randint(-3, 3) for _ in range(n))
+        d0 = tuple(rng.randint(-3, 3) for _ in range(n))
+        shifted_digits = [tuple(a + b for a, b in zip(d, d0)) for d in levels[0].digits]
+        shifted_labels = [tuple(a + b for a, b in zip(l, s)) for l in levels[0].labels]
+        ok, _ = is_compatible_pair(levels[0].matrix, shifted_digits, shifted_labels)
         assert ok
 
         # (v) congruence reduction closure

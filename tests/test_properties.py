@@ -159,7 +159,7 @@ def test_point_cloud_floats_and_box_match_fractions(levels, depth):
             total = [t + x for t, x in zip(total, coef.mul_vec(d))]
         want.append(tuple(total))
     assert exact == want
-    assert cloud.floats().tolist() == [[float(x) for x in p] for p in exact]
+    assert cloud.floats.tolist() == [[float(x) for x in p] for p in exact]
     lo, hi = cloud.bounding_box()
     assert lo == tuple(min(col) for col in zip(*exact))
     assert hi == tuple(max(col) for col in zip(*exact))

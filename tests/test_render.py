@@ -71,7 +71,7 @@ def test_csv_round_trip(tmp_path):
     out = render(cloud, "csv", tmp_path / "pts.csv")
     parsed = parse_csv(out)
     assert len(parsed) == cloud.size
-    for line, point in zip(parsed, cloud.floats()):
+    for line, point in zip(parsed, cloud.floats):
         for a, b in zip(line, point):
             assert abs(a - b) < 1e-12
 

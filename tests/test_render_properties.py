@@ -118,7 +118,7 @@ def test_array_writers_match_reference_writers(tmp_path_factory, levels, depth, 
     system = build_system(len(levels[0][1][0]), 3, levels[:-1], levels[-1:])
     cloud = support_points(system, depth)
     pts = ref_floats(system, depth)
-    assert cloud.floats().tolist() == [list(p) for p in pts]
+    assert cloud.floats.tolist() == [list(p) for p in pts]
     assert_files_match(cloud, pts, tmp_path_factory.mktemp("files"), side)
 
 
@@ -149,7 +149,7 @@ def test_clouds_past_two_to_the_53_stay_exact(tmp_path, n, rows, digits):
     system = build_system(n, 3, [], [(rows, digits)], r="1/3")
     cloud = support_points(system, 3)
     assert cloud.den >= 2**53 and cloud.nums.dtype == object
-    assert cloud.floats().dtype == np.float64
-    assert cloud.floats().tolist() == [[float(Fraction(x, cloud.den)) for x in p] for p in cloud.points]
+    assert cloud.floats.dtype == np.float64
+    assert cloud.floats.tolist() == [[float(Fraction(x, cloud.den)) for x in p] for p in cloud.points]
     pts = ref_floats(system, 3)
     assert_files_match(cloud, pts, tmp_path, 37)

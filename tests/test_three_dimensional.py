@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 
 from moranspec.analyzer import (
+    completeness_scan,
     find_zero_level,
-    finite_level_identity,
     transform_batch_multi,
     truncated_transform,
     verify_orthogonality,
@@ -51,7 +51,8 @@ def test_spectrum_and_orthogonality_in_dimension_three():
     assert levels[1].size == 9
     report = verify_orthogonality(system, levels[1].elements)
     assert report.passed
-    assert finite_level_identity(system, levels[1], count=5, seed=2) < 1e-10
+    details = completeness_scan(system, [levels[1]], grid=4, extra_points=5, seed=2).details
+    assert max(details["final_gap"], details["max_q"] - 1) < 1e-10
 
 
 def test_transform_paths_agree_in_dimension_three():
