@@ -188,24 +188,31 @@ def _level_pair(system: MoranSystem, k: int, b: int):
     return CompatiblePair(matrix=level.matrix, digits=level.digits.digits, labels=tuple(labels))
 
 
-def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposition:
+def build_blocks(system: MoranSystem, K=None, blocks: int = 4, certified_K=None) -> BlockDecomposition:
     """Materialize the first ``blocks`` block pairs for block size K.
 
-    K defaults to choose_block_size. Each block is certified by the
+    K defaults to choose_block_size; ``certified_K`` is that size when the
+    caller has already computed it. Each block is certified by the
     composition lemma: compatible level pairs, distinct tower labels, and
-    reduced labels congruent mod R~^t Z^n and distinct. A failure raises
-    PairVerificationFailed and signals an index-interpretation bug.
+    reduced labels congruent mod R~^t Z^n and distinct. Each distinct level
+    pair is certified once. A failure raises PairVerificationFailed and
+    signals an index-interpretation bug.
     """
     if (K is not None and K < 1) or blocks < 1:
         raise ValidationFailure("params", f"K and blocks must be at least 1, got K = {K}, blocks = {blocks}")
     if K is None:
         K = certified_K = choose_block_size(system)
-    else:
+    elif certified_K is None:
         certified_K = block_size_parameters(system).block
+    pairs = {}  # level -> its certified pair; a failure is not kept, so it raises at its first block
     built = []
     for b in range(blocks):
         try:
-            tower = tower_pair([_level_pair(system, k, b) for k in range(b * K + 1, (b + 1) * K + 1)])
+            ks = range(b * K + 1, (b + 1) * K + 1)
+            for k in ks:
+                if system.level(k) not in pairs:
+                    pairs[system.level(k)] = _level_pair(system, k, b)
+            tower = tower_pair([pairs[system.level(k)] for k in ks])
             rt = tower.matrix.transpose()
             rt_inv = rt.inverse()
             block = reduce_pair_mod(

@@ -8,9 +8,9 @@ pure and safe for unrestricted parallel use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,16 +29,8 @@ def intvec(values: Iterable) -> IntVec:
     return out
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_neg(u: Sequence) -> tuple:
-    return tuple(-a for a in u)
 
 
 def vec_dot(u: Sequence, v: Sequence):
@@ -97,7 +89,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
-        vals = [[Fraction(v) for v in row] for row in rows]
+        vals = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
         if not vals or any(len(row) != len(vals) for row in vals):
             raise DimensionMismatch("matrix must be square and nonempty")
         den = math.lcm(*(v.denominator for row in vals for v in row))
@@ -163,10 +155,6 @@ class Matrix:
             raise SingularMatrix("matrix is singular")
         return Matrix(tuple(tuple(v * self.den for v in row) for row in adj), d)
 
-    def trace(self):
-        t = sum(self.num[i][i] for i in range(self.n))
-        return t if self.den == 1 else Fraction(t, self.den)
-
     def is_diagonal(self) -> bool:
         return all(self.num[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
 
@@ -207,17 +195,14 @@ def _log2_fraction(x: Fraction) -> float:
     return math.log2(x.numerator) - math.log2(x.denominator)
 
 
-def _sqrt_fraction_exact(x: Fraction):
-    """Float of sqrt(x) if x is a perfect rational square, else None."""
-    sn = math.isqrt(x.numerator)
-    sd = math.isqrt(x.denominator)
-    if sn * sn == x.numerator and sd * sd == x.denominator:
-        return Fraction(sn, sd)
-    return None
-
-
 # exact squarings of the Gram matrix in operator_norm_upper: overshoot <= n^(1/128)
 _NORM_SQUARINGS = 6
+
+
+def _gram(num) -> tuple:
+    """N^t N of the integer rows ``num``; for a symmetric N that is N^2."""
+    cols = tuple(zip(*num))
+    return tuple(tuple(sum(map(operator.mul, a, b)) for b in cols) for a in cols)
 
 
 def operator_norm_upper(m: Matrix) -> float:
@@ -228,52 +213,77 @@ def operator_norm_upper(m: Matrix) -> float:
     semidefinite, and is never larger than the Frobenius norm (the k=1
     case). Repeated exact squaring drives the overshoot factor down to
     n^(1/2k). The returned float is inflated by a tiny safety factor so
-    rounding can never drop it below the true norm.
+    rounding can never drop it below the true norm. G = N^t N / den^2 is
+    squared on its integer numerators; it is symmetric, so trace(G^2k) is
+    the sum of the squares of the entries of G^k.
     """
-    g = m.transpose().mul(m)
-    frob_sq = Fraction(g.trace())
+    g = _gram(m.num)
+    frob_sq = Fraction(sum(g[i][i] for i in range(m.n)), m.den**2)
     if frob_sq == 0:
         return 0.0
-    exact = _sqrt_fraction_exact(frob_sq)
-    frob = float(exact) if exact is not None else 2.0 ** (_log2_fraction(frob_sq) / 2.0) * (1 + 1e-12)
-    for _ in range(_NORM_SQUARINGS):
-        g = g.mul(g)
+    sn, sd = math.isqrt(frob_sq.numerator), math.isqrt(frob_sq.denominator)
+    exact_root = sn * sn == frob_sq.numerator and sd * sd == frob_sq.denominator
+    frob = sn / sd if exact_root else 2.0 ** (_log2_fraction(frob_sq) / 2.0) * (1 + 1e-12)
+    for _ in range(_NORM_SQUARINGS - 1):
+        g = _gram(g)
     k = 2**_NORM_SQUARINGS
-    bound = 2.0 ** (_log2_fraction(Fraction(g.trace())) / (2.0 * k)) * (1 + 1e-9)
-    return min(bound, frob)
+    trace = Fraction(sum(x * x for row in g for x in row), m.den ** (2 * k))
+    return min(2.0 ** (_log2_fraction(trace) / (2.0 * k)) * (1 + 1e-9), frob)
 
 
-def _submatrix(rows, subset):
-    return [[rows[i][j] for j in subset] for i in subset]
+def _psd(s) -> bool:
+    """Whether the symmetric integer matrix ``s`` is positive semidefinite.
+
+    One fraction-free (Bareiss) elimination on the diagonal pivots in order:
+    each remaining entry is a positive multiple of the Schur complement of
+    the pivots so far. A negative pivot means not PSD; a zero pivot is
+    allowed only when the rest of its row is zero (else a 2x2 principal
+    minor is negative), and its index then drops out.
+    """
+    a = [list(row) for row in s]
+    n, prev = len(a), 1
+    for k in range(n):
+        row_k, p = a[k], a[k][k]
+        if p < 0 or (p == 0 and any(row_k[k + 1 :])):
+            return False
+        if p:
+            for i in range(k + 1, n):
+                row_i, f = a[i], a[i][k]
+                for j in range(k + 1, n):
+                    row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
+            prev = p
+    return True
+
+
+def _gram_psd(m: Matrix, scale: int, shift: int) -> bool:
+    """Whether scale * N^t N + shift * I is PSD, for the numerators N of ``m``."""
+    g = _gram(m.num)
+    return _psd([[scale * v + (shift if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(g)])
 
 
 def norm_bound_holds(m: Matrix, bound) -> bool:
-    """Exact test of ``operator norm of m <= bound``.
+    """Exact test of ``operator norm of m <= bound``, sharp at equality.
 
-    Equivalent to positive semidefiniteness of bound^2 I - m^T m, decided
-    by all principal minors. With bound = p/q and m^T m = G/d the test runs
-    on the integer matrix p^2 d I - q^2 G, a positive multiple. Unlike the
-    float bound above, this is sharp at equality.
+    That is bound^2 I - m^T m PSD; with bound = p/q and m = N/d it is
+    decided on the integer matrix p^2 d^2 I - q^2 N^t N.
     """
     b = Fraction(bound)
-    if b < 0:
-        return False
-    g = m.transpose().mul(m)
-    p2d, q2 = b.numerator**2 * g.den, b.denominator**2
-    n = g.n
-    s = [[(p2d if i == j else 0) - q2 * g.num[i][j] for j in range(n)] for i in range(n)]
-    return all(
-        _bareiss(_submatrix(s, subset))[0] >= 0 for size in range(1, n + 1) for subset in combinations(range(n), size)
-    )
+    return b >= 0 and _gram_psd(m, -(b.denominator**2), (b.numerator * m.den) ** 2)
 
 
 def check_contraction(m: Matrix, r) -> bool:
     """True iff the inverse of ``m`` has Euclidean operator norm <= r.
 
-    Decided exactly, so boundary cases such as diag[m,...,m] with r = 1/m
-    come out true. Raises SingularMatrix when det(m) = 0.
+    |m^-1 x| <= r |x| for all x means r^2 m^T m - I PSD; with r = p/q and
+    m = N/d it is decided on p^2 N^t N - q^2 d^2 I, without inverting m.
+    Exact, so diag[m,...,m] with r = 1/m comes out true. Raises
+    SingularMatrix when det(m) = 0.
     """
-    return norm_bound_holds(m.inverse(), Fraction(r))
+    r = Fraction(r)
+    holds = r >= 0 and _gram_psd(m, r.numerator**2, -((r.denominator * m.den) ** 2))
+    if not holds and not _bareiss(m.num)[0]:
+        raise SingularMatrix("matrix is singular")
+    return holds
 
 
 def _prime_factors(q: int) -> tuple:

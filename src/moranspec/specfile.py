@@ -11,7 +11,8 @@ Document shape:
     }
 
 ``zeros`` is optional per level (computed when absent, verified when
-present). Numeric params accept integers, floats and "p/q" strings.
+present). Numeric params accept integers, floats and "p/q" strings, not
+booleans; "dimension" and "prime" must be integer values.
 Violations surface as ValidationFailure with a machine-readable code.
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .system import MoranSystem, build_system
 def parse_number(value, where: str):
     if value is None:
         return None
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -64,8 +65,8 @@ def load_document(doc: dict) -> MoranSystem:
     beta = parse_number(params.get("beta"), "params.beta")
     c = parse_number(params.get("c"), "params.c")
     return build_system(
-        dimension=int(doc["dimension"]),
-        prime=int(doc["prime"]),
+        dimension=doc["dimension"],
+        prime=doc["prime"],
         preamble=_levels(doc, "preamble"),
         cycle=_levels(doc, "cycle"),
         r=r,

@@ -49,15 +49,12 @@ class MoranSystem:
         Preamble slots occur once; cycle slots recur forever, so each gets
         a representative index >= start by advancing whole cycles.
         """
-        out = []
-        for i in range(len(self.preamble)):
-            if i + 1 >= start:
-                out.append((i + 1, self.preamble[i]))
-        for i in range(len(self.cycle)):
+        out = [(i + 1, lvl) for i, lvl in enumerate(self.preamble) if i + 1 >= start]
+        for i, lvl in enumerate(self.cycle):
             k = len(self.preamble) + i + 1
             while k < start:
                 k += len(self.cycle)
-            out.append((k, self.cycle[i]))
+            out.append((k, lvl))
         return tuple(out)
 
     @property
@@ -68,7 +65,16 @@ class MoranSystem:
         return max(lvl.digits.max_norm() for _, lvl in self.levels_from(1))
 
 
-def _level_from_parts(dimension: int, prime: int, matrix: Matrix, digits: DigitSet, zeros, where: str) -> Level:
+def _make_level(item, where: str, dimension: int, prime: int, seen: dict) -> Level:
+    """The validated level of a (matrix, digits[, zeros]) tuple.
+
+    ``seen`` maps each digit set met before in the document to its ZeroStructure.
+    """
+    matrix, digits, zeros = item if len(item) == 3 else (*item, None)
+    if not isinstance(matrix, Matrix):
+        matrix = Matrix.from_rows([[_integer(v, where) for v in row] for row in matrix])
+    if not isinstance(digits, DigitSet):
+        digits = DigitSet.from_vectors([[_integer(c, where) for c in d] for d in digits])
     if matrix.n != dimension:
         raise ValidationFailure("format", f"{where}: matrix is {matrix.n}x{matrix.n}, expected {dimension}", where)
     if digits.n != dimension:
@@ -79,9 +85,11 @@ def _level_from_parts(dimension: int, prime: int, matrix: Matrix, digits: DigitS
         raise ValidationFailure(
             "digit-count", f"{where}: digit set has {digits.size} elements, the model requires exactly {prime}", where
         )
-    computed = find_zero_directions(digits, prime)
+    if digits not in seen:
+        seen[digits] = find_zero_directions(digits, prime)
+    computed = seen[digits]
     if zeros is not None:
-        canon = {canonical_direction(nu, prime) for nu in zeros}
+        canon = {canonical_direction([_integer(c, where) for c in nu], prime) for nu in zeros}
         if canon != set(computed.directions):
             raise ValidationFailure(
                 "zero-structure",
@@ -99,13 +107,15 @@ def _level_from_parts(dimension: int, prime: int, matrix: Matrix, digits: DigitS
 
 
 def _integer(value, where: str) -> int:
-    """A matrix entry or digit coordinate as an int; 9.0 passes, 9.7 does not."""
+    """An int-valued entry, coordinate or size as an int; 9.0 passes, 9.7 and true do not."""
+    if type(value) is int:
+        return value
     try:
-        exact = Fraction(value)
+        exact = None if isinstance(value, bool) else Fraction(value)
     except (TypeError, ValueError, OverflowError):
         exact = None
     if exact is None or exact.denominator != 1:
-        raise ValidationFailure("format", f"{where}: entry {value!r} is not an integer", where)
+        raise ValidationFailure("format", f"{where}: {value!r} is not an integer", where)
     return exact.numerator
 
 
@@ -125,6 +135,7 @@ def build_system(
     inverse operator norm over the levels is derived. Growth families that
     have no uniform contraction bound are rejected here.
     """
+    dimension, prime = _integer(dimension, "dimension"), _integer(prime, "prime")
     if dimension < 1:
         raise ValidationFailure("format", "dimension must be at least 1")
     if not is_prime(prime):
@@ -136,31 +147,16 @@ def build_system(
     if c < 1:
         raise ValidationFailure("params", "norm-equivalence constant c must be at least 1")
 
-    def make_levels(raw, tag):
-        out = []
-        for i, item in enumerate(raw):
-            matrix, digits, zeros = item if len(item) == 3 else (*item, None)
-            where = f"{tag}[{i}]"
-            if not isinstance(matrix, Matrix):
-                matrix = Matrix.from_rows([[_integer(v, where) for v in row] for row in matrix])
-            if not isinstance(digits, DigitSet):
-                digits = DigitSet.from_vectors([[_integer(c, where) for c in d] for d in digits])
-            out.append(_level_from_parts(dimension, prime, matrix, digits, zeros, where))
-        return tuple(out)
-
-    preamble_levels = make_levels(preamble, "preamble")
-    cycle_levels = make_levels(cycle, "cycle")
+    seen = {}
+    preamble_levels = tuple(_make_level(it, f"preamble[{i}]", dimension, prime, seen) for i, it in enumerate(preamble))
+    cycle_levels = tuple(_make_level(it, f"cycle[{i}]", dimension, prime, seen) for i, it in enumerate(cycle))
     if not cycle_levels:
         raise ValidationFailure("format", "cycle must contain at least one level")
 
     levels = preamble_levels + cycle_levels
-    if r is None:
-        bounds = [operator_norm_upper(lvl.matrix.inverse()) for lvl in levels]
-        r_val = max(bounds)
-        r_exact = None
-    else:
-        r_exact = Fraction(r)
-        r_val = float(r_exact)
+    r_exact = None if r is None else Fraction(r)
+    distinct = {lvl.matrix for lvl in levels}  # a derived r needs one norm bound per distinct matrix
+    r_val = float(r_exact) if r is not None else max(operator_norm_upper(mat.inverse()) for mat in distinct)
     if r_val >= 1:
         raise ValidationFailure(
             "contraction",
@@ -188,7 +184,7 @@ def build_system(
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def inverse_transpose(matrix: Matrix) -> Matrix:
     """Cached (R^t)^-1 for the hot iteration paths."""
     return matrix.transpose().inverse()

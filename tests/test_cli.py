@@ -223,6 +223,28 @@ def test_cli_validate_rejects_non_integer_entries(tmp_path, capsys, level, where
     assert err.value.where == where  # the integral floats of preamble[0] load
 
 
+@pytest.mark.parametrize(
+    "change, where",
+    [
+        ({"cycle": [{"R": [[9]], "D": [[0], [True], [2]]}]}, "cycle[0]"),
+        ({"cycle": [{"R": [[9]], "D": [[0], [1], [2]], "zeros": [[1.5]]}]}, "cycle[0]"),
+        ({"dimension": 1.9}, "dimension"),
+        ({"prime": 3.7}, "prime"),
+        ({"params": {"r": "1/3", "c": True}}, "params.c"),
+    ],
+)
+def test_cli_validate_rejects_booleans_and_non_integral_values(tmp_path, capsys, change, where):
+    # JSON true is not the number 1, and 1.9 is not the dimension 1
+    doc = {"dimension": 1, "prime": 3, "cycle": [{"R": [[9]], "D": [[0], [1], [2]]}], "params": {"r": "1/3"}}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({**doc, **change}))
+    code = main(["validate", str(path), "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["error"]["code"] == "format"
+    assert out["error"]["message"].startswith(where)
+
+
 def test_cli_spectrum_normalizes_non_model_first_level(capsys):
     code = main(["spectrum", fixture("sierpinski_9i.json"), "--levels", "1", "--block-size", "1", "--json"])
     doc = json.loads(capsys.readouterr().out)
@@ -260,6 +282,24 @@ def test_cli_verify_orth_fits_k_to_the_default_cap(capsys):
     assert code == 0
     assert doc["report"]["block_size"] == 2
     assert doc["report"]["points"] == 729
+
+
+def test_cli_spectrum_certifies_each_distinct_level_once(capsys, monkeypatch):
+    import moranspec.builder as builder
+
+    counts = {}
+    for name in ("block_size_parameters", "find_admissible_direction", "is_compatible_pair"):
+
+        def counted(*args, _name=name, _original=getattr(builder, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(builder, name, counted)
+    code = main(["spectrum", fixture("sierpinski_3i.json"), "--json"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["report"]["level_sizes"] == [27, 729, 19683]
+    # three K = 3 blocks of one distinct level (R = 3I): the certified K is computed once, and the
+    # level's direction is found once for it and once for its one certified pair
+    assert counts == {"block_size_parameters": 1, "find_admissible_direction": 2, "is_compatible_pair": 1}
 
 
 def test_cli_spectrum_fits_k_to_an_explicit_cap(capsys):
