@@ -188,11 +188,10 @@ def _level_pair(system: MoranSystem, k: int, b: int):
     return CompatiblePair(matrix=level.matrix, digits=level.digits.digits, labels=tuple(labels))
 
 
-def build_blocks(system: MoranSystem, K=None, blocks: int = 4, certified_K=None) -> BlockDecomposition:
+def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposition:
     """Materialize the first ``blocks`` block pairs for block size K.
 
-    K defaults to choose_block_size; ``certified_K`` is that size when the
-    caller has already computed it. Each block is certified by the
+    K defaults to choose_block_size. Each block is certified by the
     composition lemma: compatible level pairs, distinct tower labels, and
     reduced labels congruent mod R~^t Z^n and distinct. Each distinct level
     pair is certified once. A failure raises PairVerificationFailed and
@@ -202,7 +201,7 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4, certified_K=None)
         raise ValidationFailure("params", f"K and blocks must be at least 1, got K = {K}, blocks = {blocks}")
     if K is None:
         K = certified_K = choose_block_size(system)
-    elif certified_K is None:
+    else:
         certified_K = block_size_parameters(system).block
     pairs = {}  # level -> its certified pair; a failure is not kept, so it raises at its first block
     built = []

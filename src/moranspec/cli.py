@@ -109,13 +109,15 @@ def _prepare_blocks(system, args, top, containment):
     """
     cap = args.cap or LEVEL_CAP
     normalized, record = normalize_first_level(system)
-    certified_K = None if args.block_size else choose_block_size(normalized)
-    K = args.block_size or certified_K
-    while not args.block_size and args.cap and normalized.prime ** (K * (top + 1)) > cap and K > 1:
-        K -= 1
+    if args.block_size is not None:
+        K = args.block_size
+    else:
+        K = choose_block_size(normalized)
+        while args.cap and normalized.prime ** (K * (top + 1)) > cap and K > 1:
+            K -= 1
     check_level_cap(normalized.prime, K, top, cap)
     _check_sizes(args, depth=(top + 1) * K)
-    decomp = build_blocks(normalized, K=K, blocks=top + 1, certified_K=certified_K)
+    decomp = build_blocks(normalized, K=K, blocks=top + 1)
     return record, decomp, spectrum_levels(decomp, top, cap=cap, enforce_containment=containment)
 
 

@@ -148,13 +148,21 @@ _TEMPLATES = ("upper-row", "upper-col", "lower-row", "lower-col")
 
 
 def _matches_template(matrix: Matrix, kind: str) -> bool:
-    """Triangular (upper or lower) with each row (or column) constant at its diagonal entry."""
-    upper, by_row, n = kind.startswith("upper"), kind.endswith("row"), matrix.n
-    return all(
-        matrix[i, j] == ((matrix[i, i] if by_row else matrix[j, j]) if (j >= i if upper else j <= i) else 0)
-        for i in range(n)
-        for j in range(n)
-    )
+    n = matrix.n
+    diag = [matrix[i, i] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if kind == "upper-row":
+                want = diag[i] if j >= i else 0
+            elif kind == "upper-col":
+                want = diag[j] if j >= i else 0
+            elif kind == "lower-row":
+                want = diag[i] if j <= i else 0
+            else:
+                want = diag[j] if j <= i else 0
+            if matrix[i, j] != want:
+                return False
+    return True
 
 
 def matching_templates(matrix: Matrix) -> tuple:
@@ -346,7 +354,12 @@ def admissibility_scan(system: MoranSystem, horizon=None) -> AdmissibilityResult
     tail_start = None
     gap = Fraction(1, m) - beta
     if gap > 0 and 0 < r < 1:
-        tail_start = next((p for p in range(1, 513) if (r**p * half_ext) ** 2 * n <= gap * gap), None)
+        p = 1
+        while p <= 512:
+            if (r**p * half_ext) ** 2 * n <= gap * gap:
+                tail_start = p
+                break
+            p += 1
 
     cycle_len = len(system.cycle)
     if horizon is None:
@@ -425,7 +438,9 @@ def resample_admissibility(system: MoranSystem, samples: int = 10_000, seed: int
     m = system.prime
     beta = float(system.beta)
     half = float(Fraction(1, 2) + system.delta)
-    families = {nu for _, lvl in system.levels_from(1) for nu in lvl.zeros.directions}
+    families = []
+    for _, lvl in system.levels_from(1):
+        families.extend(lvl.zeros.directions)
     per_product = max(1, samples // (longest * (len(system.preamble) + len(system.cycle))))
     for start in range(1, len(system.preamble) + len(system.cycle) + 1):
         acc = None
@@ -435,7 +450,7 @@ def resample_admissibility(system: MoranSystem, samples: int = 10_000, seed: int
             inv = np.array(acc.inverse().floats())
             pts = rng.uniform(-half, half, size=(per_product, system.dimension))
             images = pts @ inv.T
-            for nu in families:
+            for nu in set(families):
                 for b in coset_residues(nu, m):
                     target = np.array(b) / m
                     diff = images - target

@@ -29,8 +29,16 @@ def intvec(values: Iterable) -> IntVec:
     return out
 
 
+def vec_add(u: Sequence, v: Sequence) -> tuple:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def vec_neg(u: Sequence) -> tuple:
+    return tuple(-a for a in u)
 
 
 def vec_dot(u: Sequence, v: Sequence):

@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -150,15 +150,6 @@ def canonical_direction(direction: Sequence, modulus: int) -> IntVec:
     return tuple(scale * c % modulus for c in reduced)
 
 
-@lru_cache(maxsize=64)
-def _representatives(n: int, m: int) -> tuple:
-    """The canonical directions (0, ..., 0, 1, *) mod m, more leading zeros first, and their read-only array."""
-    reps = tuple((0,) * k + (1,) + tail for k in reversed(range(n)) for tail in product(range(m), repeat=n - 1 - k))
-    array = np.array(reps, dtype=np.int64)
-    array.flags.writeable = False
-    return reps, array
-
-
 def find_zero_directions(digits: DigitSet, modulus: int) -> ZeroStructure:
     """All zero-direction classes of the digit set, canonical and sorted.
 
@@ -170,11 +161,11 @@ def find_zero_directions(digits: DigitSet, modulus: int) -> ZeroStructure:
     if not is_prime(modulus):
         raise ModelViolation(f"modulus {modulus} is not prime")
     m, n = modulus, digits.n
-    reps, reps_array = _representatives(n, m)
+    reps = [(0,) * k + (1,) + tail for k in reversed(range(n)) for tail in product(range(m), repeat=n - 1 - k)]
     # <nu, d> mod m for every representative and digit, exact in int64 as all entries lie in [0, m)
     digits_mod = np.array([[c % m for c in d] for d in digits.digits], dtype=np.int64)
-    residues = reps_array @ digits_mod.T % m
+    residues = np.array(reps, dtype=np.int64) @ digits_mod.T % m
     hits = (np.sort(residues, axis=1) == np.arange(m)).all(axis=1)
-    found = tuple(reps[i] for i in np.flatnonzero(hits))
+    found = tuple(nu for nu, hit in zip(reps, hits) if hit)
     compliant = tuple(all(c != 0 for c in nu) for nu in found)
     return ZeroStructure(modulus=m, directions=found, model_compliant=compliant)

@@ -29,6 +29,10 @@ class CompatiblePair:
         return len(self.digits)
 
 
+def _normalize_vectors(vectors) -> tuple:
+    return tuple(intvec(v) for v in vectors)
+
+
 def is_compatible_pair(matrix: Matrix, digits, labels):
     """Check unitarity of the pair matrix exactly; returns (ok, witness).
 
@@ -37,7 +41,8 @@ def is_compatible_pair(matrix: Matrix, digits, labels):
     through the cyclotomic vanishing test with the least common denominator
     of the inner products, so composite denominators are covered too.
     """
-    digits, labels = tuple(map(intvec, digits)), tuple(map(intvec, labels))
+    digits = _normalize_vectors(digits)
+    labels = _normalize_vectors(labels)
     if len(digits) != len(labels):
         raise SizeMismatch(f"{len(digits)} digits vs {len(labels)} labels")
     n = matrix.n
@@ -68,7 +73,8 @@ def reduce_pair_mod(pair: CompatiblePair, new_digits, new_labels) -> CompatibleP
     Verifies the congruence of each changed vector exactly and raises
     CongruenceViolation otherwise. The reduced pair stays compatible.
     """
-    new_digits, new_labels = tuple(map(intvec, new_digits)), tuple(map(intvec, new_labels))
+    new_digits = _normalize_vectors(new_digits)
+    new_labels = _normalize_vectors(new_labels)
     if len(new_digits) != len(pair.digits) or len(new_labels) != len(pair.labels):
         raise SizeMismatch("replacement sets must match the original sizes")
     inv = pair.matrix.inverse()

@@ -49,12 +49,15 @@ class MoranSystem:
         Preamble slots occur once; cycle slots recur forever, so each gets
         a representative index >= start by advancing whole cycles.
         """
-        out = [(i + 1, lvl) for i, lvl in enumerate(self.preamble) if i + 1 >= start]
-        for i, lvl in enumerate(self.cycle):
+        out = []
+        for i in range(len(self.preamble)):
+            if i + 1 >= start:
+                out.append((i + 1, self.preamble[i]))
+        for i in range(len(self.cycle)):
             k = len(self.preamble) + i + 1
             while k < start:
                 k += len(self.cycle)
-            out.append((k, lvl))
+            out.append((k, self.cycle[i]))
         return tuple(out)
 
     @property
@@ -154,9 +157,13 @@ def build_system(
         raise ValidationFailure("format", "cycle must contain at least one level")
 
     levels = preamble_levels + cycle_levels
-    r_exact = None if r is None else Fraction(r)
-    distinct = {lvl.matrix for lvl in levels}  # a derived r needs one norm bound per distinct matrix
-    r_val = float(r_exact) if r is not None else max(operator_norm_upper(mat.inverse()) for mat in distinct)
+    if r is None:
+        bounds = [operator_norm_upper(lvl.matrix.inverse()) for lvl in levels]
+        r_val = max(bounds)
+        r_exact = None
+    else:
+        r_exact = Fraction(r)
+        r_val = float(r_exact)
     if r_val >= 1:
         raise ValidationFailure(
             "contraction",

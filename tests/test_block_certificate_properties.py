@@ -11,15 +11,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from moranspec import builder  # noqa: E402
 from moranspec.errors import PairVerificationFailed, ValidationFailure  # noqa: E402
+from moranspec.exact import vec_add  # noqa: E402
 from moranspec.pairs import is_compatible_pair  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
 
 # largest K with m^K <= 125
 MAX_K = {3: 4, 5: 3}
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 @st.composite

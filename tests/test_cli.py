@@ -288,7 +288,7 @@ def test_cli_spectrum_certifies_each_distinct_level_once(capsys, monkeypatch):
     import moranspec.builder as builder
 
     counts = {}
-    for name in ("block_size_parameters", "find_admissible_direction", "is_compatible_pair"):
+    for name in ("find_admissible_direction", "is_compatible_pair"):
 
         def counted(*args, _name=name, _original=getattr(builder, name), **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
@@ -297,9 +297,9 @@ def test_cli_spectrum_certifies_each_distinct_level_once(capsys, monkeypatch):
         monkeypatch.setattr(builder, name, counted)
     code = main(["spectrum", fixture("sierpinski_3i.json"), "--json"])
     assert code == 0 and json.loads(capsys.readouterr().out)["report"]["level_sizes"] == [27, 729, 19683]
-    # three K = 3 blocks of one distinct level (R = 3I): the certified K is computed once, and the
-    # level's direction is found once for it and once for its one certified pair
-    assert counts == {"block_size_parameters": 1, "find_admissible_direction": 2, "is_compatible_pair": 1}
+    # three K = 3 blocks of one distinct level (R = 3I): the level's direction is found once for
+    # the block size and once for its one certified pair
+    assert counts == {"find_admissible_direction": 2, "is_compatible_pair": 1}
 
 
 def test_cli_spectrum_fits_k_to_an_explicit_cap(capsys):

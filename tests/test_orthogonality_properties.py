@@ -18,7 +18,7 @@ from test_block_certificate_properties import towers  # noqa: E402
 from moranspec import analyzer  # noqa: E402
 from moranspec.builder import build_blocks, spectrum_levels  # noqa: E402
 from moranspec.errors import DimensionMismatch  # noqa: E402
-from moranspec.exact import Matrix, vec_dot, vec_sub  # noqa: E402
+from moranspec.exact import Matrix, vec_dot, vec_neg, vec_sub  # noqa: E402
 from moranspec.specfile import load_system  # noqa: E402
 from moranspec.system import build_system, inverse_transpose  # noqa: E402
 
@@ -46,7 +46,7 @@ def reference_report(system, points):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             diff = vec_sub(pts[j], pts[i])
-            canon = max(diff, tuple(-x for x in diff))
+            canon = max(diff, vec_neg(diff))
             if canon not in cache:
                 cache[canon] = analyzer.find_zero_level(system, canon)
                 first_pair[canon] = (pts[j], pts[i])
