@@ -34,7 +34,6 @@ from .decider import (
     decide_diagonal,
     decide_single_direction,
     decide_triangular,
-    resample_admissibility,
 )
 from .exact import (
     Matrix,

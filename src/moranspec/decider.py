@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .builder import find_admissible_direction
 from .errors import (
     DeterminantViolation,
@@ -24,7 +22,7 @@ from .errors import (
 )
 from .exact import Matrix, vec_dot
 from .masks import DigitSet, coset_residues, find_zero_directions
-from .system import MoranSystem
+from .system import MoranSystem, inverse_transpose
 
 SPECTRAL = "Spectral"
 NOT_SPECTRAL = "NotSpectral"
@@ -241,55 +239,12 @@ class AdmissibilityResult:
 _CANDIDATE_CAP = 100_000
 
 
-def _box_widths(inv: Matrix, half_ext: Fraction):
-    return [half_ext * Fraction(sum(abs(v) for v in row), inv.den) for row in inv.num]
+def _coset_candidates(lims, nu, m: int):
+    """(count, numerators a = b + m z over m) of the coset points q = (j/m) nu + z with |a_i| <= lims_i.
 
-
-def _support_lower_bound_ok(inv: Matrix, half_ext: Fraction, q, beta: Fraction) -> bool:
-    """Exact check of (<q, q> - h_P(q)) >= beta * |q| for the box image P: the support bound in the direction q."""
-    h = half_ext * sum(abs(vec_dot(q, col)) for col in zip(*inv.num)) / inv.den
-    num = vec_dot(q, q) - h
-    return num >= 0 and num * num >= beta * beta * vec_dot(q, q)
-
-
-def _nearest_box_point(inv: Matrix, half_ext: Fraction, q) -> tuple:
-    """The exact x in the box [-half_ext, half_ext]^n minimizing |inv x - q|.
-
-    inv is invertible, so |inv x - q|^2 is strictly convex and its minimizer
-    on the box is the one point meeting the KKT conditions. Each of the 3^n
-    faces (every coordinate free, at -h or at +h) is tried in turn: its free
-    coordinates solve the normal equations (N^t N) x = d N^t q of
-    inv = N / d restricted to the face, and the face holds the minimizer when
-    they lie in the box and moving a fixed coordinate back into the box
-    would not decrease the distance (the KKT sign test on the gradient).
+    With b = j nu mod m, lims_i bounds z_i exactly, so the count is known
+    before any point is built. Order: j, then z lexicographic.
     """
-    n = inv.n
-    cols = tuple(zip(*inv.num))
-    gram = [[vec_dot(a, b) for b in cols] for a in cols]
-    target = [inv.den * vec_dot(a, q) for a in cols]
-    for face in itertools.product((None, -half_ext, half_ext), repeat=n):
-        x = list(face)
-        free = [i for i in range(n) if face[i] is None]
-        if free:
-            rhs = [target[i] - sum(gram[i][j] * face[j] for j in range(n) if face[j] is not None) for i in free]
-            sub = Matrix(tuple(tuple(gram[i][j] for j in free) for i in free)).inverse()
-            for i, v in zip(free, sub.mul_vec(rhs)):
-                x[i] = v
-            if any(abs(x[i]) > half_ext for i in free):
-                continue
-        # a coordinate at -h needs gradient >= 0, one at +h needs <= 0
-        if all((vec_dot(gram[i], x) - target[i]) * face[i] <= 0 for i in range(n) if face[i] is not None):
-            return tuple(x)
-    raise AssertionError("a strictly convex function has a minimizer on the box")
-
-
-def _coset_candidates(widths, beta: Fraction, nu, m: int):
-    """(count, numerators a = b + m z over m) of the coset points q = (j/m) nu + z with |q_i| <= widths_i + beta.
-
-    With b = j nu mod m, |a_i| <= floor((widths_i + beta) m) bounds z_i exactly,
-    so the count is known before any point is built. Order: j, then z lexicographic.
-    """
-    lims = [math.floor((w + beta) * m) for w in widths]
     per_j = []
     for b in coset_residues(nu, m):
         spans = [range(-((lim + bi) // m), (lim - bi) // m + 1) for lim, bi in zip(lims, b)]
@@ -299,34 +254,101 @@ def _coset_candidates(widths, beta: Fraction, nu, m: int):
     return count, points
 
 
-def _certify_product_against_family(inv, half_ext, beta, nu, m):
+def _box_faces(gram, hn: int, m: int) -> list:
+    """What the nearest-point test needs of each face of the box [-h, h]^n, h = hn/hd.
+
+    Faces run over every coordinate free, at -h or at +h, in
+    itertools.product order. Each is (free, fixed, p, d, bound, start,
+    shift): the free indices, the (index, sign, gram row) of each fixed
+    one, the inverse p/d of gram's free block (empty when none is free), the
+    bound hn d m on a coordinate X of x = X / (d m hd), the X with only the
+    fixed coordinates set, and m hn times the pull of the fixed coordinates
+    on the free normal equations.
+    """
+    n, inverses, faces = len(gram), {}, []
+    for signs in itertools.product((0, -1, 1), repeat=n):
+        free = tuple(i for i in range(n) if not signs[i])
+        fixed = tuple((i, s, gram[i]) for i, s in enumerate(signs) if s)
+        if free not in inverses:
+            inverses[free] = Matrix(tuple(tuple(gram[i][j] for j in free) for i in free)).inverse()
+        sub = inverses[free]
+        bound = hn * sub.den * m
+        shift = tuple(m * hn * sum(gram[i][j] * s for j, s, _ in fixed) for i in free)
+        faces.append((free, fixed, sub.num, sub.den, bound, tuple(s * bound for s in signs), shift))
+    return faces
+
+
+def _nearest_box_point(faces, t) -> tuple:
+    """(X, d) with x = X / (d m hd) the x in the box [-h, h]^n minimizing |inv x - q|.
+
+    inv = N / den is invertible and gram = N^t N, so |inv x - q|^2 is
+    strictly convex and its minimizer on the box is the one point meeting
+    the KKT conditions. With q = a / m, t = den hd N^t a. On each face of
+    ``_box_faces`` in turn, the free coordinates solve the normal equations
+    gram x = den N^t q restricted to the face, and the face holds the
+    minimizer when they lie in the box and moving a fixed coordinate back
+    into the box would not decrease the distance (the KKT sign test on the
+    gradient, scaled by d m hd). All of it is integer work.
+    """
+    for free, fixed, p, d, bound, start, shift in faces:
+        rhs = [t[i] - v for i, v in zip(free, shift)]
+        x = list(start)
+        for i, row in zip(free, p):
+            x[i] = vec_dot(row, rhs)
+            if abs(x[i]) > bound:
+                break
+        else:
+            # a coordinate at -h needs gradient >= 0, one at +h needs <= 0
+            if all((vec_dot(row, x) - d * t[i]) * s <= 0 for i, s, row in fixed):
+                return x, d
+    raise AssertionError("a strictly convex function has a minimizer on the box")
+
+
+def _certify_product_against_family(inv: Matrix, half_ext: Fraction, beta: Fraction, nu, m: int):
     """Certificate for one product and one direction family.
 
-    Returns (ok, witness_or_none, conclusive). Tries the coordinate-slab
-    argument first: along any coordinate with nu_i nonzero mod m, every
-    coset point sits at distance >= 1/m from 0, so a box image thinner
-    than 1/m - beta in that coordinate clears the whole family at once.
-    Otherwise each coset point q is cleared by the support bound in the
-    direction q, or else decided by the exact nearest point of the box
-    image. Only more than _CANDIDATE_CAP candidates leave it inconclusive;
-    the witness then holds their count.
+    Returns (ok, witness_or_none, conclusive). Every test is an exact
+    integer inequality on the numerators of inv = N/den, half_ext = hn/hd,
+    beta = bn/bd and the candidates q = a/m; Fractions are built only for a
+    witness. Tries the coordinate-slab argument first: along any
+    coordinate with nu_i nonzero mod m, every coset point sits at distance
+    >= 1/m from 0, so a box image thinner than 1/m - beta in that
+    coordinate clears the whole family at once. Otherwise each coset point
+    q is cleared by the support bound in the direction q, or else decided
+    by the exact nearest point of the box image; the face inverses that
+    point needs are computed once, at the first candidate the support
+    bound leaves. Only more than _CANDIDATE_CAP candidates leave it
+    inconclusive; the witness then holds their count.
     """
-    widths = _box_widths(inv, half_ext)
-    inv_m = Fraction(1, m)
-    for i in range(inv.n):
-        if nu[i] % m != 0 and inv_m - widths[i] >= beta:
+    den, hn, hd, bn, bd = inv.den, half_ext.numerator, half_ext.denominator, beta.numerator, beta.denominator
+    row_sums = [sum(map(abs, row)) for row in inv.num]  # the box image spans hn/hd * row_sums / den
+    for i, s in enumerate(row_sums):
+        if nu[i] % m != 0 and (hd * den - m * hn * s) * bd >= bn * m * hd * den:
             return True, None, True
-    count, points = _coset_candidates(widths, beta, nu, m)
+    lims = [m * (hn * s * bd + bn * hd * den) // (hd * den * bd) for s in row_sums]
+    count, points = _coset_candidates(lims, nu, m)
     if count > _CANDIDATE_CAP:
         return False, {"candidates": count}, False
+    cols = tuple(zip(*inv.num))
+    scale = m * hd * den
+    support_rhs = (bn * scale) ** 2
+    faces = None
     for a in points:
-        q = tuple(Fraction(ai, m) for ai in a)
-        if _support_lower_bound_ok(inv, half_ext, q, beta):
+        c = [vec_dot(a, col) for col in cols]
+        aa = vec_dot(a, a)
+        # support bound: <q, q> - h_P(q) >= beta |q| for the box image P, times m^2 hd den
+        num = aa * hd * den - m * hn * sum(map(abs, c))
+        if num >= 0 and (num * bd) ** 2 >= support_rhs * aa:
             continue
-        x = _nearest_box_point(inv, half_ext, q)
-        y = inv.mul_vec(x)
-        if sum((yi - qi) ** 2 for yi, qi in zip(y, q)) < beta * beta:
-            witness = {"box_point": x, "image": y, "coset_point": q}
+        if faces is None:
+            faces = _box_faces([[vec_dot(u, v) for v in cols] for u in cols], hn, m)
+        x, d = _nearest_box_point(faces, [den * hd * v for v in c])
+        # den d m hd (inv x - q), with x = X / (d m hd)
+        diff = [vec_dot(row, x) - ai * den * d * hd for row, ai in zip(inv.num, a)]
+        if vec_dot(diff, diff) * bd * bd < (bn * d * scale) ** 2:
+            box_point = tuple(Fraction(v, d * m * hd) for v in x)
+            q = tuple(Fraction(ai, m) for ai in a)
+            witness = {"box_point": box_point, "image": inv.mul_vec(box_point), "coset_point": q}
             return False, {key: tuple(map(str, v)) for key, v in witness.items()}, True
     return True, None, True
 
@@ -335,8 +357,9 @@ def admissibility_scan(system: MoranSystem, horizon=None) -> AdmissibilityResult
     """Certify that transpose products keep the padded box off the zero set.
 
     Checks every product of consecutive level transposes: lengths up to
-    the tail threshold explicitly (exact rational certificates), and all
-    longer products at once through the contraction radius bound
+    the tail threshold explicitly (exact integer certificates on the
+    product inverse, which grows by one cached level inverse per length),
+    and all longer products at once through the contraction radius bound
     |A^-1| <= r^p, which keeps the box image inside the ball of radius
     1/m - beta where no coset point lives. When the tail threshold is
     within the horizon the certificate is unconditional for the whole
@@ -376,11 +399,11 @@ def admissibility_scan(system: MoranSystem, horizon=None) -> AdmissibilityResult
     inconclusive = []
     products_checked = 0
     for start in starts:
-        acc = None
+        inv = None
         for p in range(1, p_max + 1):
-            mat_t = system.level(start + p - 1).matrix.transpose()
-            acc = mat_t if acc is None else acc.mul(mat_t)
-            inv = acc.inverse()
+            # (R_start^t ... R_{start+p-1}^t)^-1 = (R_{start+p-1}^t)^-1 (R_start^t ... R_{start+p-2}^t)^-1
+            step = inverse_transpose(system.level(start + p - 1).matrix)
+            inv = step if inv is None else step.mul(inv)
             products_checked += 1
             for nu in families:
                 ok, wit, conclusive = _certify_product_against_family(inv, half_ext, beta, nu, m)
@@ -424,41 +447,6 @@ def admissibility_scan(system: MoranSystem, horizon=None) -> AdmissibilityResult
         witness=witness,
         caveats=tuple(caveats),
     )
-
-
-def resample_admissibility(system: MoranSystem, samples: int = 10_000, seed: int = 0) -> bool:
-    """Soundness cross-check: random box points never land beta-close to a coset.
-
-    Draws uniform points in the padded box, pushes them through each
-    product inverse, and measures the true distance to the nearest coset
-    point of every family in floats.
-    """
-    longest = 3  # products of 1, 2 and 3 consecutive levels
-    rng = np.random.default_rng(seed)
-    m = system.prime
-    beta = float(system.beta)
-    half = float(Fraction(1, 2) + system.delta)
-    families = []
-    for _, lvl in system.levels_from(1):
-        families.extend(lvl.zeros.directions)
-    per_product = max(1, samples // (longest * (len(system.preamble) + len(system.cycle))))
-    for start in range(1, len(system.preamble) + len(system.cycle) + 1):
-        acc = None
-        for p in range(longest):
-            mat_t = system.level(start + p).matrix.transpose()
-            acc = mat_t if acc is None else acc.mul(mat_t)
-            inv = np.array(acc.inverse().floats())
-            pts = rng.uniform(-half, half, size=(per_product, system.dimension))
-            images = pts @ inv.T
-            for nu in set(families):
-                for b in coset_residues(nu, m):
-                    target = np.array(b) / m
-                    diff = images - target
-                    frac = diff - np.round(diff)
-                    dist = np.sqrt((frac**2).sum(axis=1))
-                    if (dist < beta - 1e-12).any():
-                        return False
-    return True
 
 
 def _planar_families(system: MoranSystem):

@@ -46,30 +46,30 @@ def vec_dot(u: Sequence, v: Sequence):
 
 
 def _bareiss(rows):
-    """(det A, adj A) by Bareiss fraction-free Gauss-Jordan elimination of [A | I].
+    """(det A, the rows eliminated) by Bareiss fraction-free Gauss-Jordan elimination
+    of the given n rows, whose first n columns are A.
 
-    Every intermediate entry is a minor of [A | I], so each division by the
-    previous pivot is exact and no fraction is ever formed. After the last
-    step the left block is +-det(A) I and the right block +-adj(A), the
-    sign being that of the row permutation. adj is None when det is 0.
+    Every intermediate entry is a minor, so each division by the previous
+    pivot is exact and no fraction is ever formed. A row swap negates one
+    of the two rows, which keeps every determinant, so after the last step
+    the first n columns are det(A) I; given [A | I], the rest is adj(A).
+    The rows are None when det is 0.
     """
-    n = len(rows)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign, prev = 1, 1
+    a = [list(row) for row in rows]
+    n, prev = len(a), 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
             return 0, None
         if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
+            a[k], a[pivot] = a[pivot], [-v for v in a[k]]
         row_k, p = a[k], a[k][k]
         for i in range(n):
             if i != k:
                 f = a[i][k]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_k)]
         prev = p
-    return sign * prev, tuple(tuple(sign * v for v in row[n:]) for row in a)
+    return prev, a
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,11 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """Exact inverse; raises SingularMatrix when the determinant is 0."""
-        d, adj = _bareiss(self.num)
+        n = self.n
+        d, rows = _bareiss([row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(self.num)])
         if not d:
             raise SingularMatrix("matrix is singular")
-        return Matrix(tuple(tuple(v * self.den for v in row) for row in adj), d)
+        return Matrix(tuple(tuple(v * self.den for v in row[n:]) for row in rows), d)
 
     def is_diagonal(self) -> bool:
         return all(self.num[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import ValidationFailure
+from .errors import DimensionMismatch, ModelViolation, ValidationFailure
 from .exact import Matrix, check_contraction, operator_norm_upper
 from .masks import DigitSet, ZeroStructure, canonical_direction, find_zero_directions, is_prime
 
@@ -74,10 +74,13 @@ def _make_level(item, where: str, dimension: int, prime: int, seen: dict) -> Lev
     ``seen`` maps each digit set met before in the document to its ZeroStructure.
     """
     matrix, digits, zeros = item if len(item) == 3 else (*item, None)
-    if not isinstance(matrix, Matrix):
-        matrix = Matrix.from_rows([[_integer(v, where) for v in row] for row in matrix])
-    if not isinstance(digits, DigitSet):
-        digits = DigitSet.from_vectors([[_integer(c, where) for c in d] for d in digits])
+    try:
+        if not isinstance(matrix, Matrix):
+            matrix = Matrix.from_rows([[_integer(v, where) for v in row] for row in matrix])
+        if not isinstance(digits, DigitSet):
+            digits = DigitSet.from_vectors([[_integer(c, where) for c in d] for d in digits])
+    except (DimensionMismatch, ModelViolation) as exc:
+        raise ValidationFailure("format", f"{where}: {exc}", where) from None
     if matrix.n != dimension:
         raise ValidationFailure("format", f"{where}: matrix is {matrix.n}x{matrix.n}, expected {dimension}", where)
     if digits.n != dimension:

@@ -1,4 +1,4 @@
-"""Shared digit-set fixtures used across the suite.
+"""Shared digit-set fixtures and admissibility helpers used across the suite.
 
 The five-element planar sets below are the standard mod-5 families: two
 square-plus-far-corner variants (one mirrored through the x-axis) and the
@@ -7,11 +7,20 @@ staircase set; SIERPINSKI is the classic right-triangle mod-3 set.
 The hypothesis profile is chosen here, once for every module: "moranspec"
 by default, "ci" (the same with a fixed example order) when the
 HYPOTHESIS_PROFILE environment variable names it.
+
+The admissibility helpers read the scan's private routines: the box image
+widths of the Fraction oracle, the exact nearest box point as Fractions,
+and a float resampling cross-check of the whole scan.
 """
+import math
 import os
 from fractions import Fraction
 
-from moranspec.masks import DigitSet
+import numpy as np
+
+from moranspec.decider import _box_faces, _nearest_box_point
+from moranspec.exact import vec_dot
+from moranspec.masks import DigitSet, coset_residues
 
 try:
     from hypothesis import settings
@@ -38,3 +47,54 @@ LINE_3 = DigitSet.from_vectors([(0,), (1,), (2,)])
 
 def frac(x) -> Fraction:
     return Fraction(x)
+
+
+def box_widths(inv, half_ext: Fraction) -> list:
+    """Half-widths of the image of the box [-half_ext, half_ext]^n under inv, per coordinate."""
+    return [half_ext * Fraction(sum(abs(v) for v in row), inv.den) for row in inv.num]
+
+
+def nearest_box_point(inv, half_ext: Fraction, q) -> tuple:
+    """The scan's exact nearest point of the box to q, for any rational q, as Fractions."""
+    m = math.lcm(*(Fraction(v).denominator for v in q))
+    a = [int(v * m) for v in q]
+    cols = tuple(zip(*inv.num))
+    gram = [[vec_dot(u, v) for v in cols] for u in cols]
+    t = [inv.den * half_ext.denominator * vec_dot(a, col) for col in cols]
+    x, d = _nearest_box_point(_box_faces(gram, half_ext.numerator, m), t)
+    return tuple(Fraction(v, d * m * half_ext.denominator) for v in x)
+
+
+def resample_admissibility(system, samples: int = 10_000, seed: int = 0) -> bool:
+    """Soundness cross-check: random box points never land beta-close to a coset.
+
+    Draws uniform points in the padded box, pushes them through each
+    product inverse, and measures the true distance to the nearest coset
+    point of every family in floats.
+    """
+    longest = 3  # products of 1, 2 and 3 consecutive levels
+    rng = np.random.default_rng(seed)
+    m = system.prime
+    beta = float(system.beta)
+    half = float(Fraction(1, 2) + system.delta)
+    families = []
+    for _, lvl in system.levels_from(1):
+        families.extend(lvl.zeros.directions)
+    per_product = max(1, samples // (longest * (len(system.preamble) + len(system.cycle))))
+    for start in range(1, len(system.preamble) + len(system.cycle) + 1):
+        acc = None
+        for p in range(longest):
+            mat_t = system.level(start + p).matrix.transpose()
+            acc = mat_t if acc is None else acc.mul(mat_t)
+            inv = np.array(acc.inverse().floats())
+            pts = rng.uniform(-half, half, size=(per_product, system.dimension))
+            images = pts @ inv.T
+            for nu in set(families):
+                for b in coset_residues(nu, m):
+                    target = np.array(b) / m
+                    diff = images - target
+                    frac = diff - np.round(diff)
+                    dist = np.sqrt((frac**2).sum(axis=1))
+                    if (dist < beta - 1e-12).any():
+                        return False
+    return True

@@ -6,7 +6,16 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from conftest import LINE_3, SIERPINSKI, SQUARE_PLUS, SQUARE_PLUS_MIRROR, STAIRCASE, TRIPLE_A, TRIPLE_B
+from conftest import (
+    LINE_3,
+    SIERPINSKI,
+    SQUARE_PLUS,
+    SQUARE_PLUS_MIRROR,
+    STAIRCASE,
+    TRIPLE_A,
+    TRIPLE_B,
+    resample_admissibility,
+)
 from moranspec.analyzer import (
     completeness_scan,
     verify_orthogonality,
@@ -18,7 +27,6 @@ from moranspec.decider import (
     decide_diagonal,
     decide_single_direction,
     decide_triangular,
-    resample_admissibility,
 )
 from moranspec.errors import DeterminantViolation
 from moranspec.masks import DigitSet, find_zero_directions, mask_eval

@@ -245,6 +245,123 @@ def test_cli_validate_rejects_booleans_and_non_integral_values(tmp_path, capsys,
     assert out["error"]["message"].startswith(where)
 
 
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        ({"R": [[3, 0], [0]], "D": [[0, 0], [1, 0], [0, 1]]}, "matrix must be square and nonempty"),
+        ({"R": [], "D": [[0, 0], [1, 0], [0, 1]]}, "matrix must be square and nonempty"),
+        ({"R": [[3, 0], [0, 3]], "D": []}, "digit set must be nonempty"),
+        ({"R": [[3, 0], [0, 3]], "D": [[0, 0], [1, 0], [1, 0]]}, "digits must be pairwise distinct"),
+        ({"R": [[3, 0], [0, 3]], "D": [[0, 0], [1], [0, 1]]}, "digits have mixed dimensions"),
+    ],
+    ids=["ragged-R", "empty-R", "empty-D", "repeated-D", "mixed-D"],
+)
+@pytest.mark.parametrize("where", ["preamble[0]", "cycle[0]"])
+def test_cli_validate_reports_a_malformed_level_as_format(tmp_path, capsys, level, message, where):
+    good = {"R": [[3, 0], [0, 3]], "D": [[0, 0], [1, 0], [0, 1]]}
+    key = where.split("[")[0]
+    doc = {"dimension": 2, "prime": 3, "preamble": [], "cycle": [good], key: [level]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path), "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["error"] == {"code": "format", "message": f"{where}: {message}"}
+
+
+# Reports of two systems whose scans reach the nearest box point, captured
+# before the certificate was decided on integers: the R = 2I violation and
+# the system at distance exactly beta (see test_decider).
+VIOLATION_2I = {
+    "dimension": 2,
+    "prime": 3,
+    "cycle": [{"R": [[2, 0], [0, 2]], "D": [[0, 0], [1, 0], [0, 1]]}],
+    "params": {"r": "1/2", "beta": "1/24"},
+}
+BOUNDARY_DIGITS = [[1, -1, 0], [-1, 1, 3], [1, -3, -2], [-1, 3, -3], [0, 0, 2]]
+BOUNDARY_BETA = {
+    "dimension": 3,
+    "prime": 5,
+    "preamble": [{"R": [[5, 10, -5], [10, 10, -5], [-10, 5, 10]], "D": BOUNDARY_DIGITS}],
+    "cycle": [{"R": [[6, -1, 0], [2, 10, -1], [-1, 0, 10]], "D": BOUNDARY_DIGITS}],
+    "params": {"r": "219/500"},
+}
+PARAMS_2I = {
+    "beta": "1/24", "c": 1.0, "cycle_levels": 1, "delta": "1/8", "dimension": 2, "preamble_levels": 0, "prime": 3,
+    "r": 0.5,
+}
+PARAMS_BOUNDARY = {
+    "beta": "1/40", "c": 1.0, "cycle_levels": 1, "delta": "1/8", "dimension": 3, "preamble_levels": 1, "prime": 5,
+    "r": 0.438,
+}
+PINNED_REPORTS = [
+    (VIOLATION_2I, "admissible", 1, {
+        "caveats": [],
+        "command": "admissible",
+        "params": PARAMS_2I,
+        "report": {
+            "horizon": 6, "products_checked": 1, "start_level": 0, "status": "violation", "tail_start": 2,
+            "unconditional": False,
+        },
+        "schema": 1,
+        "timings": None,
+        "witnesses": {
+            "box_point": ["5/8", "-5/8"],
+            "coset_point": ["1/3", "-1/3"],
+            "image": ["5/16", "-5/16"],
+            "length": 1,
+            "start_level": 1,
+        },
+    }),
+    (VIOLATION_2I, "decide", 1, {
+        "caveats": [],
+        "certificate": {"entry": 2, "witness": [2, 1]},
+        "command": "decide",
+        "criterion": "diagonal-divisibility",
+        "params": PARAMS_2I,
+        "schema": 1,
+        "timings": None,
+        "verdict": "NotSpectral",
+        "witnesses": [2, 1],
+    }),
+    (BOUNDARY_BETA, "admissible", 0, {
+        "caveats": [],
+        "command": "admissible",
+        "params": PARAMS_BOUNDARY,
+        "report": {
+            "horizon": 6, "products_checked": 4, "start_level": 0, "status": "certified", "tail_start": 3,
+            "unconditional": True,
+        },
+        "schema": 1,
+        "timings": None,
+        "witnesses": None,
+    }),
+    (BOUNDARY_BETA, "decide", 2, {
+        "caveats": ["sufficiency needs a divisible direction at every level from 2 on"],
+        "certificate": {"levels_without_admissible_direction": [2]},
+        "command": "decide",
+        "criterion": "block-construction-sufficiency",
+        "params": PARAMS_BOUNDARY,
+        "schema": 1,
+        "timings": None,
+        "verdict": "Unknown",
+        "witnesses": None,
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, command, code, report",
+    PINNED_REPORTS,
+    ids=["2i-admissible", "2i-decide", "boundary-admissible", "boundary-decide"],
+)
+def test_cli_nearest_point_reports_are_pinned(tmp_path, capsys, doc, command, code, report):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "--json"]) == code
+    assert json.loads(capsys.readouterr().out) == report
+
+
 def test_cli_spectrum_normalizes_non_model_first_level(capsys):
     code = main(["spectrum", fixture("sierpinski_9i.json"), "--levels", "1", "--block-size", "1", "--json"])
     doc = json.loads(capsys.readouterr().out)

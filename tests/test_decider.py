@@ -3,7 +3,16 @@ from itertools import product
 
 import pytest
 
-from conftest import SIERPINSKI, SQUARE_PLUS, STAIRCASE, TRIPLE_A, TRIPLE_B
+from conftest import (
+    SIERPINSKI,
+    SQUARE_PLUS,
+    STAIRCASE,
+    TRIPLE_A,
+    TRIPLE_B,
+    box_widths,
+    nearest_box_point,
+    resample_admissibility,
+)
 from moranspec.analyzer import verify_orthogonality
 from moranspec.builder import build_blocks, spectrum_levels
 from moranspec.decider import (
@@ -14,7 +23,6 @@ from moranspec.decider import (
     decide_single_direction,
     decide_triangular,
     matching_templates,
-    resample_admissibility,
 )
 from moranspec.errors import (
     DeterminantViolation,
@@ -199,9 +207,9 @@ def test_admissibility_slab_gap_matches_interval_argument():
     # For A = (9I)^t the box image widths are 5/8 * 1/9 = 5/72 per
     # coordinate, and the coset coordinates sit at distance >= 1/3, so the
     # interval gap is 1/3 - 5/72 = 19/72 > 1/24.
-    from moranspec.decider import _box_widths, _certify_product_against_family
+    from moranspec.decider import _certify_product_against_family
     inv = Matrix.diagonal([9, 9]).inverse()
-    widths = _box_widths(inv, Fraction(5, 8))
+    widths = box_widths(inv, Fraction(5, 8))
     assert widths == [Fraction(5, 72), Fraction(5, 72)]
     assert Fraction(1, 3) - Fraction(5, 72) == Fraction(19, 72) > Fraction(1, 24)
     ok, witness, conclusive = _certify_product_against_family(inv, Fraction(5, 8), Fraction(1, 24), (1, 2), 3)
@@ -263,7 +271,6 @@ def test_admissibility_boundary_distance_is_certified():
     # The float search behind the earlier certificate could settle neither
     # side of that boundary and reported "inconclusive"; the exact nearest
     # box point decides it: distance >= beta is clear.
-    from moranspec.decider import _nearest_box_point
     from moranspec.specfile import load_document
 
     digits = [[1, -1, 0], [-1, 1, 3], [1, -3, -2], [-1, 3, -3], [0, 0, 2]]
@@ -279,7 +286,7 @@ def test_admissibility_boundary_distance_is_certified():
     assert (result.status, result.unconditional, result.caveats) == ("certified", True, ())
     inv = system.level(1).matrix.transpose().inverse()
     q = (Fraction(1, 5), Fraction(-1, 5), Fraction(0))
-    x = _nearest_box_point(inv, Fraction(5, 8), q)
+    x = nearest_box_point(inv, Fraction(5, 8), q)
     assert sum((y - c) ** 2 for y, c in zip(inv.mul_vec(x), q)) == system.beta**2 == Fraction(1, 1600)
 
 
