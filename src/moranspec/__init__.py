@@ -31,9 +31,6 @@ from .decider import (
     admissibility_scan,
     classify_planar_digit_set,
     decide,
-    decide_diagonal,
-    decide_single_direction,
-    decide_triangular,
 )
 from .exact import (
     Matrix,
@@ -47,7 +44,6 @@ from .masks import (
     ZeroStructure,
     find_zero_directions,
     mask_eval,
-    residue_vanishing_test,
 )
 from .pairs import (
     CompatiblePair,

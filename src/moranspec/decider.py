@@ -13,13 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .builder import find_admissible_direction
-from .errors import (
-    DeterminantViolation,
-    HypothesisViolation,
-    ModelViolation,
-    TemplateMismatch,
-    ValidationFailure,
-)
+from .errors import DeterminantViolation, ModelViolation, ValidationFailure
 from .exact import Matrix, vec_dot
 from .masks import DigitSet, coset_residues, find_zero_directions
 from .system import MoranSystem, inverse_transpose
@@ -64,41 +58,6 @@ def _diagonal_divisibility(system: MoranSystem, criterion: str, certificate: dic
     )
 
 
-def decide_diagonal(system: MoranSystem) -> Verdict:
-    """Divisibility criterion for diagonal systems.
-
-    With every R_k = diag[p_k1, ..., p_kn] and m > 2 prime, the measure is
-    spectral exactly when m divides every diagonal entry from level 2 on.
-    No admissibility hypothesis is needed in the diagonal case.
-    """
-    _require_hypotheses(system, one_direction=False)
-    caveats = ()
-    for k, lvl in system.levels_from(1):
-        if not lvl.matrix.is_diagonal():
-            raise HypothesisViolation(f"level {k} is not diagonal")
-        if not all(lvl.zeros.model_compliant):
-            caveats = (
-                "some zero directions have zero entries; the strict coset-line model assumes none",
-            )
-    return _diagonal_divisibility(system, "diagonal-divisibility", {}, caveats)
-
-
-def _phi_is_one(system: MoranSystem):
-    for k, lvl in system.levels_from(1):
-        if lvl.zeros.count != 1:
-            return k, lvl.zeros.count
-    return None
-
-
-def _require_hypotheses(system: MoranSystem, one_direction=True):
-    """Raise HypothesisViolation unless m > 2 and, if asked, every level has exactly one zero direction."""
-    if system.prime <= 2:
-        raise HypothesisViolation("criterion needs a prime larger than 2")
-    bad = _phi_is_one(system) if one_direction else None
-    if bad is not None:
-        raise HypothesisViolation(f"level {bad[0]} has {bad[1]} zero directions, criterion needs exactly 1")
-
-
 def _box_gate(system: MoranSystem, criterion: str, horizon):
     """The admissibility scan, and the Unknown verdict to return when it leaves the box condition uncertified."""
     scan = admissibility_scan(system, horizon=horizon)
@@ -109,36 +68,6 @@ def _box_gate(system: MoranSystem, criterion: str, horizon):
         criterion=criterion,
         certificate={"admissibility": scan.status},
         caveats=("box condition could not be certified",) + scan.caveats,
-    )
-
-
-def decide_single_direction(system: MoranSystem, horizon=None) -> Verdict:
-    """Divisibility criterion when every level has exactly one direction.
-
-    Requires the admissibility scan to certify the box condition first;
-    if it cannot, the verdict is Unknown. Otherwise the measure is
-    spectral exactly when m | nu_k^t R_k for every level k >= 2.
-    """
-    _require_hypotheses(system)
-    scan, unknown = _box_gate(system, "single-direction-divisibility", horizon)
-    if unknown:
-        return unknown
-    caveats = scan.caveats
-    for k, lvl in system.levels_from(2):
-        nu = lvl.zeros.directions[0]
-        row = lvl.matrix.transpose().mul_vec(nu)
-        if any(x % system.prime != 0 for x in row):
-            return Verdict(
-                outcome=NOT_SPECTRAL,
-                criterion="single-direction-divisibility",
-                certificate={"witness": k, "direction": nu, "product": tuple(row)},
-                caveats=caveats,
-            )
-    return Verdict(
-        outcome=SPECTRAL,
-        criterion="single-direction-divisibility",
-        certificate={"checked_levels": [k for k, _ in system.levels_from(2)], "admissibility": scan.status},
-        caveats=caveats,
     )
 
 
@@ -165,22 +94,6 @@ def _matches_template(matrix: Matrix, kind: str) -> bool:
 
 def matching_templates(matrix: Matrix) -> tuple:
     return tuple(kind for kind in _TEMPLATES if _matches_template(matrix, kind))
-
-
-def decide_triangular(system: MoranSystem) -> Verdict:
-    """Divisibility criterion for the constant-band triangular templates.
-
-    All levels must share one of the four supported shapes (upper or lower
-    triangular with constant rows or columns); the diagonal entries play
-    the role of the divisibility targets.
-    """
-    _require_hypotheses(system)
-    common = set(_TEMPLATES)
-    for k, lvl in system.levels_from(1):
-        common &= set(matching_templates(lvl.matrix))
-        if not common:
-            raise TemplateMismatch(f"level {k} breaks every shared triangular template")
-    return _diagonal_divisibility(system, "triangular-template", {"template": sorted(common)})
 
 
 @dataclass(frozen=True)
@@ -465,14 +378,24 @@ def _planar_families(system: MoranSystem):
     return families
 
 
+
+
 def decide(system: MoranSystem, horizon=None) -> Verdict:
     """Route to the sharpest applicable criterion.
 
-    Diagonal systems use the unconditional diagonal test; triangular
-    templates and single-direction systems use their divisibility tests
-    gated on admissibility; remaining systems fall back to the block
-    construction sufficiency (divisible direction at every level plus a
-    certified box condition), which can only return Spectral or Unknown.
+    - m = 2: Unknown, no implemented criterion covers it.
+    - Every level diagonal: m divides every diagonal entry from level 2 on,
+      unconditionally.
+    - Every level with one zero direction nu_k: if all levels share a
+      triangular template, the same diagonal test, unconditionally. A
+      column template's R^t nu sums diagonal entries along nu, so a level
+      can fail the diagonal test and still have m | R_k^t nu_k; such a
+      system, and one with no shared template, gets the single-direction
+      test m | R_k^t nu_k from level 2 on, gated on a certified box
+      condition. Planar m = 3 systems are annotated with their families.
+    - Otherwise the block construction sufficiency: a divisible direction
+      at every level from 2 on plus a certified box condition, which can
+      only return Spectral or Unknown.
     """
     if system.prime <= 2:
         return Verdict(
@@ -480,31 +403,51 @@ def decide(system: MoranSystem, horizon=None) -> Verdict:
             criterion="none",
             caveats=("no implemented criterion covers digit cardinality 2",),
         )
-    if all(lvl.matrix.is_diagonal() for _, lvl in system.levels_from(1)):
-        return decide_diagonal(system)
-    if _phi_is_one(system) is None:
-        annotate = _planar_families(system)
-        try:
-            verdict = decide_triangular(system)
-        except TemplateMismatch:
-            verdict = decide_single_direction(system, horizon=horizon)
-        if annotate:
-            verdict = replace(verdict, certificate={**verdict.certificate, "planar_families": annotate})
-        return verdict
-    missing = [k for k, _ in system.levels_from(2) if find_admissible_direction(system, k) is None]
-    if missing:
-        return Verdict(
-            outcome=UNKNOWN,
+    levels = system.levels_from(1)
+    if all(lvl.matrix.is_diagonal() for _, lvl in levels):
+        compliant = all(all(lvl.zeros.model_compliant) for _, lvl in levels)
+        caveats = () if compliant else ("some zero directions have zero entries; the strict coset-line model assumes none",)
+        return _diagonal_divisibility(system, "diagonal-divisibility", {}, caveats)
+    if any(lvl.zeros.count != 1 for _, lvl in levels):
+        missing = [k for k, _ in system.levels_from(2) if find_admissible_direction(system, k) is None]
+        if missing:
+            return Verdict(
+                outcome=UNKNOWN,
+                criterion="block-construction-sufficiency",
+                certificate={"levels_without_admissible_direction": missing},
+                caveats=("sufficiency needs a divisible direction at every level from 2 on",),
+            )
+        scan, unknown = _box_gate(system, "block-construction-sufficiency", horizon)
+        return unknown or Verdict(
+            outcome=SPECTRAL,
             criterion="block-construction-sufficiency",
-            certificate={"levels_without_admissible_direction": missing},
-            caveats=("sufficiency needs a divisible direction at every level from 2 on",),
+            certificate={"admissibility": scan.status},
+            caveats=scan.caveats,
         )
-    scan, unknown = _box_gate(system, "block-construction-sufficiency", horizon)
-    if unknown:
-        return unknown
-    return Verdict(
-        outcome=SPECTRAL,
-        criterion="block-construction-sufficiency",
-        certificate={"admissibility": scan.status},
-        caveats=scan.caveats,
-    )
+    common = set(_TEMPLATES)
+    for _, lvl in levels:
+        common &= set(matching_templates(lvl.matrix))
+        if not common:
+            break
+    # a level that fails the diagonal test although m | R_k^t nu_k rules the template test out
+    m = system.prime
+    if common and not any(
+        any(lvl.matrix[i, i] % m for i in range(system.dimension)) and find_admissible_direction(system, k) is not None
+        for k, lvl in system.levels_from(2)
+    ):
+        verdict = _diagonal_divisibility(system, "triangular-template", {"template": sorted(common)})
+    else:
+        scan, verdict = _box_gate(system, "single-direction-divisibility", horizon)
+        if verdict is None:
+            bad = next((k for k, _ in system.levels_from(2) if find_admissible_direction(system, k) is None), None)
+            certificate = {"checked_levels": [k for k, _ in system.levels_from(2)], "admissibility": scan.status}
+            if bad is not None:
+                lvl = system.level(bad)
+                nu = lvl.zeros.directions[0]
+                certificate = {"witness": bad, "direction": nu, "product": lvl.matrix.transpose().mul_vec(nu)}
+            outcome = SPECTRAL if bad is None else NOT_SPECTRAL
+            verdict = Verdict(outcome, "single-direction-divisibility", certificate, scan.caveats)
+    annotate = _planar_families(system)
+    if annotate:
+        verdict = replace(verdict, certificate={**verdict.certificate, "planar_families": annotate})
+    return verdict

@@ -50,14 +50,6 @@ class ContainmentViolation(MoranError):
     """Rescaled spectrum level left its certified box (construction bug)."""
 
 
-class HypothesisViolation(MoranError):
-    """Decision procedure invoked outside its hypotheses."""
-
-
-class TemplateMismatch(MoranError):
-    """Matrix does not match any supported triangular template."""
-
-
 class DeterminantViolation(MoranError):
     """Planar digit-set classifier requires determinant +-1."""
 

@@ -89,26 +89,6 @@ def mask_eval(digits: DigitSet, xi: Sequence) -> complex:
     return total / digits.size
 
 
-def residue_vanishing_test(digits: DigitSet, direction: Sequence, modulus: int) -> bool:
-    """Whether <d, direction> mod m hits every residue class exactly once.
-
-    For #D = m prime this is equivalent to the mask vanishing at every
-    point (j/m)*direction, j = 1..m-1: a vanishing sum of m prime-order
-    roots of unity forces equal multiplicity on all residues.
-    """
-    if digits.size != modulus:
-        raise ModelViolation(f"digit count {digits.size} differs from modulus {modulus}")
-    if not is_prime(modulus):
-        raise ModelViolation(f"modulus {modulus} is not prime")
-    direction = intvec(direction)
-    if all(c % modulus == 0 for c in direction):
-        raise ModelViolation("direction must be nonzero mod m")
-    seen = set()
-    for d in digits.digits:
-        seen.add(vec_dot(d, direction) % modulus)
-    return len(seen) == modulus
-
-
 @dataclass(frozen=True)
 class ZeroStructure:
     """Canonical zero directions of a model digit set.

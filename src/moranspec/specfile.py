@@ -12,7 +12,8 @@ Document shape:
 
 ``zeros`` is optional per level (computed when absent, verified when
 present). Numeric params accept integers, floats and "p/q" strings, not
-booleans; "dimension" and "prime" must be integer values.
+booleans; "dimension", "prime" and every matrix, digit and zeros entry
+must be an integer value, not a string.
 Violations surface as ValidationFailure with a machine-readable code.
 """
 from __future__ import annotations

@@ -76,9 +76,9 @@ def _make_level(item, where: str, dimension: int, prime: int, seen: dict) -> Lev
     matrix, digits, zeros = item if len(item) == 3 else (*item, None)
     try:
         if not isinstance(matrix, Matrix):
-            matrix = Matrix.from_rows([[_integer(v, where) for v in row] for row in matrix])
+            matrix = Matrix.from_rows(_integer_rows(matrix, "matrix must be a list of rows", where))
         if not isinstance(digits, DigitSet):
-            digits = DigitSet.from_vectors([[_integer(c, where) for c in d] for d in digits])
+            digits = DigitSet.from_vectors(_integer_rows(digits, "digits must be a list of vectors", where))
     except (DimensionMismatch, ModelViolation) as exc:
         raise ValidationFailure("format", f"{where}: {exc}", where) from None
     if matrix.n != dimension:
@@ -95,7 +95,7 @@ def _make_level(item, where: str, dimension: int, prime: int, seen: dict) -> Lev
         seen[digits] = find_zero_directions(digits, prime)
     computed = seen[digits]
     if zeros is not None:
-        canon = {canonical_direction([_integer(c, where) for c in nu], prime) for nu in zeros}
+        canon = {canonical_direction(nu, prime) for nu in _integer_rows(zeros, "zeros must be a list of vectors", where)}
         if canon != set(computed.directions):
             raise ValidationFailure(
                 "zero-structure",
@@ -112,12 +112,20 @@ def _make_level(item, where: str, dimension: int, prime: int, seen: dict) -> Lev
     return Level(matrix=matrix, digits=digits, zeros=computed)
 
 
+def _integer_rows(rows, message: str, where: str) -> list:
+    """Lists of int entries from a list of lists; a flat or scalar ``rows`` is a format error with ``message``."""
+    try:
+        return [[_integer(v, where) for v in row] for row in rows]
+    except TypeError:
+        raise ValidationFailure("format", f"{where}: {message}", where) from None
+
+
 def _integer(value, where: str) -> int:
-    """An int-valued entry, coordinate or size as an int; 9.0 passes, 9.7 and true do not."""
+    """An int-valued entry, coordinate or size as an int; 9.0 passes, 9.7, true and "9" do not."""
     if type(value) is int:
         return value
     try:
-        exact = None if isinstance(value, bool) else Fraction(value)
+        exact = None if isinstance(value, (bool, str)) else Fraction(value)
     except (TypeError, ValueError, OverflowError):
         exact = None
     if exact is None or exact.denominator != 1:

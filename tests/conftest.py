@@ -8,9 +8,11 @@ The hypothesis profile is chosen here, once for every module: "moranspec"
 by default, "ci" (the same with a fixed example order) when the
 HYPOTHESIS_PROFILE environment variable names it.
 
-The admissibility helpers read the scan's private routines: the box image
-widths of the Fraction oracle, the exact nearest box point as Fractions,
-and a float resampling cross-check of the whole scan.
+``divides_its_direction`` is the single-direction divisibility test,
+written out for comparison with ``decide``. The admissibility helpers
+read the scan's private routines: the box image widths of the Fraction
+oracle, the exact nearest box point as Fractions, and a float resampling
+cross-check of the whole scan.
 """
 import math
 import os
@@ -47,6 +49,15 @@ LINE_3 = DigitSet.from_vectors([(0,), (1,), (2,)])
 
 def frac(x) -> Fraction:
     return Fraction(x)
+
+
+def divides_its_direction(system) -> bool:
+    """m | R_k^t nu_k for the one zero direction nu_k of every level from 2 on, computed here."""
+    m = system.prime
+    return all(
+        all(x % m == 0 for x in lvl.matrix.transpose().mul_vec(lvl.zeros.directions[0]))
+        for _, lvl in system.levels_from(2)
+    )
 
 
 def box_widths(inv, half_ext: Fraction) -> list:

@@ -14,6 +14,7 @@ from conftest import (
     STAIRCASE,
     TRIPLE_A,
     TRIPLE_B,
+    divides_its_direction,
     resample_admissibility,
 )
 from moranspec.analyzer import (
@@ -24,9 +25,7 @@ from moranspec.builder import build_blocks, choose_block_size, spectrum_levels
 from moranspec.decider import (
     admissibility_scan,
     classify_planar_digit_set,
-    decide_diagonal,
-    decide_single_direction,
-    decide_triangular,
+    decide,
 )
 from moranspec.errors import DeterminantViolation
 from moranspec.masks import DigitSet, find_zero_directions, mask_eval
@@ -76,16 +75,17 @@ def test_criterion_1_zero_structure():
 
 def test_criterion_2_decision_reproduction():
     start = time.monotonic()
-    assert decide_diagonal(staircase_system((10, 5))).outcome == "Spectral"
-    bad = decide_diagonal(staircase_system((6, 5)))
+    verdict = decide(staircase_system((10, 5)))
+    assert (verdict.outcome, verdict.criterion) == ("Spectral", "diagonal-divisibility")
+    bad = decide(staircase_system((6, 5)))
     assert bad.outcome == "NotSpectral" and bad.certificate["witness"] == (2, 1)
 
+    # the banded decisions agree with m | R_k^t nu_k computed directly
     good = banded_system([(3, 3), (3, 3), (6, 6)])
     bad_banded = banded_system([(3, 3), (4, 4)])
-    assert decide_single_direction(good).outcome == "Spectral"
-    assert decide_single_direction(bad_banded).outcome == "NotSpectral"
-    assert decide_triangular(good).outcome == "Spectral"
-    assert decide_triangular(bad_banded).outcome == "NotSpectral"
+    assert divides_its_direction(good) and not divides_its_direction(bad_banded)
+    assert (decide(good).outcome, decide(good).criterion) == ("Spectral", "triangular-template")
+    assert (decide(bad_banded).outcome, decide(bad_banded).criterion) == ("NotSpectral", "triangular-template")
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     _report(2, "diagonal and banded criteria reproduce both sides of the reference decisions", elapsed, 1)

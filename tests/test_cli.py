@@ -229,6 +229,7 @@ def test_cli_validate_rejects_non_integer_entries(tmp_path, capsys, level, where
         ({"cycle": [{"R": [[9]], "D": [[0], [True], [2]]}]}, "cycle[0]"),
         ({"cycle": [{"R": [[9]], "D": [[0], [1], [2]], "zeros": [[1.5]]}]}, "cycle[0]"),
         ({"dimension": 1.9}, "dimension"),
+        ({"dimension": "1"}, "dimension"),
         ({"prime": 3.7}, "prime"),
         ({"params": {"r": "1/3", "c": True}}, "params.c"),
     ],
@@ -253,8 +254,16 @@ def test_cli_validate_rejects_booleans_and_non_integral_values(tmp_path, capsys,
         ({"R": [[3, 0], [0, 3]], "D": []}, "digit set must be nonempty"),
         ({"R": [[3, 0], [0, 3]], "D": [[0, 0], [1, 0], [1, 0]]}, "digits must be pairwise distinct"),
         ({"R": [[3, 0], [0, 3]], "D": [[0, 0], [1], [0, 1]]}, "digits have mixed dimensions"),
+        ({"R": [3, 0], "D": [[0, 0], [1, 0], [0, 1]]}, "matrix must be a list of rows"),
+        ({"R": [[3, 0], [0, 3]], "D": [0, 1, 2]}, "digits must be a list of vectors"),
+        ({"R": [[3, 0], [0, 3]], "D": [[0, 0], [1, 0], [0, 1]], "zeros": [1, 2]}, "zeros must be a list of vectors"),
+        ({"R": ["30", "03"], "D": [[0, 0], [1, 0], [0, 1]]}, "'3' is not an integer"),
+        ({"R": [[3, 0], [0, 3]], "D": ["00", "10", "01"]}, "'0' is not an integer"),
     ],
-    ids=["ragged-R", "empty-R", "empty-D", "repeated-D", "mixed-D"],
+    ids=[
+        "ragged-R", "empty-R", "empty-D", "repeated-D", "mixed-D", "flat-R", "flat-D", "flat-zeros", "string-R",
+        "string-D",
+    ],
 )
 @pytest.mark.parametrize("where", ["preamble[0]", "cycle[0]"])
 def test_cli_validate_reports_a_malformed_level_as_format(tmp_path, capsys, level, message, where):

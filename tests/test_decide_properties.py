@@ -24,7 +24,6 @@ from moranspec.masks import (  # noqa: E402
     DigitSet,
     canonical_direction,
     find_zero_directions,
-    residue_vanishing_test,
 )
 from moranspec.system import build_system  # noqa: E402
 
@@ -37,7 +36,8 @@ def reference_zero_directions(digits: DigitSet, m: int) -> tuple:
             continue
         if nu != min(tuple(j * c % m for c in nu) for j in range(1, m)):
             continue
-        if residue_vanishing_test(digits, nu, m):
+        # the mask vanishes at (j/m) nu iff <d, nu> mod m hits every residue once
+        if sorted(vec_dot(d, nu) % m for d in digits.digits) == list(range(m)):
             found.append(nu)
     return tuple(sorted(found))
 

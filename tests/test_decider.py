@@ -10,6 +10,7 @@ from conftest import (
     TRIPLE_A,
     TRIPLE_B,
     box_widths,
+    divides_its_direction,
     nearest_box_point,
     resample_admissibility,
 )
@@ -19,17 +20,9 @@ from moranspec.decider import (
     admissibility_scan,
     classify_planar_digit_set,
     decide,
-    decide_diagonal,
-    decide_single_direction,
-    decide_triangular,
     matching_templates,
 )
-from moranspec.errors import (
-    DeterminantViolation,
-    HypothesisViolation,
-    TemplateMismatch,
-    ValidationFailure,
-)
+from moranspec.errors import DeterminantViolation, ValidationFailure
 from moranspec.exact import Matrix
 from moranspec.masks import DigitSet, mask_eval
 from moranspec.system import build_system
@@ -52,68 +45,68 @@ def banded_system(first=(3, 3), cycle=((3, 3), (6, 3)), digit_sets=None):
 
 
 def test_decide_diagonal_spectral():
-    verdict = decide_diagonal(staircase_system((10, 5)))
+    verdict = decide(staircase_system((10, 5)))
     assert verdict.outcome == "Spectral"
     assert verdict.criterion == "diagonal-divisibility"
     assert verdict.exit_code == 0
 
 
 def test_decide_diagonal_not_spectral_with_witness():
-    verdict = decide_diagonal(staircase_system((6, 5)))
-    assert verdict.outcome == "NotSpectral"
+    verdict = decide(staircase_system((6, 5)))
+    assert (verdict.outcome, verdict.criterion) == ("NotSpectral", "diagonal-divisibility")
     assert verdict.certificate["witness"] == (2, 1)
     assert verdict.exit_code == 1
 
 
 def test_decide_diagonal_all_multiples_trivially_spectral():
     system = build_system(2, 3, [], [([[3, 0], [0, 3]], SIERPINSKI.digits)], r="1/3")
-    assert decide_diagonal(system).outcome == "Spectral"
+    assert decide(system).outcome == "Spectral"
 
 
 def test_decide_diagonal_hypothesis_violations():
+    # m = 2 and a non-diagonal level both keep a system off the diagonal test
     sys_m2 = build_system(1, 2, [], [([[2]], [(0,), (1,)])], r="1/2")
-    with pytest.raises(HypothesisViolation):
-        decide_diagonal(sys_m2)
-    with pytest.raises(HypothesisViolation):
-        decide_diagonal(banded_system())
+    assert (decide(sys_m2).outcome, decide(sys_m2).criterion) == ("Unknown", "none")
+    assert decide(banded_system()).criterion == "triangular-template"
 
 
 def test_not_spectral_diagonal_witness_matches_divisibility_failure():
     system = staircase_system((6, 5))
-    verdict = decide_diagonal(system)
+    verdict = decide(system)
     k, i = verdict.certificate["witness"]
     assert system.level(k).matrix[i - 1, i - 1] % system.prime != 0
 
 
 def test_decide_triangular_spectral_and_not():
     good = banded_system(first=(3, 3), cycle=((3, 3), (6, 3)))
-    verdict = decide_triangular(good)
+    verdict = decide(good)
     assert verdict.outcome == "Spectral"
     assert verdict.criterion == "triangular-template"
 
     bad = banded_system(first=(3, 3), cycle=((4, 3),))
-    verdict = decide_triangular(bad)
-    assert verdict.outcome == "NotSpectral"
+    verdict = decide(bad)
+    assert (verdict.outcome, verdict.criterion) == ("NotSpectral", "triangular-template")
     assert verdict.certificate["witness"] == (2, 1)
 
 
 def test_decide_single_direction_matches_triangular():
+    # the template verdicts agree with m | R_k^t nu_k at every level from 2 on
     good = banded_system(first=(3, 3), cycle=((3, 3), (6, 3)))
     bad = banded_system(first=(3, 3), cycle=((4, 3),))
-    assert decide_single_direction(good).outcome == "Spectral"
-    assert decide_single_direction(bad).outcome == "NotSpectral"
-    assert decide_triangular(good).outcome == decide_single_direction(good).outcome
-    assert decide_triangular(bad).outcome == decide_single_direction(bad).outcome
+    assert divides_its_direction(good) and not divides_its_direction(bad)
+    assert (decide(good).outcome, decide(good).criterion) == ("Spectral", "triangular-template")
+    assert (decide(bad).outcome, decide(bad).criterion) == ("NotSpectral", "triangular-template")
 
 
 def test_decide_single_direction_requires_phi_one():
+    # two zero directions keep a system off the single-direction test
     system = staircase_system((10, 5))
     five_dir_system = build_system(
         2, 5, [([[5, 0], [0, 5]], SQUARE_PLUS.digits)], [([[10, 0], [0, 5]], SQUARE_PLUS.digits)], r="1/5"
     )
-    with pytest.raises(HypothesisViolation):
-        decide_single_direction(five_dir_system)
-    assert decide_single_direction(system).outcome == "Spectral"
+    assert five_dir_system.level(1).zeros.count == 2
+    assert decide(five_dir_system).criterion == "diagonal-divisibility"
+    assert divides_its_direction(system) and decide(system).outcome == "Spectral"
 
 
 @pytest.mark.parametrize(
@@ -144,15 +137,20 @@ def test_templates_all_four_shapes():
 
 
 def test_decide_triangular_template_mismatch():
+    # a level outside every template sends the system to the single-direction test
     system = build_system(2, 3, [], [([[3, 1], [0, 3]], TRIPLE_A.digits)], r="2/5")
-    with pytest.raises(TemplateMismatch):
-        decide_triangular(system)
+    assert matching_templates(system.level(1).matrix) == ()
+    assert decide(system).criterion == "single-direction-divisibility"
 
 
 def test_diagonal_and_triangular_agree_in_one_dimension():
+    # a 1x1 level fits every template and is diagonal: the diagonal test decides
     for entry in (9, 10):
         system = build_system(1, 3, [([[3]], [(0,), (1,), (2,)])], [([[entry]], [(0,), (1,), (2,)])], r="1/3")
-        assert decide_diagonal(system).outcome == decide_triangular(system).outcome
+        assert len(matching_templates(system.level(2).matrix)) == 4
+        verdict = decide(system)
+        assert verdict.criterion == "diagonal-divisibility"
+        assert (verdict.outcome == "Spectral") == (entry % 3 == 0) == divides_its_direction(system)
 
 
 def test_classify_planar_digit_sets():
@@ -361,10 +359,37 @@ def test_spectral_verdict_consistent_with_construction():
 
 
 def test_decide_single_direction_unknown_when_box_condition_fails():
-    system = build_system(2, 3, [], [([[2, 0], [0, 2]], SIERPINSKI.digits)], r="1/2", beta="1/24")
-    verdict = decide_single_direction(system)
-    assert verdict.outcome == "Unknown"
+    # one direction, no template, and a box image that reaches a coset point
+    system = build_system(2, 3, [], [([[2, 1], [0, 2]], SIERPINSKI.digits)], beta="1/24")
+    verdict = decide(system)
+    assert (verdict.outcome, verdict.criterion) == ("Unknown", "single-direction-divisibility")
+    assert verdict.certificate["admissibility"] == "violation"
     assert any("box condition" in c for c in verdict.caveats)
+
+
+@pytest.mark.parametrize(
+    "cycle, outcome, criterion",
+    [
+        ([[3, 4], [0, 4]], "Spectral", "single-direction-divisibility"),
+        ([[4, 4], [0, 4]], "NotSpectral", "triangular-template"),
+    ],
+)
+def test_decide_column_template_with_divisible_direction(cycle, outcome, criterion):
+    # Both levels are upper-col with direction (1, 2). R^t nu = (3, 12) for
+    # [[3, 4], [0, 4]] divides by 3 although the diagonal entry 4 does not,
+    # so the template's diagonal test does not apply; for [[4, 4], [0, 4]]
+    # R^t nu = (4, 12) does not divide and the template test answers.
+    system = build_system(2, 3, [([[3, 3], [0, 3]], SIERPINSKI.digits)], [(cycle, SIERPINSKI.digits)])
+    assert "upper-col" in matching_templates(system.level(2).matrix)
+    verdict = decide(system)
+    assert (verdict.outcome, verdict.criterion) == (outcome, criterion)
+    assert divides_its_direction(system) == (outcome == "Spectral")
+    if outcome == "Spectral":
+        assert verdict.certificate["admissibility"] == "certified"
+        decomp = build_blocks(system, K=1, blocks=5)
+        level = spectrum_levels(decomp, 4, enforce_containment=False)[4]
+        assert level.size == 243
+        assert verify_orthogonality(system, level.elements).passed
 
 
 def test_decide_annotates_planar_families():
@@ -378,10 +403,10 @@ def test_decide_annotates_planar_families():
 
 def test_diagonal_caveat_for_zero_entry_directions():
     system = build_system(3, 3, [], [([[3, 0, 0], [0, 3, 0], [0, 0, 3]], [(0, 0, 0), (1, 0, 0), (2, 0, 0)])], r="1/3")
-    verdict = decide_diagonal(system)
-    assert verdict.outcome == "Spectral"
+    verdict = decide(system)
+    assert (verdict.outcome, verdict.criterion) == ("Spectral", "diagonal-divisibility")
     assert any("zero entries" in c for c in verdict.caveats)
-    clean = decide_diagonal(staircase_system((10, 5)))
+    clean = decide(staircase_system((10, 5)))
     assert clean.caveats == ()
 
 
@@ -397,7 +422,8 @@ def test_random_diagonal_decisions_consistent_with_construction():
         entries = [(rng.choice([5, 10, 15, 25, 6, 12]), rng.choice([5, 10, 15, 6])) for _ in range(3)]
         levels = [([[a, 0], [0, b]], STAIRCASE.digits) for a, b in entries]
         system = build_system(2, 5, levels[:1], levels[1:], r="1/5")
-        verdict = decide_diagonal(system)
+        verdict = decide(system)
+        assert verdict.criterion == "diagonal-divisibility"
         divisible = all(a % 5 == 0 and b % 5 == 0 for a, b in entries[1:])
         assert (verdict.outcome == "Spectral") == divisible
         if verdict.outcome == "Spectral":
@@ -420,9 +446,10 @@ def test_random_diagonal_decisions_consistent_with_construction():
 def test_decide_triangular_accepts_remark_template_shapes():
     # lower triangular with constant rows, digits with a single direction
     lower_row = build_system(2, 3, [], [([[3, 0], [3, 3]], TRIPLE_A.digits)], r="11/20")
-    verdict = decide_triangular(lower_row)
-    assert verdict.outcome == "Spectral"
+    verdict = decide(lower_row)
+    assert (verdict.outcome, verdict.criterion) == ("Spectral", "triangular-template")
     assert "lower-row" in verdict.certificate["template"]
     bad = build_system(2, 3, [([[3, 0], [3, 3]], TRIPLE_A.digits)], [([[4, 0], [4, 4]], TRIPLE_B.digits)], r="11/20")
-    verdict = decide_triangular(bad)
-    assert verdict.outcome == "NotSpectral" and verdict.certificate["witness"] == (2, 1)
+    verdict = decide(bad)
+    assert (verdict.outcome, verdict.criterion) == ("NotSpectral", "triangular-template")
+    assert verdict.certificate["witness"] == (2, 1)

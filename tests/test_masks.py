@@ -13,7 +13,6 @@ from moranspec.masks import (
     coset_residues,
     find_zero_directions,
     mask_eval,
-    residue_vanishing_test,
 )
 
 
@@ -65,9 +64,9 @@ def test_mask_eval_float_periodicity():
 
 
 def test_residue_vanishing_examples():
-    assert residue_vanishing_test(SIERPINSKI, (1, 2), 3) is True
-    assert residue_vanishing_test(STAIRCASE, (1, 1), 5) is True
-    assert residue_vanishing_test(SQUARE_PLUS, (1, 1), 5) is False
+    assert find_zero_directions(SIERPINSKI, 3).direction_for_residue((1, 2)) is not None
+    assert find_zero_directions(STAIRCASE, 5).direction_for_residue((1, 1)) is not None
+    assert find_zero_directions(SQUARE_PLUS, 5).direction_for_residue((1, 1)) is None
 
 
 def test_residue_vanishing_oracle():
@@ -78,9 +77,11 @@ def test_residue_vanishing_oracle():
 
 def test_residue_vanishing_model_violation():
     with pytest.raises(ModelViolation):
-        residue_vanishing_test(SIERPINSKI, (1, 1), 5)
+        find_zero_directions(SIERPINSKI, 5)
     with pytest.raises(ModelViolation):
-        residue_vanishing_test(SIERPINSKI, (0, 0), 3)
+        find_zero_directions(DigitSet.from_vectors([(0,), (1,), (2,), (3,)]), 4)
+    # the zero class is never a direction
+    assert find_zero_directions(SIERPINSKI, 3).direction_for_residue((0, 0)) is None
 
 
 def test_scalar_closure_property():
@@ -93,10 +94,12 @@ def test_scalar_closure_property():
         nu = (rng.randint(0, 4), rng.randint(0, 4))
         if all(c % 5 == 0 for c in nu):
             continue
-        base = residue_vanishing_test(d, nu, 5)
+        # the mask vanishes on the coset line of nu iff <d, nu> mod 5 hits every residue once
+        base = sorted(sum(a * b for a, b in zip(digit, nu)) % 5 for digit in d.digits) == list(range(5))
+        z = find_zero_directions(d, 5)
         for j in range(1, 5):
             scaled = tuple(j * c % 5 for c in nu)
-            assert residue_vanishing_test(d, scaled, 5) == base
+            assert (z.direction_for_residue(scaled) is not None) == base
 
 
 def test_find_zero_directions_line():
@@ -189,8 +192,3 @@ def test_from_vectors_rejects_non_integral_coordinates():
         DigitSet.from_vectors([(0.5, 0), (1, 0), (0, 1)])
     assert DigitSet.from_vectors([(0, 0), (2.0, 0), (0, Fraction(4, 2))]).digits == ((0, 0), (2, 0), (0, 2))
 
-
-def test_residue_vanishing_test_rejects_non_integral_direction():
-    with pytest.raises(ValueError, match=r"\(1\.5, 2\)"):
-        residue_vanishing_test(SIERPINSKI, (1.5, 2), 3)
-    assert residue_vanishing_test(SIERPINSKI, (1.0, Fraction(4, 2)), 3)

@@ -11,7 +11,7 @@ from moranspec.analyzer import (
     verify_orthogonality,
 )
 from moranspec.builder import build_blocks, spectrum_levels
-from moranspec.decider import admissibility_scan, decide, decide_diagonal
+from moranspec.decider import admissibility_scan, decide
 from moranspec.render import render, support_points
 from moranspec.system import build_system
 
@@ -39,7 +39,8 @@ def test_decide_and_admissibility_in_dimension_three():
     verdict = decide(system)
     assert verdict.outcome == "Spectral"
     assert verdict.criterion == "diagonal-divisibility"
-    assert decide_diagonal(cube_system(scale=9)).outcome == "Spectral"
+    verdict = decide(cube_system(scale=9))
+    assert (verdict.outcome, verdict.criterion) == ("Spectral", "diagonal-divisibility")
     scan = admissibility_scan(cube_system(scale=9))
     assert scan.status == "certified" and scan.unconditional
 
