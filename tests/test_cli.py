@@ -229,9 +229,9 @@ def test_cli_validate_rejects_non_integer_entries(tmp_path, capsys, level, where
         ({"cycle": [{"R": [[9]], "D": [[0], [True], [2]]}]}, "cycle[0]"),
         ({"cycle": [{"R": [[9]], "D": [[0], [1], [2]], "zeros": [[1.5]]}]}, "cycle[0]"),
         ({"dimension": 1.9}, "dimension"),
-        ({"dimension": "1"}, "dimension"),
         ({"prime": 3.7}, "prime"),
         ({"params": {"r": "1/3", "c": True}}, "params.c"),
+        ({"dimension": "1"}, "dimension"),
     ],
 )
 def test_cli_validate_rejects_booleans_and_non_integral_values(tmp_path, capsys, change, where):
