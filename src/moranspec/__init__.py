@@ -51,6 +51,6 @@ from .pairs import (
     reduce_pair_mod,
     tower_pair,
 )
-from .render import PointCloud, parse_csv, read_ppm, render, support_points
+from .render import PointCloud, read_ppm, render, support_points
 from .specfile import load_document, load_system
 from .system import Level, MoranSystem, build_system

@@ -6,10 +6,13 @@ matrix products applied to digits. A cloud keeps them exactly, as an
 coordinate becomes a float by one correctly rounded division, so rounding
 never compounds across levels. Enumeration is mixed-radix over digit
 indices with the deepest level fastest, which makes every emitted file
-byte-reproducible. The writers work on whole arrays: one ``%`` template
-per text file and one indexed store per PPM canvas, with the same float
-operations, in the same order, as formatting point by point. The PPM
-canvas side is capped at ``MAX_PPM_SIDE``.
+byte-reproducible. The writers work on whole arrays, with the same float
+operations, in the same order, as formatting point by point. A text
+column of a diagonal system repeats a few values many times, so when the
+distinct values are at most half of all cells, each is formatted once
+and gathered per cell; otherwise one ``%`` template formats the whole
+file. A PPM canvas is one indexed store, its side capped at
+``MAX_PPM_SIDE``.
 """
 from __future__ import annotations
 
@@ -103,14 +106,25 @@ def render(cloud: PointCloud, fmt: str, out, size: int = 512):
     return out
 
 
+def _format_rows(table: np.ndarray, fmt: str, head: str, tails: list) -> str:
+    """Every row of the (N, k) float array: ``head``, then each value in ``fmt``
+    followed by its column's tail; the bytes of one ``%`` template per row."""
+    if 2 * sum(len(np.unique(col)) for col in table.T) > table.size:
+        row = head + "".join(fmt + tail for tail in tails)
+        return row * len(table) % tuple(table.ravel().tolist())
+    cells = np.empty(table.shape, dtype=object)
+    for j, tail in enumerate(tails):
+        # keyed on the bit pattern: np.unique would merge -0.0 into 0.0
+        keys, inv = np.unique(table[:, j].view(np.int64), return_inverse=True)
+        cell = (head if j == 0 else "") + fmt + tail
+        text = "\0".join([cell] * len(keys)) % tuple(keys.view(np.float64).tolist())
+        cells[:, j] = np.array(text.split("\0"), dtype=object)[inv]
+    return "".join(cells.ravel().tolist())
+
+
 def _write_csv(cloud: PointCloud, out: Path):
     f = cloud.floats
-    row = ",".join(["%.12f"] * f.shape[1]) + "\n"
-    out.write_text(row * len(f) % tuple(f.ravel().tolist()), encoding="ascii")
-
-
-def parse_csv(path) -> list:
-    return [tuple(float(v) for v in line.split(",")) for line in Path(path).read_text().splitlines() if line]
+    out.write_text(_format_rows(f, "%.12f", "", [","] * (f.shape[1] - 1) + ["\n"]), encoding="ascii")
 
 
 def _planar(cloud: PointCloud):
@@ -134,10 +148,13 @@ def _write_svg(cloud: PointCloud, out: Path):
     side = 1.0 / (2.0 * cloud.size)
     half = side / 2
     head = f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x0:.6f} {y0:.6f} {x1 - x0:.6f} {y1 - y0:.6f}">\n'
-    rect = f'<rect x="%.9f" y="%.9f" width="{side:.9f}" height="{side:.9f}" fill="black"/>\n'
+    tail = f'" width="{side:.9f}" height="{side:.9f}" fill="black"/>\n'
     # flip y so larger coordinates render upward: fy = y0 + y1 - y
     corners = np.column_stack((xs - half, (y0 + y1 - ys) - half))
-    out.write_text(head + rect * len(corners) % tuple(corners.ravel().tolist()) + "</svg>\n", encoding="ascii")
+    with out.open("w", encoding="ascii") as fh:
+        fh.write(head)
+        fh.write(_format_rows(corners, "%.9f", '<rect x="', ['" y="', tail]))
+        fh.write("</svg>\n")
 
 
 def _write_ppm(cloud: PointCloud, out: Path, size: int):

@@ -3,6 +3,7 @@ against the per-point reference implementations they replaced, which must
 produce the same numerators and the same bytes."""
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from moranspec.exact import Matrix, mixed_radix_sums  # noqa: E402
 from moranspec.render import render, support_points  # noqa: E402
+from moranspec.specfile import load_system  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
 from test_properties import triangular_levels  # noqa: E402
 
@@ -58,17 +60,22 @@ def _padded_box(pts):
     return x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
 
 
-def ref_svg(pts):
+def ref_corners(pts):
+    """The SVG marker corners (x - half, fy - half), fy = y0 + y1 - y."""
     pts = _planar(pts)
-    x0, x1, y0, y1 = _padded_box(pts)
+    _, _, y0, y1 = _padded_box(pts)
+    half = 1.0 / (2.0 * len(pts)) / 2
+    return [(x - half, (y0 + y1 - y) - half) for x, y in pts]
+
+
+def ref_svg(pts):
+    x0, x1, y0, y1 = _padded_box(_planar(pts))
     side = 1.0 / (2.0 * len(pts))
-    half = side / 2
     rows = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x0:.6f} {y0:.6f} {x1 - x0:.6f} {y1 - y0:.6f}">'
     ]
-    for x, y in pts:
-        fy = y0 + y1 - y
-        rows.append(f'<rect x="{x - half:.9f}" y="{fy - half:.9f}" width="{side:.9f}" height="{side:.9f}" fill="black"/>')
+    for x, y in ref_corners(pts):
+        rows.append(f'<rect x="{x:.9f}" y="{y:.9f}" width="{side:.9f}" height="{side:.9f}" fill="black"/>')
     rows.append("</svg>")
     return ("\n".join(rows) + "\n").encode("ascii")
 
@@ -153,3 +160,27 @@ def test_clouds_past_two_to_the_53_stay_exact(tmp_path, n, rows, digits):
     assert cloud.floats.tolist() == [[float(Fraction(x, cloud.den)) for x in p] for p in cloud.points]
     pts = ref_floats(system, 3)
     assert_files_match(cloud, pts, tmp_path, 37)
+
+
+def distinct_share(rows) -> float:
+    """The distinct values of each column, summed, over all cells."""
+    return sum(len(set(col)) for col in zip(*rows)) / (len(rows) * len(rows[0]))
+
+
+@pytest.mark.parametrize(
+    "name, fast",
+    # sierpinski_3i (R = 3I) repeats each coordinate: 9% distinct at depth 6;
+    # banded_nonspectral is 83% distinct there
+    [("sierpinski_3i", True), ("banded_nonspectral", False)],
+)
+def test_distinct_value_and_template_writers_match_reference_writers(tmp_path, name, fast):
+    """The text writers format each distinct value once when the distinct values
+    are at most half of all cells, else they fill one template; both sides
+    write the reference bytes."""
+    system = load_system(Path(__file__).parent / "fixtures" / f"{name}.json")
+    cloud = support_points(system, 6)
+    pts = ref_floats(system, 6)
+    assert (distinct_share(pts) <= 0.5) is fast
+    assert (distinct_share(ref_corners(pts)) <= 0.5) is fast
+    assert render(cloud, "csv", tmp_path / "c.csv").read_bytes() == ref_csv(pts)
+    assert render(cloud, "svg", tmp_path / "c.svg").read_bytes() == ref_svg(pts)
