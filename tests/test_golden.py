@@ -46,8 +46,6 @@ EXTRA = [
     ("spectrum-default", "banded_spectral", "spectrum", []),
     ("render-svg", "staircase_spectral", "render", ["--level", "3", "--format", "svg", "--out", "cloud.svg"]),
     ("render-ppm", "staircase_spectral", "render", ["--level", "3", "--format", "ppm", "--out", "cloud.ppm"]),
-    # mostly distinct coordinates: the SVG writer's one-template side
-    ("render-svg", "banded_nonspectral", "render", ["--level", "4", "--format", "svg", "--out", "cloud.svg"]),
     # the paper-scale example at its certified K = 9: one level of 19,683 elements
     ("spectrum-k9", "banded_spectral", "spectrum", ["--levels", "0", "--cap", "20000"]),
 ]

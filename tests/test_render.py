@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,18 @@ def test_svg_has_one_marker_per_point(tmp_path):
     text = render(cloud, "svg", tmp_path / "pts.svg").read_text()
     assert text.count("<rect") == cloud.size
     assert "viewBox" in text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_failed_formatting_leaves_no_file(tmp_path, monkeypatch, fmt):
+    def fail(*args):
+        raise MemoryError
+
+    # the package's ``render`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("moranspec.render"), "_format_rows", fail)
+    with pytest.raises(MemoryError):
+        render(support_points(sierpinski_3i(), 2), fmt, tmp_path / f"pts.{fmt}")
+    assert not (tmp_path / f"pts.{fmt}").exists()
 
 
 def test_ppm_header_and_pixel_count(tmp_path):
