@@ -11,6 +11,7 @@ shrink by the contraction ratio from any level onward.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -307,23 +308,17 @@ def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth
     return np.concatenate([np.empty((0, len(offsets)), dtype=complex), *_transform_chunks(system, offsets, bases, depth)])
 
 
-def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
-    """Yield the rows of ``transform_batch_multi``, a chunk of bases at a time.
+def _transform_plans(system: MoranSystem, offsets: np.ndarray, depth: int) -> list:
+    """(digits, float matrix, roots of unity) of levels 1..depth, the roots on the first w offsets.
 
-    Per level the exact integer phase residues mod q (int64 when they fit,
-    Python ints otherwise) become roots of unity once, and each mask factor
-    is a BLAS product of them with the per-base phase shifts. A factor is
-    computed on the first w offsets: the least w, a power of m dividing P
-    or else P, no less than the last level's, with phase column i equal to
-    column i mod w exactly (m^k at level k of a spectrum level). The
-    running product is tiled as w grows, keeping each value's products.
+    Exact integer phase residues mod q (int64 when they fit, Python ints
+    otherwise) become roots of unity once. w is the least width, a power of m
+    dividing P or else P, no less than the last level's, with phase column i
+    equal to column i mod w exactly (m^k at level k of a spectrum level).
     """
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
-    bases_f = np.array([[float(c) for c in b] for b in bases], dtype=float)
     n_points = len(offsets)
     max_lam = int(np.abs(offsets).max(initial=0)) + 1
     n = system.dimension
-
     plans, width, acc = [], 1, Matrix.identity(n)
     for k in range(1, depth + 1):
         acc = inverse_transpose(system.level(k).matrix).mul(acc)  # (R_1^t ... R_k^t)^-1 = m_int / q
@@ -333,21 +328,42 @@ def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
         max_d = int(np.abs(d_arr).max(initial=0)) + 1
         fits = n * n * max_m * max_lam * max_d < _INT64_LIMIT and q < _INT64_LIMIT
         m_arr = np.array(m_int, dtype=np.int64 if fits else object)
-        int_phases = (d_arr @ (m_arr @ offsets.T)) % q  # (m, P)
+        int_phases = ((d_arr @ m_arr) @ offsets.T) % q  # (m, P)
         while width < n_points and not (int_phases.reshape(len(d_arr), -1, width) == int_phases[:, None, :width]).all():
             width = width * system.prime if n_points % (width * system.prime) == 0 else n_points
         roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
         plans.append((d_arr, np.array(m_int, dtype=float) / q, roots))
+    return plans
+
+
+def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
+    """Yield the rows of ``transform_batch_multi``, a chunk of bases at a time.
+
+    Each mask factor is a BLAS product of a level's roots with the per-base
+    phase shifts, scaled by 1/m in place on its float view: numpy divides a
+    complex by a real through the reciprocal, so the bits are those of ``/ m``
+    up to the sign of an exact zero. The running product, w' columns wide, is
+    broadcast into the factor viewed as (B, w / w', w') and multiplied in
+    place, so column i takes column i mod w' as a tile would. The order is
+    running product times factor: numpy's complex multiply uses FMA and is
+    not bitwise commutative.
+    """
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
+    bases_f = np.array([[float(c) for c in b] for b in bases], dtype=float)
+    n_points = len(offsets)
+    plans = _transform_plans(system, offsets, depth)
 
     chunk = max(1, _VALUE_CHUNK // max(n_points, 1))
     for b0 in range(0, len(bases_f), chunk):
         sub = bases_f[b0 : b0 + chunk]
         vals = np.ones((len(sub), 1), dtype=complex)
         for d_arr, a_float, roots in plans:
-            if roots.shape[1] > vals.shape[1]:
-                vals = np.tile(vals, roots.shape[1] // vals.shape[1])
             shifts = np.exp(2j * np.pi * (d_arr @ (a_float @ sub.T)))  # (m, B)
-            vals *= (shifts.T @ roots) / len(d_arr)
+            factor = shifts.T @ roots
+            np.multiply(factor.view(float), 1 / len(d_arr), out=factor.view(float))
+            grid = factor.reshape(len(sub), -1, vals.shape[1])
+            np.multiply(vals[:, None, :], grid, out=grid)
+            vals = factor
         yield np.tile(vals, n_points // vals.shape[1]) if n_points > vals.shape[1] else vals
 
 
@@ -390,7 +406,7 @@ def completeness_scan(
     # sample points as tuples of Python floats, which witnesses report as they are
     pts = [tuple(i / grid for i in idx) for idx in np.ndindex(*([grid] * n))]
     pts += [tuple(rng.random(n).tolist()) for _ in range(extra_points)]
-    offsets = np.array(top.elements, dtype=np.int64)
+    offsets = np.fromiter(itertools.chain.from_iterable(top.elements), dtype=np.int64).reshape(top.size, -1)
 
     eps_numeric = 16 * depth * 1e-13 * math.sqrt(len(offsets)) + len(offsets) * 2.3e-16
     witnesses = []

@@ -1,7 +1,8 @@
 """Property tests: the numpy orthogonality check against a plain pair loop,
 the batched zero-level search against the scalar find_zero_level, the
-prefix-width transform against a full-width evaluation, and the streamed
-completeness scan against its default run."""
+prefix-width transform against a full-width evaluation and, bit for bit,
+against the tiled loop it replaced, and the streamed completeness scan
+against its default run."""
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -208,32 +209,121 @@ def full_width_transform(system, offsets, bases, depth):
 
 
 def prefix_transform(system, offsets, bases, depth):
-    """transform_batch_multi and the widths its running product is tiled to."""
-    with mock.patch.object(np, "tile", wraps=np.tile) as tile:
+    """transform_batch_multi and the widths its running product grows to, the
+    last one P when the last level's width falls short of it."""
+    plans = []
+
+    def record(*args):
+        plans.extend(real_plans(*args))
+        return plans
+
+    real_plans = analyzer._transform_plans
+    with mock.patch.object(analyzer, "_transform_plans", side_effect=record):
         values = analyzer.transform_batch_multi(system, np.array(offsets, dtype=np.int64), bases, depth)
-    return values, [call.args[0].shape[1] * call.args[1] for call in tile.call_args_list]
+    level_widths = [roots.shape[1] for _, _, roots in plans]
+    widths = [w for prev, w in zip([1] + level_widths, level_widths) if w > prev]
+    return values, widths + [len(offsets)] * (level_widths[-1] < len(offsets))
+
+
+def tiled_transform(system, offsets, bases, depth):
+    """transform_batch_multi as it was before the running product was broadcast
+    in place: phases as d @ (M @ offsets), the running product tiled as the
+    width grows, each factor divided by m as a complex array."""
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
+    bases_f = np.array([[float(c) for c in b] for b in bases], dtype=float)
+    n_points = len(offsets)
+    max_lam = int(np.abs(offsets).max(initial=0)) + 1
+    n = system.dimension
+    plans, width, acc = [], 1, Matrix.identity(n)
+    for k in range(1, depth + 1):
+        acc = inverse_transpose(system.level(k).matrix).mul(acc)
+        m_int, q = acc.num, acc.den
+        d_arr = np.array(system.level(k).digits.digits, dtype=np.int64)
+        max_m = max(abs(v) for row in m_int for v in row) + 1
+        max_d = int(np.abs(d_arr).max(initial=0)) + 1
+        fits = n * n * max_m * max_lam * max_d < analyzer._INT64_LIMIT and q < analyzer._INT64_LIMIT
+        m_arr = np.array(m_int, dtype=np.int64 if fits else object)
+        int_phases = (d_arr @ (m_arr @ offsets.T)) % q
+        while width < n_points and not (int_phases.reshape(len(d_arr), -1, width) == int_phases[:, None, :width]).all():
+            width = width * system.prime if n_points % (width * system.prime) == 0 else n_points
+        roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
+        plans.append((d_arr, np.array(m_int, dtype=float) / q, roots))
+    rows = []
+    chunk = max(1, analyzer._VALUE_CHUNK // max(n_points, 1))
+    for b0 in range(0, len(bases_f), chunk):
+        sub = bases_f[b0 : b0 + chunk]
+        vals = np.ones((len(sub), 1), dtype=complex)
+        for d_arr, a_float, roots in plans:
+            if roots.shape[1] > vals.shape[1]:
+                vals = np.tile(vals, roots.shape[1] // vals.shape[1])
+            shifts = np.exp(2j * np.pi * (d_arr @ (a_float @ sub.T)))
+            vals *= (shifts.T @ roots) / len(d_arr)
+        rows.append(np.tile(vals, n_points // vals.shape[1]) if n_points > vals.shape[1] else vals)
+    return np.concatenate([np.empty((0, n_points), dtype=complex), *rows])
+
+
+@st.composite
+def transform_cases(draw):
+    """(system, kind, offsets, bases, depth): the top level of a random tower,
+    the same with one label moved, or arbitrary offsets, at a depth up to two
+    levels beyond the product length."""
+    system, K, blocks = draw(towers())
+    decomp = build_blocks(system, K=K, blocks=blocks)
+    offsets = list(spectrum_levels(decomp, blocks - 1, enforce_containment=False)[-1].elements)
+    kind = draw(st.sampled_from(("nested", "perturbed", "arbitrary")))
+    coordinate = st.integers(-40, 40)
+    if kind == "perturbed":
+        index = draw(st.integers(1, len(offsets) - 1))
+        shift = draw(st.tuples(*[coordinate] * system.dimension).filter(any))
+        offsets[index] = tuple(x + y for x, y in zip(offsets[index], shift))
+    elif kind == "arbitrary":
+        offsets = draw(st.lists(st.tuples(*[coordinate] * system.dimension), min_size=1, max_size=40))
+    bases = draw(st.lists(st.tuples(*[st.floats(-2, 2)] * system.dimension), min_size=1, max_size=4))
+    return system, kind, offsets, bases, blocks * K + draw(st.integers(0, 2))
 
 
 @settings(max_examples=40, deadline=None)
-@given(towers(), st.integers(0, 2), st.sampled_from(("nested", "perturbed", "arbitrary")), st.data())
-def test_prefix_width_transform_matches_full_width(case, extra_depth, kind, data):
-    system, K, blocks = case
-    decomp = build_blocks(system, K=K, blocks=blocks)
-    offsets = list(spectrum_levels(decomp, blocks - 1, enforce_containment=False)[-1].elements)
-    coordinate = st.integers(-40, 40)
-    if kind == "perturbed":
-        index = data.draw(st.integers(1, len(offsets) - 1))
-        shift = data.draw(st.tuples(*[coordinate] * system.dimension).filter(any))
-        offsets[index] = tuple(x + y for x, y in zip(offsets[index], shift))
-    elif kind == "arbitrary":
-        offsets = data.draw(st.lists(st.tuples(*[coordinate] * system.dimension), min_size=1, max_size=40))
-    bases = data.draw(st.lists(st.tuples(*[st.floats(-2, 2)] * system.dimension), min_size=1, max_size=4))
-    depth = blocks * K + extra_depth
+@given(transform_cases())
+def test_prefix_width_transform_matches_full_width(case):
+    system, kind, offsets, bases, depth = case
     values, widths = prefix_transform(system, offsets, bases, depth)
     np.testing.assert_allclose(values, full_width_transform(system, offsets, bases, depth), rtol=0, atol=1e-12)
     if kind == "nested":
         # level 1 depends on the first label only, which varies fastest
         assert widths[0] <= system.prime
+
+
+def assert_same_bits(got, expected):
+    # -0.0 == 0.0, so an exact zero may differ in sign only
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(float), expected.view(float))
+
+
+@settings(max_examples=80, deadline=None)
+@given(transform_cases(), st.sampled_from((None, 1, 60, 100)), st.sampled_from((None, 2**8)))
+def test_transform_is_bitwise_the_tiled_loop(case, budget, limit):
+    # budgets of 1, 60 and 100 values split the bases into chunks; a limit of
+    # 2^8 sends the phase residues to Python ints (object arrays)
+    system, _, offsets, bases, depth = case
+    offsets = np.array(offsets, dtype=np.int64)
+    with mock.patch.object(analyzer, "_VALUE_CHUNK", budget or analyzer._VALUE_CHUNK):
+        with mock.patch.object(analyzer, "_INT64_LIMIT", limit or analyzer._INT64_LIMIT):
+            got = analyzer.transform_batch_multi(system, offsets, bases, depth)
+            expected = tiled_transform(system, offsets, bases, depth)
+    assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize(
+    "name, K, blocks, extra_depth",
+    [("sierpinski_3i", 3, 3, 0), ("sierpinski_3i", 1, 4, 2), ("square_plus_b1", 2, 2, 1), ("banded_spectral", 2, 2, 0)],
+)
+def test_transform_is_bitwise_the_tiled_loop_on_fixture_spectra(name, K, blocks, extra_depth):
+    # up to 19,683 offsets and 70 bases, so BLAS multiplies full-size blocks
+    system = SYSTEMS[name]
+    offsets = np.array(spectrum_levels(build_blocks(system, K=K, blocks=blocks), blocks - 1, enforce_containment=False)[-1].elements)
+    bases = np.random.default_rng(7).uniform(-2, 2, (70, system.dimension)).tolist()
+    depth = K * blocks + extra_depth
+    assert_same_bits(analyzer.transform_batch_multi(system, offsets, bases, depth), tiled_transform(system, offsets, bases, depth))
 
 
 def test_prefix_widths_fall_back_when_the_tower_is_broken():
