@@ -1,8 +1,8 @@
 """Property tests: the numpy orthogonality check against a plain pair loop,
 the batched zero-level search against the scalar find_zero_level, the
 prefix-width transform against a full-width evaluation and, bit for bit,
-against the tiled loop it replaced, and the streamed completeness scan
-against its default run."""
+against a tiled reference loop, and the streamed completeness scan against
+its default run."""
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -211,24 +211,24 @@ def full_width_transform(system, offsets, bases, depth):
 def prefix_transform(system, offsets, bases, depth):
     """transform_batch_multi and the widths its running product grows to, the
     last one P when the last level's width falls short of it."""
-    plans = []
+    real_plans, calls = analyzer._transform_plans, []
 
     def record(*args):
-        plans.extend(real_plans(*args))
-        return plans
+        calls.append(real_plans(*args))
+        return calls[-1]
 
-    real_plans = analyzer._transform_plans
     with mock.patch.object(analyzer, "_transform_plans", side_effect=record):
         values = analyzer.transform_batch_multi(system, np.array(offsets, dtype=np.int64), bases, depth)
+    (plans,) = calls
     level_widths = [roots.shape[1] for _, _, roots in plans]
     widths = [w for prev, w in zip([1] + level_widths, level_widths) if w > prev]
     return values, widths + [len(offsets)] * (level_widths[-1] < len(offsets))
 
 
 def tiled_transform(system, offsets, bases, depth):
-    """transform_batch_multi as it was before the running product was broadcast
-    in place: phases as d @ (M @ offsets), the running product tiled as the
-    width grows, each factor divided by m as a complex array."""
+    """transform_batch_multi by a tiled reference loop: phases as
+    d @ (M @ offsets), the running product tiled as the width grows, each
+    factor divided by m as a complex array."""
     offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
     bases_f = np.array([[float(c) for c in b] for b in bases], dtype=float)
     n_points = len(offsets)
@@ -295,7 +295,6 @@ def test_prefix_width_transform_matches_full_width(case):
 
 def assert_same_bits(got, expected):
     # -0.0 == 0.0, so an exact zero may differ in sign only
-    assert got.shape == expected.shape
     assert np.array_equal(got.view(float), expected.view(float))
 
 
