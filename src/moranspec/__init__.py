@@ -14,11 +14,9 @@ from .analyzer import (
 )
 from .builder import (
     BlockDecomposition,
-    BlockSizeInfo,
     SpectrumLevel,
-    TransformRecord,
-    block_size_parameters,
     build_blocks,
+    certified_block_size,
     choose_block_size,
     find_admissible_direction,
     normalize_first_level,
@@ -51,6 +49,6 @@ from .pairs import (
     reduce_pair_mod,
     tower_pair,
 )
-from .render import PointCloud, read_ppm, render, support_points
+from .render import PointCloud, render, support_points
 from .specfile import load_document, load_system
 from .system import Level, MoranSystem, build_system

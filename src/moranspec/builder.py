@@ -33,39 +33,20 @@ from .system import MoranSystem
 LEVEL_CAP = 10**6  # default cap on the elements of the top spectrum level
 
 
-@dataclass(frozen=True)
-class TransformRecord:
-    """Linear change of variables between a system and its normalized form.
-
-    ``forward`` maps spectra of the original system to spectra of the
-    normalized one; ``back`` is its inverse.
-    """
-
-    forward: Matrix
-    back: Matrix
-
-    @property
-    def is_identity(self) -> bool:
-        return self.forward == Matrix.identity(self.forward.n)
-
-
 def normalize_first_level(system: MoranSystem):
-    """Replace R_1 by m*I, returning the conjugated system and the transform.
+    """Replace R_1 by m*I, returning the conjugated system and the matrix back.
 
     The transformed measure is the original composed with a linear map, so
-    spectrality is preserved and spectra translate through the recorded
-    matrices: forward = m (R_1^t)^-1 applied to original spectra, back its
-    inverse applied to constructed ones.
+    spectrality is preserved: back = R_1^t / m maps spectra of the
+    normalized system to spectra of the original one.
     """
     m = system.prime
-    n = system.dimension
     first = system.level(1)
-    target = Matrix.diagonal([m] * n)
-    forward = target.mul(first.matrix.transpose().inverse())
-    back = forward.inverse()
-    record = TransformRecord(forward=forward, back=back)
+    rt = first.matrix.transpose()
+    back = Matrix(rt.num, rt.den * m)
+    target = Matrix.diagonal([m] * system.dimension)
     if first.matrix == target:
-        return system, record
+        return system, back
     new_first = replace(first, matrix=target)
     if system.preamble:
         preamble, cycle = (new_first,) + system.preamble[1:], system.cycle
@@ -73,7 +54,7 @@ def normalize_first_level(system: MoranSystem):
         preamble, cycle = (new_first,), system.cycle[1:] + system.cycle[:1]
     r = max(system.r, (1.0 / m) * (1 + 1e-12))
     normalized = replace(system, preamble=preamble, cycle=cycle, r=r)
-    return normalized, record
+    return normalized, back
 
 
 def find_admissible_direction(system: MoranSystem, k: int):
@@ -87,13 +68,11 @@ def find_admissible_direction(system: MoranSystem, k: int):
     return None
 
 
-@dataclass(frozen=True)
-class BlockSizeInfo:
-    warmup: int  # least depth M after which every remaining mask factor is >= 1/2
-    block: int  # chosen K
+def certified_block_size(system: MoranSystem) -> int:
+    """Least block size K whose tail bound keeps the rescaled levels in the padded box.
 
-
-def block_size_parameters(system: MoranSystem) -> BlockSizeInfo:
+    K is at least the warmup depth, the least M after which every remaining mask factor is >= 1/2.
+    """
     s = system.digit_norm_bound()
     r = system.r
     c = system.c
@@ -111,12 +90,12 @@ def block_size_parameters(system: MoranSystem) -> BlockSizeInfo:
     def tail(K):
         return c * c * (math.sqrt(n) / 2) * r**K / (1 - r**K)
 
-    K = max(M, 1)
+    K = M
     while tail(K) > delta / 4:
         K += 1
         if K > 10_000:
             raise ValueError("contraction too weak, block size exploded")
-    return BlockSizeInfo(warmup=M, block=K)
+    return K
 
 
 def choose_block_size(system: MoranSystem) -> int:
@@ -128,7 +107,7 @@ def choose_block_size(system: MoranSystem) -> int:
     for k, _ in system.levels_from(2):
         if find_admissible_direction(system, k) is None:
             raise NoAdmissibleDirection(k)
-    return block_size_parameters(system).block
+    return certified_block_size(system)
 
 
 def _centered_class(nu, m: int) -> tuple:
@@ -166,11 +145,8 @@ def _level_pair(system: MoranSystem, k: int, b: int):
     level = system.level(k)
     idx = find_admissible_direction(system, k)
     if idx is None:
-        raise NoAdmissibleDirection(
-            k,
-            f"level {k} has no admissible direction"
-            + (" (normalize the first level to m*I first)" if k == 1 else ""),
-        )
+        hint = f"level {k} has no admissible direction (normalize the first level to m*I first)"
+        raise NoAdmissibleDirection(k, hint if k == 1 else None)
     rt = level.matrix.transpose()
     labels = []
     for c in _centered_class(level.zeros.directions[idx], m):
@@ -202,7 +178,7 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
     if K is None:
         K = certified_K = choose_block_size(system)
     else:
-        certified_K = block_size_parameters(system).block
+        certified_K = certified_block_size(system)
     pairs = {}  # level -> its certified pair; a failure is not kept, so it raises at its first block
     built = []
     for b in range(blocks):
@@ -261,7 +237,8 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
     check_level_cap(system.prime, K, upto, cap)
 
     blocks = decomp.blocks[: upto + 1]
-    assert all(block.labels[0] == (0,) * n for block in blocks)
+    if any(block.labels[0] != (0,) * n for block in blocks):
+        raise ValueError("every block's first label must be 0, else the levels are not sums over their blocks")
     coefs = [Matrix.identity(n)]  # R~_0^t ... R~_{k-1}^t
     for block in blocks[:-1]:
         coefs.append(coefs[-1].mul(block.matrix.transpose()))

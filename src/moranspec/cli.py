@@ -104,11 +104,11 @@ def cmd_decide(args, system):
 def _prepare_blocks(system, args, top, containment):
     """Fit K to an explicit --cap, test the cap and --depth, then build the normalized system's blocks and levels 0..top.
 
-    Returns (record, decomposition, levels); ``containment`` is the
-    ``enforce_containment`` of ``spectrum_levels``.
+    Returns (back, decomposition, levels) with ``back`` from ``normalize_first_level``;
+    ``containment`` is the ``enforce_containment`` of ``spectrum_levels``.
     """
     cap = args.cap or LEVEL_CAP
-    normalized, record = normalize_first_level(system)
+    normalized, back = normalize_first_level(system)
     if args.block_size is not None:
         K = args.block_size
     else:
@@ -118,19 +118,19 @@ def _prepare_blocks(system, args, top, containment):
     check_level_cap(normalized.prime, K, top, cap)
     _check_sizes(args, depth=(top + 1) * K)
     decomp = build_blocks(normalized, K=K, blocks=top + 1)
-    return record, decomp, spectrum_levels(decomp, top, cap=cap, enforce_containment=containment)
+    return back, decomp, spectrum_levels(decomp, top, cap=cap, enforce_containment=containment)
 
 
 def cmd_spectrum(args, system):
-    record, decomp, levels = _prepare_blocks(system, args, args.levels, None)
+    back, decomp, levels = _prepare_blocks(system, args, args.levels, None)
     report = {
         "block_size": decomp.K,
         "certified_block_size": decomp.certified_K,
         "meets_certified_bound": decomp.meets_certified_bound,
         "level_sizes": [lvl.size for lvl in levels],
         "containment_checked": [lvl.containment_checked for lvl in levels],
-        "normalized_first_level": not record.is_identity,
-        "spectrum_transform_back": [[str(v) for v in row] for row in record.back.rows],
+        "normalized_first_level": decomp.system is not system,
+        "spectrum_transform_back": [[str(v) for v in row] for row in back.rows],
         "top_level_sample": [list(v) for v in levels[-1].elements[:10]],
     }
     return {"report": report}, 0

@@ -30,7 +30,7 @@ class NoAdmissibleDirection(MoranError):
 
     def __init__(self, level, message=None):
         self.level = level
-        super().__init__(message or f"no admissible zero direction at level {level}")
+        super().__init__(message or f"level {level} has no admissible direction")
 
 
 class PairVerificationFailed(MoranError):

@@ -256,22 +256,6 @@ def _psd(s) -> bool:
     return True
 
 
-def _gram_psd(m: Matrix, scale: int, shift: int) -> bool:
-    """Whether scale * N^t N + shift * I is PSD, for the numerators N of ``m``."""
-    g = _gram(m.num)
-    return _psd([[scale * v + (shift if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(g)])
-
-
-def norm_bound_holds(m: Matrix, bound) -> bool:
-    """Exact test of ``operator norm of m <= bound``, sharp at equality.
-
-    That is bound^2 I - m^T m PSD; with bound = p/q and m = N/d it is
-    decided on the integer matrix p^2 d^2 I - q^2 N^t N.
-    """
-    b = Fraction(bound)
-    return b >= 0 and _gram_psd(m, -(b.denominator**2), (b.numerator * m.den) ** 2)
-
-
 def check_contraction(m: Matrix, r) -> bool:
     """True iff the inverse of ``m`` has Euclidean operator norm <= r.
 
@@ -281,13 +265,15 @@ def check_contraction(m: Matrix, r) -> bool:
     SingularMatrix when det(m) = 0.
     """
     r = Fraction(r)
-    holds = r >= 0 and _gram_psd(m, r.numerator**2, -((r.denominator * m.den) ** 2))
+    p2, q2d2 = r.numerator**2, (r.denominator * m.den) ** 2
+    g = _gram(m.num)
+    holds = r >= 0 and _psd([[p2 * v - (q2d2 if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(g)])
     if not holds and not _bareiss(m.num)[0]:
         raise SingularMatrix("matrix is singular")
     return holds
 
 
-def _prime_factors(q: int) -> tuple:
+def prime_factors(q: int) -> tuple:
     """The distinct primes dividing q, ascending."""
     primes, p = [], 2
     while p * p <= q:
@@ -316,7 +302,7 @@ def cyclotomic_vanishes(exponents: Iterable[int], q: int) -> bool:
     """
     if q < 1:
         raise ValueError("q must be positive")
-    primes = _prime_factors(q)
+    primes = prime_factors(q)
     s = q // math.prod(primes)
     # reduce in Python so exponents beyond int64 never reach numpy
     t, c = np.divmod(np.fromiter((e % q for e in exponents), dtype=np.int64), s)

@@ -17,21 +17,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModelViolation
-from .exact import IntVec, intvec, vec_dot
+from .errors import CapExceeded, DimensionMismatch, ModelViolation
+from .exact import IntVec, intvec, prime_factors, vec_dot
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+ZERO_DIRECTION_CAP = 10**5  # at most this many canonical directions are enumerated per digit set
 
 
 @dataclass(frozen=True)
@@ -134,13 +124,18 @@ def find_zero_directions(digits: DigitSet, modulus: int) -> ZeroStructure:
     """All zero-direction classes of the digit set, canonical and sorted.
 
     Only the canonical representatives (0, ..., 0, 1, *) are tested, more
-    leading zeros first, which is lexicographic order.
+    leading zeros first, which is lexicographic order. Raises CapExceeded
+    before enumerating when their count (m^n - 1)/(m - 1) exceeds
+    ZERO_DIRECTION_CAP.
     """
     if digits.size != modulus:
         raise ModelViolation(f"digit count {digits.size} differs from modulus {modulus}")
-    if not is_prime(modulus):
+    if prime_factors(modulus) != (modulus,):
         raise ModelViolation(f"modulus {modulus} is not prime")
     m, n = modulus, digits.n
+    count = (m**n - 1) // (m - 1)
+    if count > ZERO_DIRECTION_CAP:
+        raise CapExceeded(f"{count} canonical directions mod {m} in dimension {n}, cap is {ZERO_DIRECTION_CAP}")
     reps = [(0,) * k + (1,) + tail for k in reversed(range(n)) for tail in product(range(m), repeat=n - 1 - k)]
     # <nu, d> mod m for every representative and digit, exact in int64 as all entries lie in [0, m)
     digits_mod = np.array([[c % m for c in d] for d in digits.digits], dtype=np.int64)

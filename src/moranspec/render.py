@@ -174,19 +174,3 @@ def _write_ppm(cloud: PointCloud, out: Path, size: int):
     header = f"P6 {width} {height} 255\n".encode("ascii")
     out.write_bytes(header + canvas.tobytes())
 
-
-def read_ppm(path):
-    """(width, height, dark_pixel_count) of a binary P6 file."""
-    raw = Path(path).read_bytes()
-    header, _, body = raw.partition(b"\n")
-    fields = header.split()
-    if fields[:1] != [b"P6"]:
-        raise IoFailure("not a binary P6 file")
-    if len(fields) != 4 or not all(f.isdigit() for f in fields[1:]):
-        raise IoFailure(f"P6 header needs width, height and maxval, got {header!r}")
-    width, height = int(fields[1]), int(fields[2])
-    want = width * height * 3
-    if len(body) < want:
-        raise IoFailure(f"P6 body holds {len(body)} bytes, {width}x{height} pixels need {want}")
-    dark = np.frombuffer(body, np.uint8, want)[::3] < 128
-    return width, height, int(dark.sum())

@@ -13,8 +13,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import DimensionMismatch, ModelViolation, ValidationFailure
-from .exact import Matrix, check_contraction, operator_norm_upper
-from .masks import DigitSet, ZeroStructure, canonical_direction, find_zero_directions, is_prime
+from .exact import Matrix, check_contraction, operator_norm_upper, prime_factors
+from .masks import DigitSet, ZeroStructure, canonical_direction, find_zero_directions
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,8 @@ def _make_level(item, where: str, dimension: int, prime: int, seen: dict) -> Lev
             "digit-count", f"{where}: digit set has {digits.size} elements, the model requires exactly {prime}", where
         )
     if digits not in seen:
+        if prime_factors(prime) != (prime,):  # trial division bounded by the digit count just checked
+            raise ValidationFailure("primality", f"digit cardinality {prime} must be a prime")
         seen[digits] = find_zero_directions(digits, prime)
     computed = seen[digits]
     if zeros is not None:
@@ -152,7 +154,7 @@ def build_system(
     dimension, prime = _integer(dimension, "dimension"), _integer(prime, "prime")
     if dimension < 1:
         raise ValidationFailure("format", "dimension must be at least 1")
-    if not is_prime(prime):
+    if prime < 2:  # a larger composite is found at its first level, whose digit count bounds the trial division
         raise ValidationFailure("primality", f"digit cardinality {prime} must be a prime")
     delta = Fraction(delta) if delta is not None else Fraction(1, 8)
     beta = Fraction(beta) if beta is not None else Fraction(1, 8 * prime)

@@ -12,15 +12,18 @@ HYPOTHESIS_PROFILE environment variable names it.
 written out for comparison with ``decide``. The admissibility helpers
 read the scan's private routines: the box image widths of the Fraction
 oracle, the exact nearest box point as Fractions, and a float resampling
-cross-check of the whole scan.
+cross-check of the whole scan. ``read_ppm`` reads back the binary PPM files
+that the render tests write.
 """
 import math
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from moranspec.decider import _box_faces, _nearest_box_point
+from moranspec.errors import IoFailure
 from moranspec.exact import vec_dot
 from moranspec.masks import DigitSet, coset_residues
 
@@ -109,3 +112,20 @@ def resample_admissibility(system, samples: int = 10_000, seed: int = 0) -> bool
                     if (dist < beta - 1e-12).any():
                         return False
     return True
+
+
+def read_ppm(path):
+    """(width, height, dark_pixel_count) of a binary P6 file."""
+    raw = Path(path).read_bytes()
+    header, _, body = raw.partition(b"\n")
+    fields = header.split()
+    if fields[:1] != [b"P6"]:
+        raise IoFailure("not a binary P6 file")
+    if len(fields) != 4 or not all(f.isdigit() for f in fields[1:]):
+        raise IoFailure(f"P6 header needs width, height and maxval, got {header!r}")
+    width, height = int(fields[1]), int(fields[2])
+    want = width * height * 3
+    if len(body) < want:
+        raise IoFailure(f"P6 body holds {len(body)} bytes, {width}x{height} pixels need {want}")
+    dark = np.frombuffer(body, np.uint8, want)[::3] < 128
+    return width, height, int(dark.sum())

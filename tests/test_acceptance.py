@@ -15,6 +15,7 @@ from conftest import (
     TRIPLE_A,
     TRIPLE_B,
     divides_its_direction,
+    read_ppm,
     resample_admissibility,
 )
 from moranspec.analyzer import (
@@ -30,7 +31,7 @@ from moranspec.decider import (
 from moranspec.errors import DeterminantViolation
 from moranspec.masks import DigitSet, find_zero_directions, mask_eval
 from moranspec.pairs import is_compatible_pair, reduce_pair_mod, tower_pair
-from moranspec.render import read_ppm, render, support_points
+from moranspec.render import render, support_points
 from moranspec.system import build_system
 
 

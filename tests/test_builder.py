@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,8 +8,8 @@ import pytest
 
 from conftest import SIERPINSKI, STAIRCASE
 from moranspec.builder import (
-    block_size_parameters,
     build_blocks,
+    certified_block_size,
     choose_block_size,
     find_admissible_direction,
     normalize_first_level,
@@ -34,20 +35,20 @@ def staircase_system(cycle_diag=(10, 5)):
 
 def test_normalize_identity_case():
     sys3 = sierpinski_3i()
-    normalized, record = normalize_first_level(sys3)
+    normalized, back = normalize_first_level(sys3)
     assert normalized is sys3
-    assert record.is_identity
+    assert back == Matrix.identity(2)
 
 
 def test_normalize_nine_to_three():
     sys9 = build_system(2, 3, [], [([[9, 0], [0, 3 * 3]], SIERPINSKI.digits)], r="1/3")
-    normalized, record = normalize_first_level(sys9)
+    normalized, back = normalize_first_level(sys9)
     assert normalized.level(1).matrix == Matrix.diagonal([3, 3])
     assert normalized.level(2).matrix == Matrix.diagonal([9, 9])
-    # forward = 3 * (9 I)^-1 = (1/3) I
-    assert record.forward.rows == ((Fraction(1, 3), 0), (0, Fraction(1, 3)))
-    assert record.back.rows == ((Fraction(3), 0), (0, Fraction(3)))
-    assert not record.is_identity
+    # back = (9 I)^t / 3 = 3 I, the inverse of forward = 3 (9 I)^-t = (1/3) I
+    assert back.rows == ((3, 0), (0, 3))
+    assert back.inverse().rows == ((Fraction(1, 3), 0), (0, Fraction(1, 3)))
+    assert back != Matrix.identity(2)
 
 
 def test_normalize_preserves_transform_values():
@@ -56,11 +57,12 @@ def test_normalize_preserves_transform_values():
     from moranspec.analyzer import truncated_transform
 
     sys9 = build_system(2, 3, [], [([[9, 0], [0, 9]], SIERPINSKI.digits)], r="1/3")
-    normalized, record = normalize_first_level(sys9)
+    normalized, back = normalize_first_level(sys9)
+    forward = back.inverse()
     rng = random.Random(5)
     for _ in range(10):
         xi = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(2))
-        eta = record.forward.mul_vec(xi)
+        eta = forward.mul_vec(xi)
         a = truncated_transform(sys9, xi, 6).value
         b = truncated_transform(normalized, eta, 6).value
         assert a == pytest.approx(b, abs=1e-12)
@@ -79,9 +81,7 @@ def test_block_size_formula_closed_form():
     # n=2, r=1/3, c=1. With s=1 (Sierpinski digits) the warmup needs
     # 2*pi*s*(3*sqrt(2)/2)*(1/3)^M <= 1/2, first true at M=3, and the
     # geometric tail (sqrt(2)/2)*3^-K/(1-3^-K) <= 1/32 already at K=3.
-    info = block_size_parameters(sierpinski_3i())
-    assert info.warmup == 3
-    assert info.block == 3
+    assert certified_block_size(sierpinski_3i()) == 3
     assert math.sqrt(2) / 2 * 3.0**-3 / (1 - 3.0**-3) <= 1 / 32
     assert 2 * math.pi * 1.0 * (3 * math.sqrt(2) / 2) * (1 / 3) ** 3 <= 0.5
     assert 2 * math.pi * 1.0 * (3 * math.sqrt(2) / 2) * (1 / 3) ** 2 > 0.5
@@ -95,16 +95,14 @@ def test_block_size_with_larger_digit_norm():
         2, 3, [], [([[3, 0], [0, 3]], [(0, 0), (1, 0), (1, 1)])], r="1/3"
     )
     assert sys_s2.digit_norm_bound() == pytest.approx(math.sqrt(2), rel=1e-9)
-    info = block_size_parameters(sys_s2)
-    assert info.warmup == 4
-    assert info.block == 4
+    assert certified_block_size(sys_s2) == 4
     assert math.sqrt(2) / 2 * 3.0**-3 / (1 - 3.0**-3) <= 1 / 32
 
 
 def test_block_size_monotone_in_delta():
     base = sierpinski_3i()
     smaller = build_system(2, 3, [], [([[3, 0], [0, 3]], SIERPINSKI.digits)], r="1/3", delta="1/100")
-    assert block_size_parameters(smaller).block >= block_size_parameters(base).block
+    assert certified_block_size(smaller) >= certified_block_size(base)
 
 
 def test_choose_block_size_requires_admissible_directions():
@@ -215,14 +213,14 @@ def test_normalized_spectrum_pulls_back_to_orthogonal_set():
     from moranspec.analyzer import verify_orthogonality
 
     sys9 = build_system(2, 3, [], [([[9, 0], [0, 9]], SIERPINSKI.digits)], r="1/3")
-    normalized, record = normalize_first_level(sys9)
+    normalized, back = normalize_first_level(sys9)
     decomp = build_blocks(normalized, K=1, blocks=2)
     levels = spectrum_levels(decomp, 1, enforce_containment=False)
     pulled = []
     for lam in levels[1].elements:
-        back = record.back.mul_vec(lam)
-        assert all(v.denominator == 1 for v in back)
-        pulled.append(tuple(int(v) for v in back))
+        image = back.mul_vec(lam)
+        assert all(v.denominator == 1 for v in image)
+        pulled.append(tuple(int(v) for v in image))
     report = verify_orthogonality(sys9, pulled)
     assert report.passed
 
@@ -236,6 +234,14 @@ def test_build_blocks_staircase_certified_block():
     block = build_blocks(system, K=3, blocks=1).blocks[0]
     assert len(block.labels) == 125
     assert gram_defect(block.matrix, block.digits, block.labels) < 1e-9
+
+
+def test_spectrum_levels_rejects_blocks_whose_first_label_is_not_zero():
+    # rotated labels keep the block compatible, but level k is no longer a prefix of the sums over blocks
+    decomp = build_blocks(sierpinski_3i(), K=1, blocks=2)
+    rotated = tuple(replace(b, labels=b.labels[1:] + b.labels[:1]) for b in decomp.blocks)
+    with pytest.raises(ValueError, match="first label must be 0"):
+        spectrum_levels(replace(decomp, blocks=rotated), 1, enforce_containment=False)
 
 
 @pytest.mark.parametrize("K, blocks", [(0, 1), (-1, 2), (1, 0), (None, 0)])

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from test_golden import COMMANDS
+from moranspec import exact, masks
+from moranspec import system as system_module
 from moranspec.cli import main
 from moranspec.render import MAX_PPM_SIDE
 from moranspec.specfile import load_document, load_system
@@ -37,6 +39,33 @@ def test_load_document_requires_prime():
     with pytest.raises(ValidationFailure) as err:
         load_document(doc)
     assert err.value.code == "primality"
+
+
+def test_primality_is_tested_only_at_the_digit_count(monkeypatch):
+    # (10^6 + 3)(10^6 + 33): trial division before the digit count would take 10^6 steps
+    doc = {"dimension": 1, "prime": 1000003 * 1000033, "cycle": [{"R": [[3]], "D": [[0], [1], [2]]}]}
+    with pytest.raises(ValidationFailure) as err:
+        load_document(doc)
+    assert err.value.code == "digit-count"
+    calls = []
+    monkeypatch.setattr(system_module, "prime_factors", lambda p: calls.append(p) or exact.prime_factors(p))
+    doc["prime"] = 10**18 + 3
+    with pytest.raises(ValidationFailure) as err:
+        load_document(doc)
+    assert err.value.code == "digit-count" and calls == []
+
+
+def test_zero_direction_count_is_capped_before_enumeration(monkeypatch, tmp_path, capsys):
+    # m = 3, n = 3: (3^3 - 1)/2 = 13 canonical directions
+    doc = {"dimension": 3, "prime": 3, "cycle": [{"R": [[3, 0, 0], [0, 3, 0], [0, 0, 3]], "D": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}]}
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(masks, "ZERO_DIRECTION_CAP", 13)
+    assert main(["validate", str(path), "--json"]) == 0
+    monkeypatch.setattr(masks, "ZERO_DIRECTION_CAP", 12)
+    capsys.readouterr()
+    assert main(["validate", str(path), "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "CapExceeded"
 
 
 def test_cli_validate_ok(capsys):
@@ -378,6 +407,17 @@ def test_cli_spectrum_normalizes_non_model_first_level(capsys):
     assert doc["report"]["normalized_first_level"] is True
     assert doc["report"]["spectrum_transform_back"] == [["3", "0"], ["0", "3"]]
     assert doc["report"]["level_sizes"] == [3, 9]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify-complete"])
+def test_no_admissible_direction_reads_the_same_with_and_without_block_size(capsys, command):
+    # the default path fails in choose_block_size, --block-size 2 in build_blocks
+    docs = []
+    for tail in ([], ["--block-size", "2"]):
+        assert main([command, fixture("staircase_nonspectral.json"), "--json", *tail]) == 3
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0] == docs[1]
+    assert docs[0]["error"] == {"code": "NoAdmissibleDirection", "message": "level 2 has no admissible direction"}
 
 
 def test_cli_verify_orth_on_normalized_system(capsys):

@@ -139,6 +139,7 @@ def test_contraction_boundary_exact():
     m = Matrix.diagonal([3, 3])
     assert check_contraction(m, Fraction(1, 3)) is True
     assert check_contraction(m, Fraction(33333, 100000)) is False
+    assert check_contraction(m, Fraction(-1, 3)) is False  # the elimination alone sees only r^2
 
 
 def test_contraction_singular_raises():
@@ -222,12 +223,3 @@ def test_matrix_helpers():
     assert a.det() == -2
     assert not a.is_diagonal()
     assert Matrix.diagonal([2, 5]).is_diagonal()
-
-
-def test_norm_bound_holds_exact_boundary():
-    from moranspec.exact import norm_bound_holds
-
-    third = Matrix.from_rows([[Fraction(1, 3), 0], [0, Fraction(1, 3)]])
-    assert norm_bound_holds(third, Fraction(1, 3)) is True
-    assert norm_bound_holds(third, Fraction(1, 3) - Fraction(1, 10**9)) is False
-    assert norm_bound_holds(third, Fraction(-1)) is False

@@ -15,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 from moranspec import exact  # noqa: E402
 from moranspec import system as system_module  # noqa: E402
 from moranspec.errors import SingularMatrix  # noqa: E402
-from moranspec.exact import Matrix, check_contraction, norm_bound_holds, operator_norm_upper  # noqa: E402
+from moranspec.exact import Matrix, check_contraction, operator_norm_upper  # noqa: E402
 from moranspec.masks import DigitSet, find_zero_directions  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
 from test_exact import adjugate_inverse, cofactor_det  # noqa: E402
@@ -98,11 +98,6 @@ def test_check_contraction_matches_minors_of_the_inverse(rows, r):
     assert check_contraction(m, r) == norm_at_most(adjugate_inverse(rows).rows, r)
 
 
-@given(rational_matrices, st.one_of(positive_rational, st.just(Fraction(-1, 3))))
-def test_norm_bound_holds_matches_principal_minors(rows, b):
-    assert norm_bound_holds(Matrix.from_rows(rows), b) == norm_at_most(rows, b)
-
-
 signs = st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3)
 
 
@@ -114,8 +109,6 @@ def test_check_contraction_is_sharp_on_scaled_signed_permutations(n, m, perm, si
     matrix = Matrix.from_rows(rows)
     assert check_contraction(matrix, Fraction(1, m)) is True
     assert check_contraction(matrix, Fraction(1, m) - Fraction(1, 10**9)) is False
-    assert norm_bound_holds(matrix.inverse(), Fraction(1, m)) is True
-    assert norm_bound_holds(matrix.inverse(), Fraction(1, m) - Fraction(1, 10**9)) is False
 
 
 def test_check_contraction_boundary_and_singular_cases():

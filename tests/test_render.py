@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SIERPINSKI, STAIRCASE
+from conftest import SIERPINSKI, STAIRCASE, read_ppm
 from moranspec.errors import CapExceeded, IoFailure
-from moranspec.render import read_ppm, render, support_points
+from moranspec.render import render, support_points
 from moranspec.system import build_system
 
 
