@@ -237,7 +237,7 @@ def test_build_blocks_staircase_certified_block():
 
 
 def test_spectrum_levels_rejects_blocks_whose_first_label_is_not_zero():
-    # rotated labels keep the block compatible, but level k is no longer a prefix of the sums over blocks
+    # the same label sets, but each later block's nonzero first label would shift every element of the earlier levels
     decomp = build_blocks(sierpinski_3i(), K=1, blocks=2)
     rotated = tuple(replace(b, labels=b.labels[1:] + b.labels[:1]) for b in decomp.blocks)
     with pytest.raises(ValueError, match="first label must be 0"):
