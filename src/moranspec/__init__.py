@@ -5,11 +5,9 @@ attractor rendering."""
 __version__ = "0.1.0"
 
 from .analyzer import (
-    TruncatedTransform,
     VerificationReport,
     completeness_scan,
     find_zero_level,
-    truncated_transform,
     verify_orthogonality,
 )
 from .builder import (
@@ -41,7 +39,6 @@ from .masks import (
     DigitSet,
     ZeroStructure,
     find_zero_directions,
-    mask_eval,
 )
 from .pairs import (
     CompatiblePair,

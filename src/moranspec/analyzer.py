@@ -1,11 +1,11 @@
-"""Fourier-side verification: truncated transforms, exact zero membership,
-orthogonality and completeness scans.
+"""Fourier-side verification: exact zero membership, orthogonality and
+completeness scans.
 
 The transform of the infinite convolution is the product over levels of
 mask values at the iterated points eta_k = (R_1^t ... R_k^t)^-1 xi. Zeros
 of the full transform are exactly the finite-level zeros, because the tail
 product tends to 1 geometrically once the iterates contract, so membership
-is decided level by level in exact rationals with a certified stopping
+is decided level by level in exact integers with a certified stopping
 rule: every coset-line point has sup-norm at least 1/m, and the iterates
 shrink by the contraction ratio from any level onward.
 """
@@ -22,11 +22,10 @@ import numpy as np
 from .builder import SpectrumLevel
 from .errors import DimensionMismatch
 from .exact import Matrix
-from .masks import mask_eval
 from .system import MoranSystem, inverse_transpose
 
 _INT64_LIMIT = 2**62
-# level cap of the zero-level searches; the stopping rule ends them long before
+# level cap of the zero-level search; the stopping rule ends it long before
 _MAX_LEVELS = 10_000
 # pairs per chunk in verify_orthogonality: about 9 MB of int64 work arrays in any dimension
 _PAIR_CHUNK = 1 << 18
@@ -34,98 +33,18 @@ _PAIR_CHUNK = 1 << 18
 _VALUE_CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
-class TruncatedTransform:
-    value: complex
-    tail_bound: float
-    certified: bool
-    exact_zero: bool
-    zero_level: int | None = None
-
-
-def _iterate_exact(system: MoranSystem, point, depth: int):
-    """Yield (k, level, v, q) with eta_k = v / q in lowest terms, for k = 1..depth."""
-    point = [Fraction(c) for c in point]
-    q = math.lcm(*(c.denominator for c in point))
-    v = tuple(c.numerator * (q // c.denominator) for c in point)
-    for k in range(1, depth + 1):
-        level = system.level(k)
-        inv_t = inverse_transpose(level.matrix)
-        v, q = inv_t.mul_vec_num(v), q * inv_t.den
-        g = math.gcd(q, *v)
-        v, q = tuple(x // g for x in v), q // g
-        yield k, level, v, q
-
-
-def _residue_zero_hit(system: MoranSystem, level, v, q) -> bool:
-    """Whether eta = v / q lies on a zero coset line of the level's mask."""
-    m = system.prime
-    if any(m * x % q for x in v):
-        return False
-    residues = tuple(m * x // q % m for x in v)
-    return level.zeros.direction_for_residue(residues) is not None
-
-
-def truncated_transform(system: MoranSystem, point: Sequence, depth: int) -> TruncatedTransform:
-    """Finite product of mask factors with a certified truncation bound.
-
-    The tail factor T satisfies |T - 1| <= 2*pi*s*c^2*(r/(1-r))*|eta_depth|
-    because every mask is 1-Lipschitz up to the 2*pi*s constant and the
-    iterates keep contracting; the reported bound is |value| times that,
-    clamped at the trivial 2|value|. A zero value is claimed exact only
-    when some factor vanished by the residue test. Float coordinates are
-    taken at their exact binary values, so every input walks the same
-    exact iterates.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    value = 1 + 0j
-    zero_level = None
-    for k, level, v, q in _iterate_exact(system, point, depth):
-        if zero_level is None and _residue_zero_hit(system, level, v, q):
-            zero_level = k
-        if zero_level is None:
-            value *= mask_eval(level.digits, tuple(Fraction(x, q) for x in v))
-    exact_zero = zero_level is not None
-    if exact_zero:
-        value = 0j
-    eta_norm = math.sqrt(float(Fraction(sum(x * x for x in v), q * q))) * (1 + 1e-12)
-    s = system.digit_norm_bound()
-    r = system.r
-    c2 = system.c * system.c
-    rel = 2 * math.pi * s * c2 * (r / (1 - r)) * eta_norm
-    tail_bound = 0.0 if exact_zero else abs(value) * min(2.0, rel)
-    certified = 2 * math.pi * s * c2 * r * eta_norm <= 0.5
-    return TruncatedTransform(
-        value=value,
-        tail_bound=tail_bound,
-        certified=certified,
-        exact_zero=exact_zero,
-        zero_level=zero_level,
-    )
-
-
 def find_zero_level(system: MoranSystem, point: Sequence):
     """First level whose zero coset lines contain the iterated point, or None.
 
-    Stops once c^2 * |eta_k| < 1/m: from there on every iterate has sup
-    norm below 1/m, while every coset point of the model zero sets has
-    some coordinate at distance >= 1/m from 0 (j*nu is nonzero mod the
-    prime m). Exact rational comparisons throughout. The stopping rule
-    assumes condition (ii), the coset-line model, still unverified (ROADMAP.md item 1).
+    The rational coordinates are put over their common denominator, and
+    ``_zero_levels`` searches the numerators as one row with that
+    denominator as its starting q, so the stopping rule is the same and
+    still assumes condition (ii), the coset-line model (ROADMAP.md item 1).
     """
-    point = tuple(Fraction(c) for c in point)
-    if all(c == 0 for c in point):
-        raise ValueError("the zero vector is not in any zero set")
-    m = system.prime
-    c4 = Fraction(system.c) ** 4
-    for k, level, v, q in _iterate_exact(system, point, _MAX_LEVELS):
-        if _residue_zero_hit(system, level, v, q):
-            return k
-        # c^4 |eta|^2 m^2 < 1 with eta = v / q, in integers
-        if c4.numerator * sum(x * x for x in v) * m * m < c4.denominator * q * q:
-            return None
-    raise RuntimeError("zero-set search failed to terminate; contraction data inconsistent")
+    point = [Fraction(c) for c in point]
+    q = math.lcm(*(c.denominator for c in point))
+    row = np.array([[c.numerator * (q // c.denominator) for c in point]], dtype=object)
+    return int(_zero_levels(system, row, q)[0]) or None
 
 
 @dataclass
@@ -233,14 +152,20 @@ def _pair_chunks(packed: np.ndarray, offset):
         i0 = i1
 
 
-def _zero_levels(system: MoranSystem, points) -> np.ndarray:
-    """``find_zero_level`` of every row of an (R, n) integer array, 0 for None.
+def _zero_levels(system: MoranSystem, points, q: int = 1) -> np.ndarray:
+    """First zero level of every row v of an (R, n) integer array, read as v / q; 0 for none.
 
-    Rows may be int64 or Python ints (object dtype). All undecided rows
-    advance one level at a time in int64, with the same gcd reduction,
-    residue test and stopping inequality as the scalar search, so the same
-    unverified coset-line model, condition (ii). A row whose next step could
-    overflow int64 is finished by the scalar ``find_zero_level``.
+    Level k reduces eta_k = (R_1^t ... R_k^t)^-1 v / q to lowest terms and
+    tests whether m * eta_k is integral with residues mod m on a zero coset
+    line of the level. A row stops once c^4 |eta_k|^2 m^2 < 1: from there on
+    every iterate has sup norm below 1/m, while every coset point of the
+    model zero sets has some coordinate at distance >= 1/m from 0 (j*nu is
+    nonzero mod the prime m). The stopping rule assumes condition (ii), the
+    coset-line model, still unverified (ROADMAP.md item 1).
+
+    Rows may be int64 or Python ints (object dtype). A level runs in int64
+    when every undecided row's next step fits, in Python ints otherwise, and
+    the rows go back to int64 at the first level where they fit again.
     """
     points = np.asarray(points)
     if not (points != 0).any(axis=1).all():
@@ -249,7 +174,7 @@ def _zero_levels(system: MoranSystem, points) -> np.ndarray:
     m = system.prime
     out = np.zeros(len(points), dtype=np.int64)
     rows = np.arange(len(points))
-    v, q = points, np.ones(len(points), dtype=np.int64)
+    v, q = points, np.full(len(points), q, dtype=np.int64 if q <= _INT64_LIMIT else object)
     for k in range(1, _MAX_LEVELS + 1):
         if not len(rows):
             return out
@@ -257,13 +182,10 @@ def _zero_levels(system: MoranSystem, points) -> np.ndarray:
         inv_t = inverse_transpose(level.matrix)
         # |num @ v| * m and q * den must stay below the limit
         lim = _INT64_LIMIT // (n * m * max(abs(x) for row in inv_t.num for x in row))
-        safe = ((v <= lim) & (v >= -lim)).all(axis=1) & (q <= _INT64_LIMIT // inv_t.den)
-        if not safe.all():
-            for r in rows[~safe]:
-                out[r] = find_zero_level(system, tuple(int(x) for x in points[r])) or 0
-            rows, v, q = rows[safe], v[safe], q[safe]
-        v = v.astype(np.int64, copy=False) @ np.array(inv_t.num, dtype=np.int64).T
-        q = q * inv_t.den
+        fits = ((v <= lim) & (v >= -lim)).all() and (q <= _INT64_LIMIT // inv_t.den).all()
+        dtype = np.int64 if fits else object
+        v = v.astype(dtype, copy=False) @ np.array(inv_t.num, dtype=dtype).T
+        q = q.astype(dtype, copy=False) * inv_t.den
         g = np.gcd(np.gcd.reduce(v, axis=1), q)
         v, q = v // g[:, None], q // g
         hit = _residue_hits(level, m, v, q)
@@ -276,7 +198,7 @@ def _zero_levels(system: MoranSystem, points) -> np.ndarray:
 
 
 def _residue_hits(level, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``_residue_zero_hit`` of every row of v / q; m * v must fit int64."""
+    """Rows of v / q on a zero coset line of the level; int64 rows need m * v to fit."""
     mv = m * v
     hits = ~(mv % q[:, None]).any(axis=1)
     if hits.any():
@@ -289,14 +211,18 @@ def _residue_hits(level, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _below_coset_norm(c: float, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows where c^4 |v|^2 m^2 < q^2, decided exactly.
 
-    The float comparison is off by a relative 1e-14 at most, so only rows
-    within a relative 1e-9 of equality are compared again in Python ints.
+    Python-int rows are compared in Python ints, as their floats can
+    overflow. For int64 rows the float comparison is off by a relative 1e-14
+    at most, so only rows within a relative 1e-9 of equality are compared
+    again in Python ints.
     """
+    c4 = Fraction(c) ** 4
+    if v.dtype == object:
+        return c4.numerator * (v * v).sum(axis=1) * m * m < c4.denominator * q * q
     c2 = c * c
     lhs = c2 * c2 * m * m * np.square(v.astype(float)).sum(axis=1)
     rhs = np.square(q.astype(float))
     below = lhs < rhs
-    c4 = Fraction(c) ** 4
     for r in np.flatnonzero(np.abs(lhs - rhs) <= 1e-9 * rhs):
         below[r] = c4.numerator * sum(int(x) ** 2 for x in v[r]) * m * m < c4.denominator * int(q[r]) ** 2
     return below

@@ -102,17 +102,18 @@ def cmd_decide(args, system):
 
 
 def _prepare_blocks(system, args, top, containment):
-    """Fit K to an explicit --cap, test the cap and --depth, then build the normalized system's blocks and levels 0..top.
+    """Choose K, take --block-size over it or fit it to an explicit --cap, test the cap and --depth,
+    then build the normalized system's blocks and levels 0..top.
 
     Returns (back, decomposition, levels) with ``back`` from ``normalize_first_level``;
     ``containment`` is the ``enforce_containment`` of ``spectrum_levels``.
     """
     cap = args.cap or LEVEL_CAP
     normalized, back = normalize_first_level(system)
+    K = choose_block_size(normalized)  # a missing admissible direction is reported before any cap
     if args.block_size is not None:
         K = args.block_size
     else:
-        K = choose_block_size(normalized)
         while args.cap and normalized.prime ** (K * (top + 1)) > cap and K > 1:
             K -= 1
     check_level_cap(normalized.prime, K, top, cap)

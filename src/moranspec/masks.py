@@ -7,10 +7,8 @@ decided exactly through residues of inner products mod m.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
@@ -18,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, ModelViolation
-from .exact import IntVec, intvec, prime_factors, vec_dot
+from .exact import IntVec, intvec, prime_factors
 
 
 ZERO_DIRECTION_CAP = 10**5  # at most this many canonical directions are enumerated per digit set
@@ -53,30 +51,6 @@ class DigitSet:
     def max_norm(self) -> float:
         best = max(sum(c * c for c in d) for d in self.digits)
         return math.sqrt(best) * (1 + 1e-12)
-
-
-def _phase(xi, d):
-    """<xi, d> reduced mod 1 exactly when xi is rational, else by fmod."""
-    total = vec_dot(xi, d)
-    if isinstance(total, Fraction) or isinstance(total, int):
-        frac = Fraction(total)
-        return float(frac - math.floor(frac))
-    return math.fmod(total, 1.0)
-
-
-def mask_eval(digits: DigitSet, xi: Sequence) -> complex:
-    """Value of the mask polynomial at xi.
-
-    Rational xi goes through exact mod-1 phase reduction, making the value
-    exactly 1-periodic; float xi uses fmod. Always |result| <= 1 and the
-    value at 0 is 1.
-    """
-    if len(xi) != digits.n:
-        raise DimensionMismatch(f"point has dimension {len(xi)}, digits have {digits.n}")
-    total = 0j
-    for d in digits.digits:
-        total += cmath.exp(2j * cmath.pi * _phase(xi, d))
-    return total / digits.size
 
 
 @dataclass(frozen=True)

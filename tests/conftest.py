@@ -14,7 +14,12 @@ read the scan's private routines: the box image widths of the Fraction
 oracle, the exact nearest box point as Fractions, and a float resampling
 cross-check of the whole scan. ``read_ppm`` reads back the binary PPM files
 that the render tests write.
+
+``ref_mask``, ``ref_transform`` and ``ref_zero_level`` are the Fourier-side
+oracles: a float mask evaluator, the mask product at the exact iterates, and
+the scalar zero-level search in exact integers.
 """
+import cmath
 import math
 import os
 from fractions import Fraction
@@ -26,6 +31,7 @@ from moranspec.decider import _box_faces, _nearest_box_point
 from moranspec.errors import IoFailure
 from moranspec.exact import vec_dot
 from moranspec.masks import DigitSet, coset_residues
+from moranspec.system import inverse_transpose
 
 try:
     from hypothesis import settings
@@ -129,3 +135,45 @@ def read_ppm(path):
         raise IoFailure(f"P6 body holds {len(body)} bytes, {width}x{height} pixels need {want}")
     dark = np.frombuffer(body, np.uint8, want)[::3] < 128
     return width, height, int(dark.sum())
+
+
+def ref_mask(digits, xi) -> complex:
+    """(1/#D) sum_d exp(2 pi i <xi, d>), each phase reduced mod 1 exactly at xi's rational or binary value."""
+    phases = (sum(Fraction(x) * c for x, c in zip(xi, d, strict=True)) % 1 for d in digits.digits)
+    return sum(cmath.exp(2j * cmath.pi * float(t)) for t in phases) / digits.size
+
+
+def ref_transform(system, point, depth: int) -> complex:
+    """Product of the level masks at the exact iterates eta_k = (R_1^t ... R_k^t)^-1 point, k = 1..depth."""
+    eta, value = tuple(Fraction(c) for c in point), 1 + 0j
+    for k in range(1, depth + 1):
+        level = system.level(k)
+        eta = inverse_transpose(level.matrix).mul_vec(eta)
+        value *= ref_mask(level.digits, eta)
+    return value
+
+
+def ref_zero_level(system, point):
+    """First level k whose zero coset lines hold eta_k = (R_1^t ... R_k^t)^-1 point, or None.
+
+    The scalar search, one point at a time in Python ints: eta_k = v / q in
+    lowest terms is on a coset line when m v / q is integral with residues on
+    a zero direction's line; it stops once c^4 |eta_k|^2 m^2 < 1.
+    """
+    point = [Fraction(c) for c in point]
+    if not any(point):
+        raise ValueError("the zero vector is not in any zero set")
+    m, c4 = system.prime, Fraction(system.c) ** 4
+    q = math.lcm(*(c.denominator for c in point))
+    v = [c.numerator * (q // c.denominator) for c in point]
+    for k in range(1, 10_000):
+        level = system.level(k)
+        inv_t = inverse_transpose(level.matrix)
+        v, q = inv_t.mul_vec_num(v), q * inv_t.den
+        g = math.gcd(q, *v)
+        v, q = [x // g for x in v], q // g
+        if not any(m * x % q for x in v) and level.zeros.direction_for_residue([m * x // q for x in v]) is not None:
+            return k
+        if c4.numerator * sum(x * x for x in v) * m * m < c4.denominator * q * q:
+            return None
+    raise RuntimeError("zero-set search failed to terminate")

@@ -16,6 +16,7 @@ from conftest import (
     TRIPLE_B,
     divides_its_direction,
     read_ppm,
+    ref_mask,
     resample_admissibility,
 )
 from moranspec.analyzer import (
@@ -29,7 +30,7 @@ from moranspec.decider import (
     decide,
 )
 from moranspec.errors import DeterminantViolation
-from moranspec.masks import DigitSet, find_zero_directions, mask_eval
+from moranspec.masks import DigitSet, find_zero_directions
 from moranspec.pairs import is_compatible_pair, reduce_pair_mod, tower_pair
 from moranspec.render import render, support_points
 from moranspec.system import build_system
@@ -211,7 +212,7 @@ def test_criterion_7_planar_classification():
         zeros = set()
         for p in grid:
             xi = (Fraction(p[0], 3), Fraction(p[1], 3))
-            if abs(mask_eval(digits, xi)) < 1e-9:
+            if abs(ref_mask(digits, xi)) < 1e-9:
                 zeros.add(p)
         if got.family == 1:
             assert zeros == {(1, 1), (2, 2)}

@@ -5,12 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import SIERPINSKI, STAIRCASE
+from conftest import SIERPINSKI, STAIRCASE, ref_transform
 from moranspec.analyzer import (
     completeness_scan,
     find_zero_level,
     transform_batch_multi,
-    truncated_transform,
     verify_orthogonality,
 )
 from moranspec.builder import build_blocks, spectrum_levels
@@ -28,26 +27,16 @@ def staircase_system():
 
 
 def test_transform_at_origin():
-    t = truncated_transform(sierpinski_3i(), (Fraction(0), Fraction(0)), 5)
-    assert t.value == pytest.approx(1.0)
-    assert not t.exact_zero
-    assert t.certified
+    vals = transform_batch_multi(sierpinski_3i(), np.zeros((1, 2), dtype=np.int64), [(0.0, 0.0)], 5)
+    assert vals[0, 0] == pytest.approx(1.0)
 
 
 def test_transform_exact_zero_at_level_two():
     # (3,6)/3 = (1,2) is an integer point (factor 1 by periodicity);
     # (3,6)/9 = (1/3, 2/3) kills the second factor exactly.
-    t = truncated_transform(sierpinski_3i(), (3, 6), 4)
-    assert t.exact_zero and t.zero_level == 2
-    assert t.value == 0
-    assert t.tail_bound == 0.0
-
-
-def test_transform_tail_decreases_geometrically():
     system = sierpinski_3i()
-    bounds = [truncated_transform(system, (Fraction(1, 7), Fraction(2, 7)), n).tail_bound for n in range(2, 9)]
-    for a, b in zip(bounds, bounds[1:]):
-        assert b <= a * (1 / 3) * 1.2 + 1e-18
+    assert find_zero_level(system, (3, 6)) == 2
+    assert abs(transform_batch_multi(system, np.array([(3, 6)]), [(0.0, 0.0)], 4)[0, 0]) < 1e-12
 
 
 def test_transform_batch_matches_pointwise():
@@ -58,7 +47,7 @@ def test_transform_batch_matches_pointwise():
     vals = transform_batch_multi(system, np.array(offsets), [base], 5)[0]
     for off, got in zip(offsets, vals):
         point = (base[0] + off[0], base[1] + off[1])
-        want = truncated_transform(system, point, 5).value
+        want = ref_transform(system, point, 5)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -77,7 +66,7 @@ def test_find_zero_level_rational_points():
     # dilated copy 3 Z(m_D) and the raw mask zero is not in it.
     system = sierpinski_3i()
     assert find_zero_level(system, (Fraction(1, 3), Fraction(2, 3))) is None
-    assert abs(truncated_transform(system, (Fraction(1, 3), Fraction(2, 3)), 10).value) > 0.01
+    assert abs(ref_transform(system, (Fraction(1, 3), Fraction(2, 3)), 10)) > 0.01
     assert find_zero_level(system, (Fraction(1, 9), Fraction(1, 9))) is None
     assert find_zero_level(system, (Fraction(3), Fraction(6))) == 2
 
@@ -93,8 +82,7 @@ def test_zero_level_implies_exact_zero_factor():
         lvl = find_zero_level(system, point)
         if lvl is not None:
             hits += 1
-            t = truncated_transform(system, point, max(lvl, 3))
-            assert t.exact_zero and t.value == 0
+            assert abs(ref_transform(system, point, max(lvl, 3))) < 1e-12
     assert hits > 20
 
 
@@ -239,19 +227,17 @@ def test_added_element_gives_bound_witnesses_at_float_points():
 
 
 def test_truncated_transform_float_input_path():
+    # a float base point gives the transform at its exact binary value
     system = sierpinski_3i()
-    xi = (0.125, 0.625)
-    t = truncated_transform(system, xi, 6)
-    exact = truncated_transform(system, (Fraction(1, 8), Fraction(5, 8)), 6)
-    assert t.value == pytest.approx(exact.value, abs=1e-12)
-    assert not t.exact_zero
+    got = transform_batch_multi(system, np.zeros((1, 2), dtype=np.int64), [(0.125, 0.625)], 6)[0, 0]
+    assert got == pytest.approx(ref_transform(system, (Fraction(1, 8), Fraction(5, 8)), 6), abs=1e-12)
+    assert abs(got) > 0.01
 
 
 def test_float_point_on_a_zero_line_is_an_exact_zero():
     system = sierpinski_3i()
-    by_int = truncated_transform(system, (1, 2), 3)
-    assert by_int.exact_zero and by_int.zero_level == 1
-    assert truncated_transform(system, (1.0, 2.0), 3) == by_int
+    assert find_zero_level(system, (1, 2)) == find_zero_level(system, (1.0, 2.0)) == 1
+    assert find_zero_level(system, (0.5, 1.0)) is None
 
 
 def test_transform_batch_reduces_phases_beyond_int64():
@@ -264,7 +250,7 @@ def test_transform_batch_reduces_phases_beyond_int64():
     base = (0.125, 0.625)
     vals = transform_batch_multi(system, np.array(offsets), [base], 41)[0]
     for off, got in zip(offsets, vals):
-        want = truncated_transform(system, (base[0] + off[0], base[1] + off[1]), 41).value
+        want = ref_transform(system, (base[0] + off[0], base[1] + off[1]), 41)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -296,29 +282,6 @@ def test_no_late_match_on_nonconstant_diagonal_system():
                 assert level.zeros.direction_for_residue(res) is None
             if stopped_at is not None and k >= stopped_at + 5:
                 break
-
-
-def test_tail_bound_soundness_against_deep_truncation():
-    # A much deeper truncation stands in for the infinite product; the
-    # difference must stay inside the certified tail bound.
-    system = staircase_system()
-    rng = random.Random(23)
-    for _ in range(20):
-        point = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
-        for depth in (3, 5, 8):
-            t = truncated_transform(system, point, depth)
-            deep = truncated_transform(system, point, 30)
-            assert abs(deep.value - t.value) <= t.tail_bound + 1e-12
-
-
-def test_certified_flag_reflects_contraction_regime():
-    system = sierpinski_3i()
-    near = truncated_transform(system, (Fraction(1, 100), Fraction(1, 100)), 1)
-    assert near.certified
-    far = truncated_transform(system, (Fraction(900), Fraction(900)), 1)
-    assert not far.certified
-    deep = truncated_transform(system, (Fraction(900), Fraction(900)), 12)
-    assert deep.certified  # twelve contractions pull the point into range
 
 
 def test_transform_batch_memory_stays_below_root_table():

@@ -409,9 +409,10 @@ def test_cli_spectrum_normalizes_non_model_first_level(capsys):
     assert doc["report"]["level_sizes"] == [3, 9]
 
 
-@pytest.mark.parametrize("command", ["spectrum", "verify-complete"])
+@pytest.mark.parametrize("command", ["spectrum", "verify-orth", "verify-complete"])
 def test_no_admissible_direction_reads_the_same_with_and_without_block_size(capsys, command):
-    # the default path fails in choose_block_size, --block-size 2 in build_blocks
+    # both paths look for admissible directions before the cap test; verify-orth's
+    # level 2 at K = 2 holds 5^6 points, over its default cap
     docs = []
     for tail in ([], ["--block-size", "2"]):
         assert main([command, fixture("staircase_nonspectral.json"), "--json", *tail]) == 3

@@ -12,6 +12,7 @@ from conftest import (
     box_widths,
     divides_its_direction,
     nearest_box_point,
+    ref_mask,
     resample_admissibility,
 )
 from moranspec.analyzer import verify_orthogonality
@@ -24,7 +25,7 @@ from moranspec.decider import (
 )
 from moranspec.errors import DeterminantViolation, ValidationFailure
 from moranspec.exact import Matrix
-from moranspec.masks import DigitSet, mask_eval
+from moranspec.masks import DigitSet
 from moranspec.system import build_system
 
 
@@ -177,7 +178,7 @@ def test_classify_planar_exhaustive_against_brute_force():
         zeros = set()
         for p in grid:
             xi = (Fraction(p[0], 3), Fraction(p[1], 3))
-            if abs(mask_eval(digits, xi)) < 1e-9:
+            if abs(ref_mask(digits, xi)) < 1e-9:
                 zeros.add(p)
         if got.family == 1:
             assert zeros == {(1, 1), (2, 2)}

@@ -1,5 +1,5 @@
 """Property tests: the numpy orthogonality check against a plain pair loop,
-the batched zero-level search against the scalar find_zero_level, the
+the batched zero-level search against the scalar oracle ref_zero_level, the
 prefix-width transform against a full-width evaluation and, bit for bit,
 against a tiled reference loop, and the streamed completeness scan against
 its default run."""
@@ -14,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import ref_zero_level  # noqa: E402
 from test_block_certificate_properties import towers  # noqa: E402
 
 from moranspec import analyzer  # noqa: E402
@@ -49,7 +50,7 @@ def reference_report(system, points):
             diff = vec_sub(pts[j], pts[i])
             canon = max(diff, tuple(-c for c in diff))
             if canon not in cache:
-                cache[canon] = analyzer.find_zero_level(system, canon)
+                cache[canon] = ref_zero_level(system, canon)
                 first_pair[canon] = (pts[j], pts[i])
             lvl = cache[canon]
             if lvl is not None:
@@ -117,31 +118,44 @@ def test_orthogonality_on_spectrum_prefix_with_extra_points(extra):
 
 
 int64_entry = st.one_of(st.integers(-50, 50), st.integers(-(2**62) + 1, 2**62 - 1))
+big_entry = st.one_of(int64_entry, st.integers(-(2**1100), 2**1100))
 
 
 @st.composite
 def system_and_rows(draw):
+    """A system and up to 12 nonzero rows: int64 rows, or Python-int rows up to 2^1100 in object dtype."""
     system = SYSTEMS[draw(st.sampled_from(sorted(SYSTEMS)))]
-    row = st.tuples(*[int64_entry] * system.dimension).filter(any)
-    return system, draw(st.lists(row, min_size=1, max_size=12))
+    big = draw(st.booleans())
+    row = st.tuples(*[big_entry if big else int64_entry] * system.dimension).filter(any)
+    return system, np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=object if big else np.int64)
 
 
 @settings(max_examples=200, deadline=None)
 @given(system_and_rows())
 def test_zero_levels_match_scalar_search(case):
     system, rows = case
-    expected = [analyzer.find_zero_level(system, row) or 0 for row in rows]
-    assert analyzer._zero_levels(system, np.array(rows, dtype=np.int64)).tolist() == expected
+    expected = [ref_zero_level(system, row) or 0 for row in rows.tolist()]
+    assert analyzer._zero_levels(system, rows).tolist() == expected
 
 
-def test_zero_levels_hand_overflowing_rows_to_scalar_search():
+def test_zero_levels_finish_overflowing_rows_in_python_ints():
+    # the first and last rows overflow int64 at their first step
     system = SYSTEMS["sierpinski_3i"]
     rows = [(2**61, 1), (1, 2), (1, 1), (-(2**62) + 3, 2**62 - 5)]
-    expected = [analyzer.find_zero_level(system, row) or 0 for row in rows]
-    with mock.patch.object(analyzer, "find_zero_level", wraps=analyzer.find_zero_level) as scalar:
-        got = analyzer._zero_levels(system, np.array(rows, dtype=np.int64))
-    assert got.tolist() == expected
-    assert [call.args[1] for call in scalar.call_args_list] == [rows[0], rows[3]]
+    expected = [ref_zero_level(system, row) or 0 for row in rows]
+    with mock.patch.object(analyzer, "find_zero_level", side_effect=AssertionError("scalar search")):
+        assert analyzer._zero_levels(system, np.array(rows, dtype=np.int64)).tolist() == expected
+
+
+rational = st.builds(Fraction, big_entry, st.one_of(st.integers(1, 50), st.integers(1, 2**200)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SYSTEMS)), st.data())
+def test_find_zero_level_matches_reference_on_rational_points(name, data):
+    system = SYSTEMS[name]
+    point = data.draw(st.tuples(*[rational] * system.dimension).filter(any))
+    assert analyzer.find_zero_level(system, point) == ref_zero_level(system, point)
 
 
 def test_zero_levels_rejects_zero_row():
@@ -169,7 +183,7 @@ def test_points_beyond_int64_match_reference(name, points):
 @given(system_and_points(), st.integers(1, 2**8), st.integers(1, 4))
 def test_lowered_int64_limit_changes_no_result(case, limit, depth):
     # a limit this low sends keys, zero-level rows and phase residues to
-    # Python ints (object arrays) or to the scalar search; results must not move
+    # Python ints (object arrays); results must not move
     system, points = case
     bases = [(0.0,) * system.dimension, (0.375,) * system.dimension]
     offsets = np.array(points or [(0,) * system.dimension], dtype=np.int64)

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import ref_transform
 from moranspec.analyzer import (
     completeness_scan,
     find_zero_level,
     transform_batch_multi,
-    truncated_transform,
     verify_orthogonality,
 )
 from moranspec.builder import build_blocks, spectrum_levels
@@ -62,7 +62,7 @@ def test_transform_paths_agree_in_dimension_three():
     base = (0.21, 0.55, 0.83)
     vals = transform_batch_multi(system, offsets, [base], 4)[0]
     for off, got in zip(offsets, vals):
-        want = truncated_transform(system, tuple(base[i] + int(off[i]) for i in range(3)), 4).value
+        want = ref_transform(system, tuple(base[i] + int(off[i]) for i in range(3)), 4)
         assert abs(got - want) < 1e-10
 
 
