@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     CapExceeded,
     CollisionDetected,
@@ -28,9 +30,10 @@ from .errors import (
 from .exact import Matrix, mixed_radix_sums, vec_sub
 from .masks import coset_residues
 from .pairs import CompatiblePair, is_compatible_pair, reduce_pair_mod, tower_pair
-from .system import MoranSystem
+from .system import MoranSystem, inverse_transpose
 
 LEVEL_CAP = 10**6  # default cap on the elements of the top spectrum level
+_INT64_LIMIT = 2**62
 
 
 def normalize_first_level(system: MoranSystem):
@@ -224,8 +227,9 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
 
     Raises CapExceeded before materializing more than ``cap`` elements,
     CollisionDetected if the sums are not pairwise distinct, and
-    ContainmentViolation when the exact box check fails (checked by
-    default only when K meets the certified bound).
+    ContainmentViolation when the exact box check on a level's rows of the
+    top level's numerator array fails (checked by default only when K meets
+    the certified bound). Only ``SpectrumLevel.elements`` holds tuples.
     """
     system = decomp.system
     n = system.dimension
@@ -244,7 +248,9 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
         coefs.append(coefs[-1].mul(block.matrix.transpose()))
     # the earliest block varies fastest, so level k is a prefix of the top level;
     # the coefficients are integer matrices, so the denominator is 1
-    top = list(map(tuple, mixed_radix_sums(coefs, [block.labels for block in blocks])[0].tolist()))
+    nums = mixed_radix_sums(coefs, [block.labels for block in blocks])[0]
+    top = list(map(tuple, nums.tolist()))
+    w = Matrix.identity(n)  # (R~_0^t ... R~_k^t)^-1
     levels = []
     seen = set()
     size = 1
@@ -253,37 +259,28 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
         seen.update(top[len(seen) : size])
         if len(seen) != size:
             raise CollisionDetected(f"level {k} sums are not pairwise distinct")
-        elements = tuple(top[:size])
-        checked = False
         if enforce_containment:
-            _check_containment(decomp, k, elements)
-            checked = True
-        levels.append(SpectrumLevel(index=k, K=K, elements=elements, containment_checked=checked))
+            w = inverse_transpose(block.matrix).mul(w)
+            _check_containment(k, nums[:size], w, Fraction(1, 2) + system.delta / 4)
+        levels.append(SpectrumLevel(index=k, K=K, elements=tuple(top[:size]), containment_checked=enforce_containment))
     return tuple(levels)
 
 
-def _check_containment(decomp: BlockDecomposition, k: int, elements):
-    """Exact check of (R~_0^t ... R~_k^t)^-1 Lambda_k inside the padded box.
+def _check_containment(k: int, nums: np.ndarray, w: Matrix, box: Fraction):
+    """Exact check that w = (R~_0^t ... R~_k^t)^-1 maps the rows of ``nums``,
+    level k, into the padded box [-box, box]^n with box = 1/2 + delta/4.
 
-    A cheap per-block bound (sum of coordinate maxima) is tried first; only
-    if it is inconclusive does the element-by-element check run.
+    With w = W / den and box = p / q, an image y / den of a row is outside
+    iff |y| q > p den, iff |y| > floor(p den / q) as y is an integer: one
+    array comparison on y = nums W^t. It runs in int64 when n max|nums| max|W|
+    and p den fit, in Python ints (object dtype) otherwise. The error names
+    the first element outside, in prefix order.
     """
-    system = decomp.system
-    n = system.dimension
-    bound = Fraction(1, 2) + system.delta / 4
-
-    # conservative: coordinate maxima of (R~_j^t ... R~_k^t)^-1 L_j summed over j
-    total = [Fraction(0)] * n
-    tail = Matrix.identity(n)
-    for j in range(k, -1, -1):
-        tail = decomp.blocks[j].matrix.transpose().mul(tail)
-        w = tail.inverse()
-        images = [w.mul_vec_num(l) for l in decomp.blocks[j].labels]
-        total = [t + Fraction(max(abs(y[i]) for y in images), w.den) for i, t in enumerate(total)]
-    if all(t <= bound for t in total):
-        return
-    # w is now (R~_0^t ... R~_k^t)^-1 = W / den; |y / den| > p / q  <=>  |y| q > p den
-    limit = bound.numerator * w.den
-    for lam in elements:
-        if any(abs(y) * bound.denominator > limit for y in w.mul_vec_num(lam)):
-            raise ContainmentViolation(f"level {k}: element {lam} maps to {tuple(map(str, w.mul_vec(lam)))} outside the box")
+    lim = box.numerator * w.den // box.denominator
+    bound = len(w.num) * max(int(nums.max()), -int(nums.min())) * max(abs(x) for row in w.num for x in row)
+    dtype = np.int64 if max(bound, lim) < _INT64_LIMIT else object
+    y = nums.astype(dtype, copy=False) @ np.array(w.num, dtype=dtype).T
+    outside = np.flatnonzero(((y > lim) | (y < -lim)).any(axis=1))
+    if len(outside):
+        lam = tuple(nums[outside[0]].tolist())
+        raise ContainmentViolation(f"level {k}: element {lam} maps to {tuple(map(str, w.mul_vec(lam)))} outside the box")

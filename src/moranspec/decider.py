@@ -408,8 +408,9 @@ def decide(system: MoranSystem, horizon=None) -> Verdict:
         compliant = all(all(lvl.zeros.model_compliant) for _, lvl in levels)
         caveats = () if compliant else ("some zero directions have zero entries; the strict coset-line model assumes none",)
         return _diagonal_divisibility(system, "diagonal-divisibility", {}, caveats)
+    admissible = {k: find_admissible_direction(system, k) for k, _ in system.levels_from(2)}
     if any(lvl.zeros.count != 1 for _, lvl in levels):
-        missing = [k for k, _ in system.levels_from(2) if find_admissible_direction(system, k) is None]
+        missing = [k for k, idx in admissible.items() if idx is None]
         if missing:
             return Verdict(
                 outcome=UNKNOWN,
@@ -432,15 +433,15 @@ def decide(system: MoranSystem, horizon=None) -> Verdict:
     # a level that fails the diagonal test although m | R_k^t nu_k rules the template test out
     m = system.prime
     if common and not any(
-        any(lvl.matrix[i, i] % m for i in range(system.dimension)) and find_admissible_direction(system, k) is not None
+        any(lvl.matrix[i, i] % m for i in range(system.dimension)) and admissible[k] is not None
         for k, lvl in system.levels_from(2)
     ):
         verdict = _diagonal_divisibility(system, "triangular-template", {"template": sorted(common)})
     else:
         scan, verdict = _box_gate(system, "single-direction-divisibility", horizon)
         if verdict is None:
-            bad = next((k for k, _ in system.levels_from(2) if find_admissible_direction(system, k) is None), None)
-            certificate = {"checked_levels": [k for k, _ in system.levels_from(2)], "admissibility": scan.status}
+            bad = next((k for k, idx in admissible.items() if idx is None), None)
+            certificate = {"checked_levels": list(admissible), "admissibility": scan.status}
             if bad is not None:
                 lvl = system.level(bad)
                 nu = lvl.zeros.directions[0]

@@ -119,10 +119,6 @@ class Matrix:
         v = self.num[i][j]
         return v if self.den == 1 else Fraction(v, self.den)
 
-    def floats(self) -> list:
-        """Entries rounded to the nearest float, as nested lists."""
-        return [[v / self.den for v in row] for row in self.num]
-
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.num)), self.den)
 

@@ -77,10 +77,6 @@ class ZeroStructure:
         """{residue mod m: direction index} over every coset point of every direction."""
         return {res: idx for idx, nu in enumerate(self.directions) for res in coset_residues(nu, self.modulus)}
 
-    def direction_for_residue(self, residue: Sequence):
-        """Index of the direction class containing ``residue`` (mod m), else None."""
-        return self.residue_table.get(tuple(int(c) % self.modulus for c in residue))
-
 
 def coset_residues(nu: Sequence, m: int) -> tuple:
     """j*nu mod m for j = 1..m-1: the numerators over m of the coset points (j/m)*nu + Z^n."""

@@ -17,7 +17,8 @@ that the render tests write.
 
 ``ref_mask``, ``ref_transform`` and ``ref_zero_level`` are the Fourier-side
 oracles: a float mask evaluator, the mask product at the exact iterates, and
-the scalar zero-level search in exact integers.
+the scalar zero-level search in exact integers. ``ref_containment`` is the
+spectrum containment check, one element at a time in Fractions.
 """
 import cmath
 import math
@@ -29,7 +30,7 @@ import numpy as np
 
 from moranspec.decider import _box_faces, _nearest_box_point
 from moranspec.errors import IoFailure
-from moranspec.exact import vec_dot
+from moranspec.exact import Matrix, vec_dot
 from moranspec.masks import DigitSet, coset_residues
 from moranspec.system import inverse_transpose
 
@@ -106,9 +107,9 @@ def resample_admissibility(system, samples: int = 10_000, seed: int = 0) -> bool
         for p in range(longest):
             mat_t = system.level(start + p).matrix.transpose()
             acc = mat_t if acc is None else acc.mul(mat_t)
-            inv = np.array(acc.inverse().floats())
+            inv = acc.inverse()
             pts = rng.uniform(-half, half, size=(per_product, system.dimension))
-            images = pts @ inv.T
+            images = pts @ np.array([[v / inv.den for v in row] for row in inv.num]).T
             for nu in set(families):
                 for b in coset_residues(nu, m):
                     target = np.array(b) / m
@@ -172,8 +173,29 @@ def ref_zero_level(system, point):
         v, q = inv_t.mul_vec_num(v), q * inv_t.den
         g = math.gcd(q, *v)
         v, q = [x // g for x in v], q // g
-        if not any(m * x % q for x in v) and level.zeros.direction_for_residue([m * x // q for x in v]) is not None:
+        if not any(m * x % q for x in v) and tuple(m * x // q % m for x in v) in level.zeros.residue_table:
             return k
         if c4.numerator * sum(x * x for x in v) * m * m < c4.denominator * q * q:
             return None
     raise RuntimeError("zero-set search failed to terminate")
+
+
+def ref_containment(decomp, upto: int):
+    """Message of the first spectrum element outside the padded box, else None.
+
+    Level k is L_0 + R~_0^t L_1 + ... + R~_0^t ... R~_{k-1}^t L_k in prefix
+    order, the earliest block varying fastest. Each element is mapped by
+    (R~_0^t ... R~_k^t)^-1 in Fractions, and an image coordinate beyond
+    1/2 + delta/4 in absolute value is outside.
+    """
+    n, box = decomp.system.dimension, Fraction(1, 2) + decomp.system.delta / 4
+    coef, level = Matrix.identity(n), [(0,) * n]
+    for k, block in enumerate(decomp.blocks[: upto + 1]):
+        level = [tuple(a + b for a, b in zip(lam, coef.mul_vec(label))) for label in block.labels for lam in level]
+        coef = coef.mul(block.matrix.transpose())
+        w = coef.inverse()
+        for lam in level:
+            image = tuple(Fraction(vec_dot(row, lam)) for row in w.rows)
+            if any(abs(c) > box for c in image):
+                return f"level {k}: element {lam} maps to {tuple(map(str, image))} outside the box"
+    return None

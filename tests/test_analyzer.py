@@ -111,7 +111,7 @@ def test_find_zero_level_no_late_match_beyond_termination():
             scaled = tuple(m * c for c in eta)
             if all(x.denominator == 1 for x in scaled):
                 res = tuple(int(x) % m for x in scaled)
-                assert level.zeros.direction_for_residue(res) is None
+                assert level.zeros.residue_table.get(res) is None
             if stopped_at is not None and k >= stopped_at + 5:
                 break
 
@@ -279,7 +279,7 @@ def test_no_late_match_on_nonconstant_diagonal_system():
             scaled = tuple(m * c for c in eta)
             if all(x.denominator == 1 for x in scaled):
                 res = tuple(int(x) % m for x in scaled)
-                assert level.zeros.direction_for_residue(res) is None
+                assert level.zeros.residue_table.get(res) is None
             if stopped_at is not None and k >= stopped_at + 5:
                 break
 

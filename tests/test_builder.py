@@ -163,16 +163,29 @@ def test_spectrum_containment_with_certified_block_size():
 
 
 def test_spectrum_containment_violation_detected():
-    # A label congruent mod R~^t but outside the fundamental domain must
-    # trip the exact containment check: (4,-1) is (1,-1) shifted by 3*(1,0).
-    from dataclasses import replace
-
+    # Labels congruent mod R~^t but outside the fundamental domain must trip
+    # the exact containment check: (4,-1) and (-4,1) are (1,-1) and (-1,1)
+    # shifted by 3*(1,0) and -3*(1,0); the first one in prefix order is named.
     system = sierpinski_3i()
     good = build_blocks(system, K=1, blocks=1)
-    bad_block = replace(good.blocks[0], labels=((0, 0), (4, -1), (-1, 1)))
+    bad_block = replace(good.blocks[0], labels=((0, 0), (4, -1), (-4, 1)))
     bad = replace(good, blocks=(bad_block,))
-    with pytest.raises(ContainmentViolation):
+    with pytest.raises(ContainmentViolation) as err:
         spectrum_levels(bad, 0, enforce_containment=True)
+    assert str(err.value) == "level 0: element (4, -1) maps to ('4/3', '-1/3') outside the box"
+
+
+def test_spectrum_containment_box_is_closed():
+    # delta = 2/9 makes the box 1/2 + delta/4 = 5/9, so under (9I)^-1 the
+    # label (5,-1) maps onto its face, which is inside, and (6,-1) past it
+    system = build_system(2, 3, [], [([[9, 0], [0, 9]], SIERPINSKI.digits)], r="1/3", delta="2/9")
+    decomp = build_blocks(system, K=1, blocks=1)
+    face = replace(decomp, blocks=(replace(decomp.blocks[0], labels=((0, 0), (5, -1), (-5, 1))),))
+    assert spectrum_levels(face, 0, enforce_containment=True)[0].containment_checked
+    past = replace(decomp, blocks=(replace(decomp.blocks[0], labels=((0, 0), (-5, 1), (6, -1))),))
+    with pytest.raises(ContainmentViolation) as err:
+        spectrum_levels(past, 0, enforce_containment=True)
+    assert str(err.value) == "level 0: element (6, -1) maps to ('2/3', '-1/9') outside the box"
 
 
 def test_spectrum_containment_holds_even_at_small_k_for_diagonal_system():

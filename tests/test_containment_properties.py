@@ -1,0 +1,62 @@
+"""Property tests: the spectrum containment check against the per-element
+Fraction oracle ref_containment on random small towers (m in {3, 5},
+n <= 3), with and without a label moved off its fundamental domain, in
+int64 and, with the int64 limit lowered, in Python ints."""
+from dataclasses import replace
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conftest import ref_containment  # noqa: E402
+from test_block_certificate_properties import towers, vec_add  # noqa: E402
+
+from moranspec import builder  # noqa: E402
+from moranspec.errors import ContainmentViolation  # noqa: E402
+
+
+def shift_labels(decomp, b: int, indices):
+    """Move the given labels of block b by +-R~^t e_1, each away from the nearer face of its domain.
+
+    The image of each under (R~^t)^-1 then has a first coordinate of size at
+    least 1, so level b's element C_b times that label lies outside the box.
+    """
+    block = decomp.blocks[b]
+    rt = block.matrix.transpose()
+    labels = list(block.labels)
+    for i in indices:
+        sign = 1 if rt.inverse().mul_vec(labels[i])[0] >= 0 else -1
+        labels[i] = vec_add(labels[i], rt.mul_vec((sign,) + (0,) * (decomp.system.dimension - 1)))
+    return replace(decomp, blocks=decomp.blocks[:b] + (replace(block, labels=tuple(labels)),) + decomp.blocks[b + 1 :])
+
+
+def containment_message(decomp, upto: int):
+    try:
+        levels = builder.spectrum_levels(decomp, upto, enforce_containment=True)
+    except ContainmentViolation as exc:
+        return str(exc)
+    assert all(lvl.containment_checked for lvl in levels)
+    return None
+
+
+@pytest.mark.parametrize("limit", [None, 2**12, 1])
+@settings(max_examples=40, deadline=None)
+@given(towers(), st.data())
+def test_containment_matches_fraction_oracle(limit, case, data):
+    # limit 1 runs every level in Python ints, 2**12 switches between the two
+    system, K, blocks = case
+    decomp = builder.build_blocks(system, K=K, blocks=blocks)
+    shifted = data.draw(st.booleans(), label="shifted")
+    if shifted:
+        b = data.draw(st.integers(0, blocks - 1), label="block")
+        # two moved labels put two elements outside at level b, and the first one must be named
+        indices = data.draw(st.sets(st.integers(1, system.prime**K - 1), min_size=1, max_size=2), label="labels")
+        decomp = shift_labels(decomp, b, indices)
+    expected = ref_containment(decomp, blocks - 1)
+    assert expected is not None or not shifted
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(builder, "_INT64_LIMIT", limit)
+        assert containment_message(decomp, blocks - 1) == expected

@@ -150,7 +150,7 @@ def test_nearest_box_point_is_the_exact_minimizer(case):
             assert gi <= 0
         else:
             assert gi == 0
-    g, qf, half = np.array(inv.floats()), np.array([float(v) for v in q]), float(h)
+    g, qf, half = np.array([[v / inv.den for v in row] for row in inv.num]), np.array([float(v) for v in q]), float(h)
     best = math.sqrt(float(sum(r * r for r in residual)))
     axis = np.linspace(-half, half, 41 if inv.n < 3 else 17)
     sample = np.array(list(product(axis, repeat=inv.n)))

@@ -55,9 +55,9 @@ def test_mask_eval_float_periodicity():
 
 
 def test_residue_vanishing_examples():
-    assert find_zero_directions(SIERPINSKI, 3).direction_for_residue((1, 2)) is not None
-    assert find_zero_directions(STAIRCASE, 5).direction_for_residue((1, 1)) is not None
-    assert find_zero_directions(SQUARE_PLUS, 5).direction_for_residue((1, 1)) is None
+    assert find_zero_directions(SIERPINSKI, 3).residue_table.get((1, 2)) is not None
+    assert find_zero_directions(STAIRCASE, 5).residue_table.get((1, 1)) is not None
+    assert find_zero_directions(SQUARE_PLUS, 5).residue_table.get((1, 1)) is None
 
 
 def test_residue_vanishing_oracle():
@@ -72,7 +72,7 @@ def test_residue_vanishing_model_violation():
     with pytest.raises(ModelViolation):
         find_zero_directions(DigitSet.from_vectors([(0,), (1,), (2,), (3,)]), 4)
     # the zero class is never a direction
-    assert find_zero_directions(SIERPINSKI, 3).direction_for_residue((0, 0)) is None
+    assert find_zero_directions(SIERPINSKI, 3).residue_table.get((0, 0)) is None
 
 
 def test_scalar_closure_property():
@@ -90,7 +90,7 @@ def test_scalar_closure_property():
         z = find_zero_directions(d, 5)
         for j in range(1, 5):
             scaled = tuple(j * c % 5 for c in nu)
-            assert (z.direction_for_residue(scaled) is not None) == base
+            assert (z.residue_table.get(scaled) is not None) == base
 
 
 def test_find_zero_directions_line():
@@ -123,10 +123,10 @@ def test_zero_direction_masks_vanish():
 
 def test_direction_lookup_by_residue():
     z = find_zero_directions(SQUARE_PLUS, 5)
-    assert z.direction_for_residue((2, 4)) == 0  # 2*(1,2)
-    assert z.direction_for_residue((4, 2)) == 1  # 4*(1,3)
-    assert z.direction_for_residue((1, 1)) is None
-    assert z.direction_for_residue((0, 0)) is None
+    assert z.residue_table.get((2, 4)) == 0  # 2*(1,2)
+    assert z.residue_table.get((4, 2)) == 1  # 4*(1,3)
+    assert z.residue_table.get((1, 1)) is None
+    assert z.residue_table.get((0, 0)) is None
 
 
 def test_coset_residues_and_residue_table():
@@ -138,7 +138,7 @@ def test_coset_residues_and_residue_table():
         (1, 3): 1, (2, 1): 1, (3, 4): 1, (4, 2): 1,
     }
     assert z.residue_table is z.residue_table
-    assert [z.direction_for_residue(r) for r in [(0, 7), (-4, 3), (1, 1)]] == [0, 1, None]
+    assert [z.residue_table.get(tuple(c % 5 for c in r)) for r in [(0, 7), (-4, 3), (1, 1)]] == [0, 1, None]
 
 
 def test_exhaustive_small_sets_match_brute_force():
