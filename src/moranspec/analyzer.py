@@ -11,7 +11,6 @@ shrink by the contraction ratio from any level onward.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -309,8 +308,8 @@ def completeness_scan(
     has Q <= 1; the family is a basis exactly when Q is identically 1, so
     the report tracks (a) the bound Q <= 1 plus a numeric allowance and
     (b) the final gap 1 - Q with the certified truncation contribution.
-    Each Q_k sums a prefix of the top level's non-negative terms, so Q_k
-    never decreases in k.
+    Each level's ``nums`` must be a prefix of the top level's, so Q_k sums a
+    prefix of the top level's non-negative terms and never decreases in k.
     """
     if grid < 4:
         raise ValueError("grid must be at least 4")
@@ -319,7 +318,7 @@ def completeness_scan(
     top = levels[-1]
     sizes = [lvl.size for lvl in levels]
     for small, big in zip(levels, levels[1:]):
-        if big.elements[: small.size] != small.elements:
+        if not np.array_equal(big.nums[: small.size], small.nums):
             raise ValueError("levels must be nested prefixes; build them together")
     min_depth = (top.index + 1) * top.K
     if depth is None:
@@ -332,15 +331,13 @@ def completeness_scan(
     # sample points as tuples of Python floats, which witnesses report as they are
     pts = [tuple(i / grid for i in idx) for idx in np.ndindex(*([grid] * n))]
     pts += [tuple(rng.random(n).tolist()) for _ in range(extra_points)]
-    offsets = np.fromiter(itertools.chain.from_iterable(top.elements), dtype=np.int64).reshape(top.size, -1)
-
-    eps_numeric = 16 * depth * 1e-13 * math.sqrt(len(offsets)) + len(offsets) * 2.3e-16
+    eps_numeric = 16 * depth * 1e-13 * math.sqrt(top.size) + top.size * 2.3e-16
     witnesses = []
     per_level_gap = [0.0] * len(levels)
     max_q = 0.0
     min_final = math.inf
     # each chunk of values is reduced to its per-level sums as soon as it is made
-    squares = (np.abs(vals) ** 2 for vals in _transform_chunks(system, offsets, pts, depth))
+    squares = (np.abs(vals) ** 2 for vals in _transform_chunks(system, top.nums, pts, depth))
     sums = np.concatenate([np.stack([sq[:, :size].sum(axis=1) for size in sizes], axis=1) for sq in squares])
     for xi, q_row in zip(pts, sums):
         for li, q_val in enumerate(map(float, q_row)):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -204,16 +205,26 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
     return BlockDecomposition(system=system, K=K, blocks=tuple(built), certified_K=certified_K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumLevel:
+    """Level ``index``: ``nums`` is a read-only (N, n) prefix view of the top level's numerator array."""
+
     index: int
     K: int
-    elements: tuple  # prefix-ordered: the first m^(K*k) entries form level k-1
+    nums: np.ndarray
     containment_checked: bool
+
+    def __post_init__(self):
+        self.nums.flags.writeable = False
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.nums)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The rows as int tuples, built on first access."""
+        return tuple(map(tuple, self.nums.tolist()))
 
 
 def check_level_cap(m: int, K: int, upto: int, cap: int):
@@ -223,13 +234,12 @@ def check_level_cap(m: int, K: int, upto: int, cap: int):
 
 
 def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP, enforce_containment=None):
-    """Spectrum levels 0..upto, each nested as a prefix of the next.
+    """Spectrum levels 0..upto, each a prefix view of the top level's numerator array.
 
     Raises CapExceeded before materializing more than ``cap`` elements,
-    CollisionDetected if the sums are not pairwise distinct, and
-    ContainmentViolation when the exact box check on a level's rows of the
-    top level's numerator array fails (checked by default only when K meets
-    the certified bound). Only ``SpectrumLevel.elements`` holds tuples.
+    CollisionDetected naming the first level whose sums are not pairwise
+    distinct, and ContainmentViolation when the exact box check on a level's
+    rows fails (checked by default only when K meets the certified bound).
     """
     system = decomp.system
     n = system.dimension
@@ -249,20 +259,21 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
     # the earliest block varies fastest, so level k is a prefix of the top level;
     # the coefficients are integer matrices, so the denominator is 1
     nums = mixed_radix_sums(coefs, [block.labels for block in blocks])[0]
-    top = list(map(tuple, nums.tolist()))
+    order = np.lexsort(nums.T)  # stable, so equal rows stay in index order; it sorts Python ints too
+    rows = nums[order]
+    repeat = int(order[1:][(rows[1:] == rows[:-1]).all(axis=1)].min(initial=len(nums)))  # first repeated row
+    del order, rows  # freed before the containment products allocate theirs
     w = Matrix.identity(n)  # (R~_0^t ... R~_k^t)^-1
     levels = []
-    seen = set()
     size = 1
     for k, block in enumerate(blocks):
         size *= len(block.labels)
-        seen.update(top[len(seen) : size])
-        if len(seen) != size:
+        if size > repeat:
             raise CollisionDetected(f"level {k} sums are not pairwise distinct")
         if enforce_containment:
             w = inverse_transpose(block.matrix).mul(w)
             _check_containment(k, nums[:size], w, Fraction(1, 2) + system.delta / 4)
-        levels.append(SpectrumLevel(index=k, K=K, elements=tuple(top[:size]), containment_checked=enforce_containment))
+        levels.append(SpectrumLevel(index=k, K=K, nums=nums[:size], containment_checked=enforce_containment))
     return tuple(levels)
 
 

@@ -132,7 +132,7 @@ def cmd_spectrum(args, system):
         "containment_checked": [lvl.containment_checked for lvl in levels],
         "normalized_first_level": decomp.system is not system,
         "spectrum_transform_back": [[str(v) for v in row] for row in back.rows],
-        "top_level_sample": [list(v) for v in levels[-1].elements[:10]],
+        "top_level_sample": levels[-1].nums[:10].tolist(),
     }
     return {"report": report}, 0
 

@@ -18,7 +18,8 @@ that the render tests write.
 ``ref_mask``, ``ref_transform`` and ``ref_zero_level`` are the Fourier-side
 oracles: a float mask evaluator, the mask product at the exact iterates, and
 the scalar zero-level search in exact integers. ``ref_containment`` is the
-spectrum containment check, one element at a time in Fractions.
+spectrum containment check, one element at a time in Fractions, and
+``ref_collision`` the first level with a repeated sum, from a set of tuples.
 """
 import cmath
 import math
@@ -198,4 +199,19 @@ def ref_containment(decomp, upto: int):
             image = tuple(Fraction(vec_dot(row, lam)) for row in w.rows)
             if any(abs(c) > box for c in image):
                 return f"level {k}: element {lam} maps to {tuple(map(str, image))} outside the box"
+    return None
+
+
+def ref_collision(decomp, upto: int):
+    """Message of the first spectrum level whose sums are not pairwise distinct, else None.
+
+    Levels are built in prefix order as in ``ref_containment``, as tuples of
+    Python ints, and level k repeats a sum when its set is smaller than it.
+    """
+    coef, level = Matrix.identity(decomp.system.dimension), [(0,) * decomp.system.dimension]
+    for k, block in enumerate(decomp.blocks[: upto + 1]):
+        level = [tuple(a + b for a, b in zip(lam, coef.mul_vec(label))) for label in block.labels for lam in level]
+        if len(set(level)) != len(level):
+            return f"level {k} sums are not pairwise distinct"
+        coef = coef.mul(block.matrix.transpose())
     return None

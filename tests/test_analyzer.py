@@ -217,13 +217,37 @@ def test_added_element_gives_bound_witnesses_at_float_points():
     levels = spectrum_levels(build_blocks(system, K=1, blocks=2), 1, enforce_containment=False)
     extra = (levels[1].elements[1][0] + 1, levels[1].elements[1][1])
     assert extra not in levels[1].elements
-    padded = replace(levels[1], elements=levels[1].elements + (extra,))
+    padded = replace(levels[1], nums=np.vstack([levels[1].nums, [extra]]))
     report = completeness_scan(system, [levels[0], padded], grid=4, extra_points=4, seed=3)
     assert not report.passed
     bound = [w for w in report.witnesses if w[1] == "bound"]
     assert bound and all(w[2] == 1 and w[3] > 1 for w in bound)
     assert all(type(c) is float for w in report.witnesses for c in w[0])
     assert "np." not in str(report.witnesses[0][0])
+
+
+def test_completeness_scan_reads_the_arrays_and_builds_no_tuples():
+    system = sierpinski_3i()
+    levels = spectrum_levels(build_blocks(system, K=1, blocks=3), 2, enforce_containment=False)
+    assert completeness_scan(system, levels, grid=4, extra_points=2, seed=1).passed
+    for level in levels:
+        assert "elements" not in vars(level)
+        assert level.nums.flags.writeable is False
+        assert level.elements == tuple(map(tuple, level.nums.tolist()))
+
+
+def test_completeness_scan_refuses_levels_of_two_decompositions():
+    # the same label sets in another order: level 0 of one build is not a prefix of level 1 of the other
+    system = sierpinski_3i()
+    decomp = build_blocks(system, K=1, blocks=2)
+    first = decomp.blocks[0]
+    swapped = replace(decomp, blocks=(replace(first, labels=first.labels[:1] + first.labels[:0:-1]), decomp.blocks[1]))
+    levels = spectrum_levels(decomp, 1, enforce_containment=False)
+    other = spectrum_levels(swapped, 1, enforce_containment=False)
+    assert sorted(other[0].elements) == sorted(levels[0].elements) and other[0].elements != levels[0].elements
+    assert completeness_scan(system, [levels[0], levels[1]], grid=4, extra_points=0).passed
+    with pytest.raises(ValueError, match="levels must be nested prefixes"):
+        completeness_scan(system, [levels[0], other[1]], grid=4, extra_points=0)
 
 
 def test_truncated_transform_float_input_path():

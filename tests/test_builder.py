@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import SIERPINSKI, STAIRCASE, ref_transform
@@ -15,7 +16,13 @@ from moranspec.builder import (
     normalize_first_level,
     spectrum_levels,
 )
-from moranspec.errors import CapExceeded, ContainmentViolation, NoAdmissibleDirection, ValidationFailure
+from moranspec.errors import (
+    CapExceeded,
+    CollisionDetected,
+    ContainmentViolation,
+    NoAdmissibleDirection,
+    ValidationFailure,
+)
 from moranspec.exact import Matrix
 from moranspec.pairs import is_compatible_pair
 from moranspec.specfile import load_system
@@ -151,6 +158,46 @@ def test_spectrum_levels_nested_and_distinct():
     for lvl in levels:
         assert lvl.elements[0] == (0, 0)
         assert len(set(lvl.elements)) == lvl.size
+
+
+def with_labels(decomp, *labels, scale=1):
+    """The decomposition with block b's labels replaced by labels[b], every coordinate times ``scale``."""
+    blocks = (replace(b, labels=tuple(tuple(scale * x for x in v) for v in lab)) for b, lab in zip(decomp.blocks, labels))
+    return replace(decomp, blocks=tuple(blocks))
+
+
+@pytest.mark.parametrize("scale", [1, 2**60])
+def test_collision_names_the_first_level_whose_sums_repeat(scale):
+    # R~_0^t = 3I shifts the block-1 label (1,-1) onto the block-0 label (3,-3):
+    # rows 2 and 3 of level 1 are both (3,-3), so level 1 is named, not the top level 2
+    decomp = build_blocks(sierpinski_3i(), K=1, blocks=3)
+    tail = ((0, 0), (1, -1), (-1, 1))
+    bad = with_labels(decomp, ((0, 0), (1, -1), (3, -3)), tail, tail, scale=scale)
+    level0 = spectrum_levels(bad, 0, enforce_containment=False)[0]
+    assert level0.nums.dtype == (object if scale > 1 else np.int64)
+    assert level0.elements == ((0, 0), (scale, -scale), (3 * scale, -3 * scale))
+    with pytest.raises(CollisionDetected, match=r"^level 1 sums are not pairwise distinct$"):
+        spectrum_levels(bad, 2, enforce_containment=False)
+
+
+@pytest.mark.parametrize("scale", [1, 2**60])
+def test_collision_in_the_first_block_names_level_0(scale):
+    decomp = build_blocks(sierpinski_3i(), K=1, blocks=2)
+    bad = with_labels(decomp, ((0, 0), (1, -1), (1, -1)), decomp.blocks[1].labels, scale=scale)
+    with pytest.raises(CollisionDetected, match=r"^level 0 sums are not pairwise distinct$"):
+        spectrum_levels(bad, 1, enforce_containment=False)
+
+
+def test_spectrum_levels_are_read_only_prefix_views_without_tuples():
+    decomp = build_blocks(sierpinski_3i(), K=1, blocks=3)
+    levels = spectrum_levels(decomp, 2, enforce_containment=True)
+    top = levels[-1].nums
+    for level in levels:
+        assert "elements" not in vars(level)
+        assert level.nums.flags.writeable is False
+        assert np.shares_memory(level.nums, top) and np.array_equal(level.nums, top[: level.size])
+    for level in levels:
+        assert level.elements == tuple(map(tuple, level.nums.tolist()))
 
 
 def test_spectrum_containment_with_certified_block_size():

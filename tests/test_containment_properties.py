@@ -1,20 +1,26 @@
 """Property tests: the spectrum containment check against the per-element
 Fraction oracle ref_containment on random small towers (m in {3, 5},
 n <= 3), with and without a label moved off its fundamental domain, in
-int64 and, with the int64 limit lowered, in Python ints."""
+int64 and, with the int64 limit lowered, in Python ints; and the collision
+check against the set oracle ref_collision on hand-built blocks with
+repeated labels, in int64 and, with labels past 2^53, in Python ints."""
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import ref_containment  # noqa: E402
+from conftest import ref_collision, ref_containment  # noqa: E402
 from test_block_certificate_properties import towers, vec_add  # noqa: E402
 
 from moranspec import builder  # noqa: E402
-from moranspec.errors import ContainmentViolation  # noqa: E402
+from moranspec.errors import CollisionDetected, ContainmentViolation  # noqa: E402
+from moranspec.exact import Matrix  # noqa: E402
+from moranspec.pairs import CompatiblePair  # noqa: E402
+from moranspec.system import build_system  # noqa: E402
 
 
 def shift_labels(decomp, b: int, indices):
@@ -60,3 +66,48 @@ def test_containment_matches_fraction_oracle(limit, case, data):
         if limit is not None:
             mp.setattr(builder, "_INT64_LIMIT", limit)
         assert containment_message(decomp, blocks - 1) == expected
+
+
+# R = 3I with the digits {0, e_1, 2 e_1}, in dimensions 1 to 3: the collision check reads only n and m
+AXIS_SYSTEMS = {
+    n: build_system(n, 3, [], [((3 * np.eye(n, dtype=int)).tolist(), [(k,) + (0,) * (n - 1) for k in range(3)])])
+    for n in (1, 2, 3)
+}
+
+
+@st.composite
+def colliding_blocks(draw):
+    """A hand-built decomposition of 1 to 3 blocks in dimension 1 to 3, whose sums often repeat.
+
+    Small labels and matrices make sums across blocks meet, and one drawn
+    block may repeat one of its labels. Only the labels and the matrices are
+    read: the collision check is run without containment.
+    """
+    n = draw(st.integers(1, 3), label="n")
+    scale = draw(st.sampled_from([1, 2**60]), label="scale")
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    count = draw(st.integers(1, 3), label="blocks")
+    repeat_in = draw(st.integers(-1, count - 1), label="block repeating a label")  # -1: none
+    blocks = []
+    for b in range(count):
+        rows = draw(st.lists(vec, min_size=n, max_size=n))
+        labels = [(0,) * n, *draw(st.lists(vec.filter(any), min_size=1, max_size=3, unique=True))]
+        if b == repeat_in:
+            labels.append(labels[draw(st.integers(0, len(labels) - 1))])
+        labels = tuple(tuple(scale * x for x in v) for v in labels)
+        blocks.append(CompatiblePair(matrix=Matrix.from_rows(rows), digits=(), labels=labels))
+    return builder.BlockDecomposition(system=AXIS_SYSTEMS[n], K=1, blocks=tuple(blocks), certified_K=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(colliding_blocks())
+def test_collision_matches_set_oracle(decomp):
+    upto = len(decomp.blocks) - 1
+    try:
+        levels = builder.spectrum_levels(decomp, upto, enforce_containment=False)
+    except CollisionDetected as exc:
+        got = str(exc)
+    else:
+        got = None
+        assert len(set(levels[-1].elements)) == levels[-1].size
+    assert got == ref_collision(decomp, upto)
