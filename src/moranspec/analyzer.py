@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from .system import MoranSystem, inverse_transpose
 _INT64_LIMIT = 2**62
 # level cap of the zero-level search; the stopping rule ends it long before
 _MAX_LEVELS = 10_000
-# pairs per chunk in verify_orthogonality: about 9 MB of int64 work arrays in any dimension
+# entries per row block of packed differences in verify_orthogonality: 1-2 MB per block array
 _PAIR_CHUNK = 1 << 18
 # transform values per chunk of bases: 16 MB of complex values
 _VALUE_CHUNK = 1 << 20
@@ -87,40 +88,48 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
 def _orthogonality_pairs(system: MoranSystem, pts: list):
     """(witnesses, distinct differences, pairs per zero level) of two or more points.
 
-    Points are packed once as ``P = (p - lo) @ strides``, and the key
-    ``|P_j - P_i| + span @ strides`` of a pair is its packed difference with
-    the first nonzero coordinate positive, in the tuple order. Chunk tables
-    are folded into one (key, count) table once they hold as many keys, so
-    memory is one chunk plus about twice the distinct differences. Only a
-    difference that misses the zero set gets its earliest row-major pair,
-    from a second pass. Arrays are int64 when every coordinate and key
-    fits, Python ints (object dtype) otherwise.
+    Points are packed once as ``P = (p - lo) @ strides``, and the key of a
+    pair is ``|P_j - P_i|``; plus ``span @ strides`` it is the packed
+    difference turned so that its first nonzero coordinate is positive, so
+    keys sort as the differences do in the tuple order. The counting pass
+    keeps the positive entries of each row block, one per unordered pair,
+    and folds block tables into one (key, count) table once they hold more
+    keys, so memory is one block plus about twice the distinct differences.
+    Only a difference that misses the zero set gets its earliest pair
+    i < j in row-major order, from a second pass over the same blocks. Keys
+    and packed differences lie below ``prod(dims)``, so they are int32 when
+    that fits, int64 when every coordinate and key fits, Python ints
+    (object dtype) otherwise.
     """
     cols = list(zip(*pts))
     lo, hi = [min(c) for c in cols], [max(c) for c in cols]
     dims = [2 * (b - a) + 1 for a, b in zip(lo, hi)]
-    fits = math.prod(dims) < _INT64_LIMIT and max(map(abs, lo + hi)) < _INT64_LIMIT
-    dtype = np.int64 if fits else object
-    span = np.array([b - a for a, b in zip(lo, hi)], dtype=dtype)
+    size = math.prod(dims)
+    wide = np.int64 if size < _INT64_LIMIT and max(map(abs, lo + hi)) < _INT64_LIMIT else object
+    dtype = np.int32 if size < 2**31 else wide
     strides = np.array([math.prod(dims[i + 1 :]) for i in range(len(dims))], dtype=dtype)
-    packed = (np.array(pts, dtype=dtype) - np.array(lo, dtype=dtype)) @ strides
+    packed = (np.array(pts, dtype=wide) - np.array(lo, dtype=wide)).astype(dtype) @ strides
     tables = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))]
-    for _, _, chunk in _pair_chunks(packed, span @ strides):
-        tables.append(np.unique(chunk, return_counts=True))
-        if sum(len(k) for k, _ in tables[1:]) >= len(tables[0][0]):
+    for block in _row_blocks(packed):
+        tables.append(np.unique(block[block > 0], return_counts=True))
+        if sum(len(k) for k, _ in tables[1:]) > len(tables[0][0]):
             tables = [_merge_counts(tables)]
     keys, counts = _merge_counts(tables)
-    diffs = np.stack([keys // s % d for s, d in zip(strides, dims)], axis=1) - span
+    diffs = np.stack([(keys + size // 2) // s % d - d // 2 for s, d in zip(strides, dims)], axis=1)
     levels = _zero_levels(system, diffs)
     levels_hit = {int(lvl): int(counts[levels == lvl].sum()) for lvl in np.unique(levels) if lvl}
     miss = levels == 0
-    bad, first = keys[miss], np.full((miss.sum(), 2), -1)
-    for i, j, chunk in _pair_chunks(packed, span @ strides) if len(bad) else ():
-        pos = np.minimum(np.searchsorted(bad, chunk), len(bad) - 1)
-        hit = np.flatnonzero(bad[pos] == chunk)
-        rows, at = np.unique(pos[hit], return_index=True)  # the first hit is the earliest pair
+    bad, first, i0 = keys[miss], np.full((miss.sum(), 2), -1), 0
+    for block in _row_blocks(packed) if len(bad) else ():
+        np.abs(block, out=block)
+        pos = np.minimum(np.searchsorted(bad, block), len(bad) - 1)
+        hit = np.flatnonzero(bad[pos] == block)
+        # entry (j, i) of a pair i < j comes after (i, j), so the first hit is the earliest pair
+        rows, at = np.unique(pos.ravel()[hit], return_index=True)
         new = first[rows, 0] < 0
-        first[rows[new], 0], first[rows[new], 1] = j[hit[at[new]]], i[hit[at[new]]]
+        i, j = np.divmod(hit[at[new]], len(packed))
+        first[rows[new]] = np.stack([j, i0 + i], axis=1)
+        i0 += len(block)
         if (first >= 0).all():
             break
     witnesses = tuple((pts[j], pts[i], tuple(int(x) for x in d)) for (j, i), d in zip(first, diffs[miss]))
@@ -136,19 +145,12 @@ def _merge_counts(tables):
     return keys[head], np.add.reduceat(counts, head)
 
 
-def _pair_chunks(packed: np.ndarray, offset):
-    """(i, j, |packed[j] - packed[i]| + offset) of the pairs i < j in row-major order, whole
-    rows at a time, at most ``_PAIR_CHUNK`` pairs per chunk (or one row when a row is longer)."""
-    row_len = np.arange(len(packed) - 1, -1, -1, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(row_len)))
-    i0 = 0
-    while i0 < len(packed) - 1:
-        i1 = max(i0 + 1, int(np.searchsorted(starts, starts[i0] + _PAIR_CHUNK, side="right")) - 1)
-        lens = row_len[i0:i1]
-        i = np.repeat(np.arange(i0, i1), lens)
-        j = np.arange(len(i)) - np.repeat(starts[i0:i1] - starts[i0], lens) + i + 1
-        yield i, j, np.abs(packed[j] - packed[i]) + offset
-        i0 = i1
+def _row_blocks(packed: np.ndarray):
+    """``packed[None, :] - packed[i0:i1, None]`` for whole rows in order, at most
+    ``_PAIR_CHUNK`` entries per block (or one row when a row is longer)."""
+    rows = max(1, _PAIR_CHUNK // len(packed))
+    for i0 in range(0, len(packed), rows):
+        yield packed[None, :] - packed[i0 : i0 + rows, None]
 
 
 def _zero_levels(system: MoranSystem, points, q: int = 1) -> np.ndarray:
@@ -162,9 +164,11 @@ def _zero_levels(system: MoranSystem, points, q: int = 1) -> np.ndarray:
     nonzero mod the prime m). The stopping rule assumes condition (ii), the
     coset-line model, still unverified (ROADMAP.md item 1).
 
-    Rows may be int64 or Python ints (object dtype). A level runs in int64
-    when every undecided row's next step fits, in Python ints otherwise, and
-    the rows go back to int64 at the first level where they fit again.
+    Rows may be int32, int64 or Python ints (object dtype). A level runs in
+    int64 when every undecided row's next step fits, in Python ints
+    otherwise, and the rows go back to int64 at the first level where they
+    fit again. The gcd and the test of m * v against q run one column at a
+    time, so no (R, n) temporary beyond v is kept.
     """
     points = np.asarray(points)
     if not (points != 0).any(axis=1).all():
@@ -185,8 +189,9 @@ def _zero_levels(system: MoranSystem, points, q: int = 1) -> np.ndarray:
         dtype = np.int64 if fits else object
         v = v.astype(dtype, copy=False) @ np.array(inv_t.num, dtype=dtype).T
         q = q.astype(dtype, copy=False) * inv_t.den
-        g = np.gcd(np.gcd.reduce(v, axis=1), q)
-        v, q = v // g[:, None], q // g
+        g = reduce(np.gcd, v.T, q)
+        v //= g[:, None]
+        q //= g
         hit = _residue_hits(level, m, v, q)
         out[rows[hit]] = k
         keep = ~hit & ~_below_coset_norm(system.c, m, v, q)
@@ -198,10 +203,9 @@ def _zero_levels(system: MoranSystem, points, q: int = 1) -> np.ndarray:
 
 def _residue_hits(level, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows of v / q on a zero coset line of the level; int64 rows need m * v to fit."""
-    mv = m * v
-    hits = ~(mv % q[:, None]).any(axis=1)
+    hits = reduce(np.logical_and, (m * col % q == 0 for col in v.T))
     if hits.any():
-        residues = mv[hits] // q[hits, None] % m
+        residues = m * v[hits] // q[hits, None] % m
         table = np.array(list(level.zeros.residue_table), dtype=np.int64).reshape(-1, v.shape[1])
         hits[hits] = (residues[:, None, :] == table[None]).all(axis=2).any(axis=1)
     return hits

@@ -355,10 +355,12 @@ def test_verify_orthogonality_memory_is_bounded_by_chunks():
     assert peak < 64 * 2**20
 
 
-def test_verify_orthogonality_memory_does_not_grow_with_chunk_count():
+@pytest.mark.parametrize("scale", [1, 10**5], ids=["int32_keys", "int64_keys"])
+def test_verify_orthogonality_memory_does_not_grow_with_chunk_count(scale):
     # 2,000 random points of [-30, 30]^2 make 2.0M pairs but only about 7k
-    # distinct differences; with 1,024 pairs per chunk that is about 1,950
-    # chunks, whose per-chunk tables must not pile up
+    # distinct differences; with 1,024 entries per row block that is 2,000
+    # blocks, whose per-block tables must not pile up. Scaled by 10^5 the
+    # packed keys no longer fit int32.
     import tracemalloc
     from itertools import product
     from unittest import mock
@@ -367,6 +369,7 @@ def test_verify_orthogonality_memory_does_not_grow_with_chunk_count():
 
     system = sierpinski_3i()
     points = random.Random(0).sample(list(product(range(-30, 31), repeat=2)), 2000)
+    points = [(scale * x, scale * y) for x, y in points]
     expected = verify_orthogonality(system, points)
     with mock.patch.object(analyzer, "_PAIR_CHUNK", 1024):
         tracemalloc.start()

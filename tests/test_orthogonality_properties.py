@@ -179,6 +179,26 @@ def test_points_beyond_int64_match_reference(name, points):
     assert not report.passed
 
 
+@pytest.mark.parametrize(
+    "points, dtype",
+    [
+        # prod(dims) = 2^31 - 1: the largest key, 2^31 - 2, fits int32
+        ([(0,), (2**30 - 1,)], np.int32),
+        # prod(dims) = 2^31 + 1: the key 2^31 of the difference 2^30 does not
+        ([(0,), (2**30 - 1,), (2**30,)], np.int64),
+        # prod(dims) = 2^63 + 1: keys in Python ints
+        ([(-(2**62),), (1,), (2**62,)], object),
+    ],
+)
+def test_key_dtype_boundaries_match_reference(points, dtype):
+    system = SYSTEMS["line"]
+    with mock.patch.object(analyzer, "_zero_levels", wraps=analyzer._zero_levels) as search:
+        report = analyzer.verify_orthogonality(system, points)
+    assert search.call_args.args[1].dtype == dtype
+    assert as_tuple(report) == reference_report(system, points)
+    assert not report.passed
+
+
 @settings(max_examples=100, deadline=None)
 @given(system_and_points(), st.integers(1, 2**8), st.integers(1, 4))
 def test_lowered_int64_limit_changes_no_result(case, limit, depth):
