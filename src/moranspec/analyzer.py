@@ -168,7 +168,7 @@ def _zero_levels(system: MoranSystem, points, q: int = 1) -> np.ndarray:
     int64 when every undecided row's next step fits, in Python ints
     otherwise, and the rows go back to int64 at the first level where they
     fit again. The gcd and the test of m * v against q run one column at a
-    time, so no (R, n) temporary beyond v is kept.
+    time, and v is divided in place, so neither keeps an (R, n) temporary.
     """
     points = np.asarray(points)
     if not (points != 0).any(axis=1).all():

@@ -84,8 +84,8 @@ def system_and_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(system_and_points(), st.integers(1, 64))
 def test_orthogonality_matches_pair_loop(case, chunk):
-    # small chunks split rows across chunks, so the merge must keep the
-    # earliest pair of every difference
+    # small blocks hold one or a few rows, so many block tables are folded
+    # and the witness pass must keep the earliest pair across blocks
     system, points = case
     with mock.patch.object(analyzer, "_PAIR_CHUNK", chunk):
         report = analyzer.verify_orthogonality(system, points)
@@ -96,7 +96,7 @@ def test_orthogonality_matches_pair_loop(case, chunk):
 @given(st.sampled_from(sorted(SYSTEMS)), st.data(), st.integers(1, 64))
 def test_orthogonality_matches_pair_loop_on_repeated_differences(name, data, chunk):
     # points of a small box repeat each missing difference in many rows and
-    # chunks; the witness pass must keep the earliest pair of each
+    # blocks; the witness pass must keep the earliest pair of each
     system = SYSTEMS[name]
     box = st.tuples(*[st.integers(-3, 3)] * system.dimension)
     points = data.draw(st.lists(box, min_size=2, max_size=30, unique=True))
