@@ -43,7 +43,6 @@ from .masks import (
 from .pairs import (
     CompatiblePair,
     is_compatible_pair,
-    reduce_pair_mod,
     tower_pair,
 )
 from .render import PointCloud, render, support_points

@@ -21,10 +21,9 @@ import numpy as np
 
 from .builder import SpectrumLevel
 from .errors import DimensionMismatch
-from .exact import Matrix
+from .exact import INT64_LIMIT as _INT64_LIMIT, Matrix
 from .system import MoranSystem, inverse_transpose
 
-_INT64_LIMIT = 2**62
 # level cap of the zero-level search; the stopping rule ends it long before
 _MAX_LEVELS = 10_000
 # entries per row block of packed differences in verify_orthogonality: 1-2 MB per block array
@@ -205,7 +204,10 @@ def _residue_hits(level, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows of v / q on a zero coset line of the level; int64 rows need m * v to fit."""
     hits = reduce(np.logical_and, (m * col % q == 0 for col in v.T))
     if hits.any():
-        residues = m * v[hits] // q[hits, None] % m
+        residues = v[hits]  # a copy, reduced in place
+        residues *= m
+        residues //= q[hits][:, None]
+        residues %= m
         table = np.array(list(level.zeros.residue_table), dtype=np.int64).reshape(-1, v.shape[1])
         hits[hits] = (residues[:, None, :] == table[None]).all(axis=2).any(axis=1)
     return hits
@@ -217,16 +219,19 @@ def _below_coset_norm(c: float, m: int, v: np.ndarray, q: np.ndarray) -> np.ndar
     Python-int rows are compared in Python ints, as their floats can
     overflow. For int64 rows the float comparison is off by a relative 1e-14
     at most, so only rows within a relative 1e-9 of equality are compared
-    again in Python ints.
+    again in Python ints. The squares are summed one column at a time and
+    the gap is taken in place, so no (R, n) temporary is made.
     """
     c4 = Fraction(c) ** 4
     if v.dtype == object:
         return c4.numerator * (v * v).sum(axis=1) * m * m < c4.denominator * q * q
     c2 = c * c
-    lhs = c2 * c2 * m * m * np.square(v.astype(float)).sum(axis=1)
-    rhs = np.square(q.astype(float))
+    lhs = reduce(np.add, (np.square(col, dtype=float) for col in v.T))
+    lhs *= c2 * c2 * m * m
+    rhs = np.square(q, dtype=float)
     below = lhs < rhs
-    for r in np.flatnonzero(np.abs(lhs - rhs) <= 1e-9 * rhs):
+    lhs -= rhs
+    for r in np.flatnonzero(np.abs(lhs, out=lhs) <= 1e-9 * rhs):
         below[r] = c4.numerator * sum(int(x) ** 2 for x in v[r]) * m * m < c4.denominator * int(q[r]) ** 2
     return below
 

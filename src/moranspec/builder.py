@@ -28,13 +28,12 @@ from .errors import (
     PairVerificationFailed,
     ValidationFailure,
 )
-from .exact import Matrix, mixed_radix_sums, vec_sub
+from .exact import INT64_LIMIT as _INT64_LIMIT, Matrix, mixed_radix_sums
 from .masks import coset_residues
-from .pairs import CompatiblePair, is_compatible_pair, reduce_pair_mod, tower_pair
+from .pairs import CompatiblePair, is_compatible_pair, tower_pair
 from .system import MoranSystem, inverse_transpose
 
-LEVEL_CAP = 10**6  # default cap on the elements of the top spectrum level
-_INT64_LIMIT = 2**62
+LEVEL_CAP = 2 * 10**6  # default cap on the elements of the top spectrum level
 
 
 def normalize_first_level(system: MoranSystem):
@@ -132,15 +131,17 @@ class BlockDecomposition:
         return self.K >= self.certified_K
 
 
-def _reduce_into_fundamental_domain(vec, rt: Matrix, rt_inv: Matrix):
-    """Representative of vec mod R~^t Z^n inside R~^t (-1/2, 1/2]^n.
+def _reduce_into_fundamental_domain(labels: np.ndarray, r: np.ndarray, w: np.ndarray, den: int) -> np.ndarray:
+    """Representatives of the rows l of ``labels`` mod R~^t Z^n inside R~^t (-1/2, 1/2]^n.
 
-    Componentwise z = ceil(R~^-t v - 1/2) maps the boundary 1/2 into the
-    half-open domain; with R~^-t v = y / den that is -floor((den - 2y) / 2den).
+    ``r`` is the integer matrix R~ and R~^-t = w / den; every array holds
+    Python ints (object dtype), so each step is exact at every size.
+    Componentwise z = ceil(R~^-t l - 1/2) maps the boundary 1/2 into the
+    half-open domain; with y = labels w^t that is -floor((den - 2y) / 2den),
+    and the rows of labels - z r are the representatives l - R~^t z.
     """
-    den = rt_inv.den
-    z = tuple(-((den - 2 * y) // (2 * den)) for y in rt_inv.mul_vec_num(vec))
-    return vec_sub(vec, rt.mul_vec(z))
+    z = -((den - 2 * (labels @ w.T)) // (2 * den))
+    return labels - z @ r
 
 
 def _level_pair(system: MoranSystem, k: int, b: int):
@@ -174,8 +175,10 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
     K defaults to choose_block_size. Each block is certified by the
     composition lemma: compatible level pairs, distinct tower labels, and
     reduced labels congruent mod R~^t Z^n and distinct. Each distinct level
-    pair is certified once. A failure raises PairVerificationFailed and
-    signals an index-interpretation bug.
+    pair is certified once. A block's labels are reduced and both checks
+    run on them as one (N, n) array of Python ints; they become tuples once,
+    for the block's CompatiblePair. A failure raises PairVerificationFailed
+    and signals an index-interpretation bug.
     """
     if (K is not None and K < 1) or blocks < 1:
         raise ValidationFailure("params", f"K and blocks must be at least 1, got K = {K}, blocks = {blocks}")
@@ -192,16 +195,20 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
                 if system.level(k) not in pairs:
                     pairs[system.level(k)] = _level_pair(system, k, b)
             tower = tower_pair([pairs[system.level(k)] for k in ks])
-            rt = tower.matrix.transpose()
-            rt_inv = rt.inverse()
-            block = reduce_pair_mod(
-                tower, tower.digits, [_reduce_into_fundamental_domain(v, rt, rt_inv) for v in tower.labels]
-            )
         except CongruenceViolation as exc:
             raise PairVerificationFailed(b, message=f"block {b}: {exc}") from exc
-        if len(set(block.labels)) != len(block.labels):
+        rt_inv = inverse_transpose(tower.matrix)
+        w, den = np.array(rt_inv.num, dtype=object), rt_inv.den
+        labels = np.array(tower.labels, dtype=object)
+        reduced = _reduce_into_fundamental_domain(labels, np.array(tower.matrix.num, dtype=object), w, den)
+        off = np.flatnonzero(((reduced - labels) @ w.T % den != 0).any(axis=1))
+        if len(off):
+            new, old = (tuple(v[off[0]].tolist()) for v in (reduced, labels))
+            raise PairVerificationFailed(b, message=f"block {b}: label {new} is not congruent to {old} mod R^t")
+        rows = reduced[np.lexsort(reduced.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise PairVerificationFailed(b, message=f"block {b}: label tower collided after reduction")
-        built.append(block)
+        built.append(replace(tower, labels=tuple(map(tuple, reduced.tolist()))))
     return BlockDecomposition(system=system, K=K, blocks=tuple(built), certified_K=certified_K)
 
 

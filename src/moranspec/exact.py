@@ -19,6 +19,9 @@ from .errors import DimensionMismatch, SingularMatrix, SizeMismatch
 
 IntVec = tuple
 
+# int64 arithmetic is used only while every operand and result stays below this
+INT64_LIMIT = 2**62
+
 
 def intvec(values: Iterable) -> IntVec:
     """The values as ints; a value that is not an integer raises ValueError."""
@@ -166,7 +169,8 @@ def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> tuple:
     earliest set varies fastest, so with the zero vector first in every
     set the sums over the first j sets form a prefix of the result.
 
-    Every numerator is bounded, exactly and before anything is built, by
+    Each set's terms are one exact product of Python ints (object dtype),
+    and every numerator is bounded, exactly and before any sum is built, by
     the sum over the sets of their largest term coordinate. When that bound
     and ``den`` are both below 2^53 the array is int64; otherwise it holds
     Python ints (dtype object). Either way each numerator and ``den`` are
@@ -177,13 +181,15 @@ def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> tuple:
         raise SizeMismatch("need one coefficient matrix per nonempty list of sets")
     n = coefs[0].n
     den = math.lcm(*(c.den for c in coefs))
-    terms = [[[den // coef.den * x for x in coef.mul_vec_num(v)] for v in vecs] for coef, vecs in zip(coefs, sets)]
-    bound = sum(max((abs(x) for t in level for x in t), default=0) for level in terms)
+    terms = [
+        np.array(vecs, dtype=object).reshape(len(vecs), n) @ np.array(coef.num, dtype=object).T * (den // coef.den)
+        for coef, vecs in zip(coefs, sets)
+    ]
+    bound = sum(int(abs(t).max(initial=0)) for t in terms)
     dtype = np.int64 if max(bound, den) < 2**53 else object
     acc = np.zeros((1, n), dtype=dtype)
-    for level in terms:
-        t = np.array(level, dtype=dtype).reshape(-1, n)
-        acc = (t[:, None, :] + acc[None, :, :]).reshape(-1, n)
+    for t in terms:
+        acc = (t.astype(dtype)[:, None, :] + acc[None, :, :]).reshape(-1, n)
     return acc, den
 
 

@@ -8,7 +8,7 @@ is decided exactly by the cyclotomic test on the rational inner products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import exact
@@ -64,28 +64,6 @@ def is_compatible_pair(matrix: Matrix, digits, labels):
             if not vanishes[diff]:
                 return False, (labels[a], labels[b])
     return True, None
-
-
-def reduce_pair_mod(pair: CompatiblePair, new_digits, new_labels) -> CompatiblePair:
-    """Replace digits mod R Z^n and labels mod R^t Z^n by congruent sets.
-
-    The entries exp(2*pi*i*<R^-1 d, l>) are unchanged by those shifts.
-    Verifies the congruence of each changed vector exactly and raises
-    CongruenceViolation otherwise. The reduced pair stays compatible.
-    """
-    new_digits = _normalize_vectors(new_digits)
-    new_labels = _normalize_vectors(new_labels)
-    if len(new_digits) != len(pair.digits) or len(new_labels) != len(pair.labels):
-        raise SizeMismatch("replacement sets must match the original sizes")
-    inv = pair.matrix.inverse()
-    inv_t = inv.transpose()
-    for old, new in zip(pair.digits, new_digits):
-        if new != old and any(x % inv.den for x in inv.mul_vec_num(vec_sub(new, old))):
-            raise CongruenceViolation(f"digit {new} is not congruent to {old} mod R")
-    for old, new in zip(pair.labels, new_labels):
-        if new != old and any(x % inv.den for x in inv_t.mul_vec_num(vec_sub(new, old))):
-            raise CongruenceViolation(f"label {new} is not congruent to {old} mod R^t")
-    return replace(pair, digits=new_digits, labels=new_labels)
 
 
 def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:

@@ -20,6 +20,7 @@ oracles: a float mask evaluator, the mask product at the exact iterates, and
 the scalar zero-level search in exact integers. ``ref_containment`` is the
 spectrum containment check, one element at a time in Fractions, and
 ``ref_collision`` the first level with a repeated sum, from a set of tuples.
+``ref_reduce`` reduces one label into the fundamental domain in Fractions.
 """
 import cmath
 import math
@@ -215,3 +216,14 @@ def ref_collision(decomp, upto: int):
             return f"level {k} sums are not pairwise distinct"
         coef = coef.mul(block.matrix.transpose())
     return None
+
+
+def ref_reduce(vec, matrix):
+    """Representative of vec mod R^t Z^n inside R^t (-1/2, 1/2]^n, one vector in Fractions.
+
+    Componentwise z = ceil(R^-t vec - 1/2) maps the boundary 1/2 into the
+    half-open domain, and the representative is vec - R^t z.
+    """
+    rt = matrix.transpose()
+    z = tuple(math.ceil(Fraction(c) - Fraction(1, 2)) for c in rt.inverse().mul_vec(vec))
+    return tuple(a - b for a, b in zip(vec, rt.mul_vec(z), strict=True))

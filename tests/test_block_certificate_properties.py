@@ -1,7 +1,11 @@
 """Property tests: block certification by the composition lemma against the
 full compatible-pair oracle on random small towers (m in {3, 5}, n <= 3,
-at most 125 labels per block), and corrupted towers that must be refused."""
+at most 125 labels per block), corrupted towers that must be refused, and
+the array reduction into the fundamental domain against the per-vector
+Fraction oracle."""
 import itertools
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +13,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import numpy as np  # noqa: E402
+
+from conftest import ref_reduce  # noqa: E402
 from moranspec import builder  # noqa: E402
 from moranspec.errors import PairVerificationFailed, ValidationFailure  # noqa: E402
+from moranspec.exact import Matrix  # noqa: E402
 from moranspec.pairs import is_compatible_pair  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
 
@@ -118,18 +126,21 @@ def test_non_coset_level_label_is_refused(case, data):
 
 
 def _patch_reduction(mp, replace):
-    """Pass each reduced label through ``replace(call, value, earlier values)``.
+    """Pass each reduced label through ``replace(index, value, earlier values)``.
 
-    Labels are reduced block by block, so label i of block b is call b * N + i.
+    Blocks are reduced in order, one label array each, so label i of block b has index b * N + i.
     """
     original = builder._reduce_into_fundamental_domain
     counter = itertools.count()
     done = []
 
-    def patched(vec, rt, rt_inv):
-        value = replace(next(counter), original(vec, rt, rt_inv), done)
-        done.append(value)
-        return value
+    def patched(labels, r, w, den):
+        out = original(labels, r, w, den)
+        for i, row in enumerate(out.tolist()):
+            value = replace(next(counter), tuple(row), done)
+            done.append(value)
+            out[i] = value
+        return out
 
     mp.setattr(builder, "_reduce_into_fundamental_domain", patched)
 
@@ -161,3 +172,57 @@ def test_colliding_reduced_labels_are_refused(case, data):
     with pytest.MonkeyPatch.context() as mp:
         _patch_reduction(mp, lambda at, value, done: done[b * N + j] if at == b * N + i else value)
         _raises_for_block(system, K, blocks, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(towers(), st.data())
+def test_tower_labels_congruent_mod_the_lattice_are_refused_as_a_collision(case, data):
+    # label i moved into label j's class mod R~^t Z^n passes the congruence
+    # check, so only the collision check after the reduction can refuse it
+    system, K, blocks = case
+    N = system.prime**K
+    b = data.draw(st.integers(0, blocks - 1), label="block")
+    i = data.draw(st.integers(1, N - 1), label="label")
+    j = data.draw(st.integers(0, i - 1), label="copied")
+    original = builder.tower_pair
+    calls = itertools.count()
+
+    def corrupt(pairs):
+        tower = original(pairs)
+        if next(calls) != b:
+            return tower
+        labels = list(tower.labels)
+        labels[i] = vec_add(labels[j], tower.matrix.transpose().mul_vec((1,) + (0,) * (system.dimension - 1)))
+        return replace(tower, labels=tuple(labels))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builder, "tower_pair", corrupt)
+        exc = _raises_for_block(system, K, blocks, b)
+    assert str(exc) == f"block {b}: label tower collided after reduction"
+
+
+@st.composite
+def reductions(draw):
+    """A nonsingular integer R~ (n = 1..3, entries in [-6, 6]) and labels with entries up to 50 * scale."""
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-6, 6)
+    mat = Matrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+    assume(mat.det() != 0)
+    scale = draw(st.sampled_from((1, 2**60)))
+    coord = st.integers(-50 * scale, 50 * scale)
+    return mat, draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=20))
+
+
+@given(reductions())
+def test_array_reduction_matches_per_vector_oracle(case):
+    mat, labels = case
+    rt_inv = mat.transpose().inverse()
+    r, w = np.array(mat.num, dtype=object), np.array(rt_inv.num, dtype=object)
+    reduced = builder._reduce_into_fundamental_domain(np.array(labels, dtype=object), r, w, rt_inv.den)
+    got = list(map(tuple, reduced.tolist()))
+    assert got == [ref_reduce(v, mat) for v in labels]
+    assert all(type(x) is int for v in got for x in v)
+    assert builder._reduce_into_fundamental_domain(reduced, r, w, rt_inv.den).tolist() == reduced.tolist()
+    for v, red in zip(labels, got):
+        assert all(Fraction(x).denominator == 1 for x in rt_inv.mul_vec(tuple(a - b for a, b in zip(v, red))))
+        assert all(Fraction(-1, 2) < c <= Fraction(1, 2) for c in rt_inv.mul_vec(red))

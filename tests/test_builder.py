@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -9,7 +10,9 @@ import pytest
 
 from conftest import SIERPINSKI, STAIRCASE, ref_transform
 from moranspec.builder import (
+    LEVEL_CAP,
     build_blocks,
+    check_level_cap,
     certified_block_size,
     choose_block_size,
     find_admissible_direction,
@@ -254,16 +257,16 @@ def test_fundamental_domain_reduction_idempotent_and_congruent():
 
     rng = random.Random(77)
     mat = Matrix.from_rows([[3, 1], [0, 3]])
-    rt = mat.transpose()
-    rt_inv = rt.inverse()
-    for _ in range(50):
-        v = (rng.randint(-30, 30), rng.randint(-30, 30))
-        red = _reduce_into_fundamental_domain(v, rt, rt_inv)
-        again = _reduce_into_fundamental_domain(red, rt, rt_inv)
-        assert red == again
-        quot = rt_inv.mul_vec(tuple(a - b for a, b in zip(v, red)))
+    rt_inv = mat.transpose().inverse()
+    r, w = np.array(mat.num, dtype=object), np.array(rt_inv.num, dtype=object)
+    vs = np.array([(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(50)], dtype=object)
+    red = _reduce_into_fundamental_domain(vs, r, w, rt_inv.den)
+    again = _reduce_into_fundamental_domain(red, r, w, rt_inv.den)
+    assert red.tolist() == again.tolist()
+    for v, red_v in zip(vs.tolist(), red.tolist()):
+        quot = rt_inv.mul_vec(tuple(a - b for a, b in zip(v, red_v)))
         assert all(x.denominator == 1 for x in quot)
-        y = rt_inv.mul_vec(red)
+        y = rt_inv.mul_vec(red_v)
         assert all(Fraction(-1, 2) < c <= Fraction(1, 2) for c in y)
 
 
@@ -307,3 +310,38 @@ def test_build_blocks_rejects_empty_sizes(K, blocks):
     with pytest.raises(ValidationFailure) as err:
         build_blocks(sierpinski_3i(), K=K, blocks=blocks)
     assert err.value.code == "params"
+
+
+# digests of the first 16 hex digits of SHA-256: each block's labels (their
+# repr) and the top level's int64 numerator bytes, three blocks at the
+# certified K, the top level the largest one of at most 20,000 elements
+BLOCK_DIGESTS = {
+    "sierpinski_3i": (3, 2, ("f319b58b30599777", "f319b58b30599777", "f319b58b30599777"), "c926de4adea11a17"),
+    "sierpinski_9i": (3, 2, ("1911b8ebb384ef20", "0e90098d00a0bebd", "0e90098d00a0bebd"), "ac54c7cf3d2f9829"),
+    "staircase_spectral": (3, 1, ("567737662e6dab77", "5440916492f43e36", "5440916492f43e36"), "2299da9b438a155f"),
+    "square_plus_b1": (3, 1, ("977cc75b3252efeb", "977cc75b3252efeb", "977cc75b3252efeb"), "6144f972c4cd526b"),
+    "banded_spectral": (9, 0, ("b60f26e6cf5e60ea", "0874c5be11055406", "6fa4d195a9d46994"), "81cdef3c21579017"),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_DIGESTS))
+def test_blocks_and_top_level_match_pinned_digests_at_certified_k(name):
+    K, top, labels, nums = BLOCK_DIGESTS[name]
+    system, _ = normalize_first_level(load_system(Path(__file__).parent / "fixtures" / f"{name}.json"))
+    decomp = build_blocks(system, blocks=3)
+    assert decomp.K == decomp.certified_K == K
+    assert tuple(_digest(repr(block.labels).encode()) for block in decomp.blocks) == labels
+    assert all(type(x) is int for block in decomp.blocks for label in block.labels for x in label)
+    level = spectrum_levels(decomp, top)[-1]
+    assert level.nums.dtype == np.int64 and level.size == system.prime ** (K * (top + 1))
+    assert _digest(level.nums.tobytes()) == nums
+
+
+def test_level_cap_admits_the_m5_examples_at_certified_k():
+    check_level_cap(5, 3, 2, LEVEL_CAP)  # 5^9 = 1,953,125 elements
+    with pytest.raises(CapExceeded, match="cap is 2000000"):
+        check_level_cap(3, 9, 2, LEVEL_CAP)  # 3^27

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import SIERPINSKI
-from moranspec.errors import CongruenceViolation, SizeMismatch
+from moranspec.errors import SizeMismatch
 from moranspec.exact import Matrix, vec_dot
 from moranspec.pairs import (
     CompatiblePair,
     is_compatible_pair,
-    reduce_pair_mod,
     tower_pair,
 )
 
@@ -55,34 +54,21 @@ def test_size_mismatch():
         is_compatible_pair(R3, SIERPINSKI.digits, [(0, 0), (1, 2)])
 
 
-def test_reduce_pair_mod():
-    pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
-    same = reduce_pair_mod(pair, pair.digits, pair.labels)
-    assert same.labels == pair.labels
+def test_labels_reduced_mod_r_transpose_stay_compatible():
     # representatives of the labels inside 3(-1/2,1/2]^2
-    reduced = reduce_pair_mod(pair, pair.digits, ((0, 0), (1, -1), (-1, 1)))
-    ok, _ = is_compatible_pair(reduced.matrix, reduced.digits, reduced.labels)
-    assert ok
-    with pytest.raises(CongruenceViolation):
-        reduce_pair_mod(pair, pair.digits, ((0, 0), (1, 1), (2, 1)))
+    assert is_compatible_pair(R3, SIERPINSKI.digits, ((0, 0), (1, -1), (-1, 1))) == (True, None)
 
 
-def test_reduce_pair_mod_shifts_digits_mod_r_and_labels_mod_r_transpose():
+def test_digits_shifted_mod_r_and_labels_mod_r_transpose_stay_compatible():
     # an upper-triangular R, so R Z^2 and R^t Z^2 differ: R e2 = (1, 3), R^t e1 = (3, 1), R^t e2 = (0, 3)
     mat = Matrix(((3, 1), (0, 3)))
-    pair = CompatiblePair(mat, ((0, 0), (1, 0), (2, 0)), ((0, 0), (-4, -4), (-2, -4)))
-    assert is_compatible_pair(pair.matrix, pair.digits, pair.labels) == (True, None)
-    reduced = reduce_pair_mod(pair, pair.digits, ((0, 0), (-4, -1), (-2, -4)))
-    assert is_compatible_pair(reduced.matrix, reduced.digits, reduced.labels) == (True, None)
-    reduced = reduce_pair_mod(pair, ((0, 0), (2, 3), (2, 0)), pair.labels)
-    assert is_compatible_pair(reduced.matrix, reduced.digits, reduced.labels) == (True, None)
-    # the swapped shifts break compatibility and must be rejected
-    assert not is_compatible_pair(pair.matrix, pair.digits, ((0, 0), (-3, -1), (-2, -4)))[0]
-    with pytest.raises(CongruenceViolation, match="mod R\\^t"):
-        reduce_pair_mod(pair, pair.digits, ((0, 0), (-3, -1), (-2, -4)))
-    assert not is_compatible_pair(pair.matrix, ((0, 0), (4, 1), (2, 0)), pair.labels)[0]
-    with pytest.raises(CongruenceViolation, match="mod R$"):
-        reduce_pair_mod(pair, ((0, 0), (4, 1), (2, 0)), pair.labels)
+    digits, labels = ((0, 0), (1, 0), (2, 0)), ((0, 0), (-4, -4), (-2, -4))
+    assert is_compatible_pair(mat, digits, labels) == (True, None)
+    assert is_compatible_pair(mat, digits, ((0, 0), (-4, -1), (-2, -4))) == (True, None)
+    assert is_compatible_pair(mat, ((0, 0), (2, 3), (2, 0)), labels) == (True, None)
+    # the swapped shifts break compatibility
+    assert not is_compatible_pair(mat, digits, ((0, 0), (-3, -1), (-2, -4)))[0]
+    assert not is_compatible_pair(mat, ((0, 0), (4, 1), (2, 0)), labels)[0]
 
 
 def test_tower_pair_single_level_identity():
@@ -209,8 +195,7 @@ def test_closure_operations_reverify_on_random_towers():
             for l in base.labels
         )
         if len(set(new_digits)) == base.size and len(set(new_labels)) == base.size:
-            red = reduce_pair_mod(base, new_digits, new_labels)
-            ok, _ = is_compatible_pair(red.matrix, red.digits, red.labels)
+            ok, _ = is_compatible_pair(base.matrix, new_digits, new_labels)
             assert ok
 
         # (vi) tower closure
