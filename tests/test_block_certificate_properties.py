@@ -4,7 +4,6 @@ at most 125 labels per block), corrupted towers that must be refused, and
 the array reduction into the fundamental domain against the per-vector
 Fraction oracle."""
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from conftest import ref_reduce  # noqa: E402
 from moranspec import builder  # noqa: E402
 from moranspec.errors import PairVerificationFailed, ValidationFailure  # noqa: E402
 from moranspec.exact import Matrix  # noqa: E402
-from moranspec.pairs import is_compatible_pair  # noqa: E402
+from moranspec.pairs import CompatiblePair, is_compatible_pair  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
 
 # largest K with m^K <= 125
@@ -193,7 +192,7 @@ def test_tower_labels_congruent_mod_the_lattice_are_refused_as_a_collision(case,
             return tower
         labels = list(tower.labels)
         labels[i] = vec_add(labels[j], tower.matrix.transpose().mul_vec((1,) + (0,) * (system.dimension - 1)))
-        return replace(tower, labels=tuple(labels))
+        return CompatiblePair(tower.matrix, tower.digits, tuple(labels))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(builder, "tower_pair", corrupt)
