@@ -48,6 +48,10 @@ EXTRA = [
     ("render-ppm", "staircase_spectral", "render", ["--level", "3", "--format", "ppm", "--out", "cloud.ppm"]),
     # the paper-scale example at its certified K = 9: one level of 19,683 elements
     ("spectrum-k9", "banded_spectral", "spectrum", ["--levels", "0", "--cap", "20000"]),
+    # the paper-scale examples at their certified K: 1,953,125 elements at K = 3 (m = 5), 531,441 at K = 3 (m = 3)
+    ("spectrum-default", "staircase_spectral", "spectrum", []),
+    ("spectrum-default", "square_plus_b1", "spectrum", []),
+    ("spectrum-l3", "sierpinski_3i", "spectrum", ["--levels", "3", "--cap", "600000"]),
 ]
 
 CASES = [(f"{fx}/{cmd}", fx, cmd, tail) for fx in FIXTURE_NAMES for cmd, tail in COMMANDS.items()]
