@@ -9,6 +9,12 @@ with labels (1/m) * (R_1^t C_1 + R_1^t R_2^t C_2 + ...). The labels are
 then reduced into the fundamental domain N = R~^t(-1/2,1/2]^n; the block
 is certified by the composition lemma for Hadamard triples from its exactly
 verified level pairs. Spectrum level k is L_0 + R~_0^t L_1 + ... + R~_0^t...R~_{k-1}^t L_k.
+
+Two certificates decide a level from its blocks alone, in O(sum N_j) rows.
+Distinct sums: labels distinct mod R~_j^t Z^n below the top block, and distinct
+in it (equal sums agree mod R~_0^t Z^n, so l_0 = l_0'; subtract, divide by
+R~_0^t, repeat). Containment: a full sumset's coordinatewise extremes are the
+sums of its blocks' extremes. A failed certificate runs the row-wide check.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from .errors import (
 )
 from .exact import INT64_LIMIT as _INT64_LIMIT, Matrix, mixed_radix_sums
 from .masks import coset_residues
-from .pairs import CompatiblePair, is_compatible_pair, tower_pair
+from .pairs import CompatiblePair, first_repeated_row, is_compatible_pair, row_tuples, tower_arrays
 from .system import MoranSystem, inverse_transpose
 
 LEVEL_CAP = 2 * 10**6  # default cap on the elements of the top spectrum level
@@ -175,10 +181,10 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
     K defaults to choose_block_size. Each block is certified by the
     composition lemma: compatible level pairs, distinct tower labels, and
     reduced labels congruent mod R~^t Z^n and distinct. Each distinct level
-    pair is certified once. A block's labels are reduced and both checks
-    run on them as one (N, n) array of Python ints; they become tuples once,
-    for the block's CompatiblePair. A failure raises PairVerificationFailed
-    and signals an index-interpretation bug.
+    pair is certified once. The towers stay ``tower_arrays``' arrays, reduced
+    and checked as (N, n) arrays of Python ints, and become tuples once, for the
+    block's CompatiblePair; distinct reduced labels are distinct mod R~^t Z^n, as
+    the collision certificate asks. A failure raises PairVerificationFailed: an indexing bug.
     """
     if (K is not None and K < 1) or blocks < 1:
         raise ValidationFailure("params", f"K and blocks must be at least 1, got K = {K}, blocks = {blocks}")
@@ -194,21 +200,20 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
             for k in ks:
                 if system.level(k) not in pairs:
                     pairs[system.level(k)] = _level_pair(system, k, b)
-            tower = tower_pair([pairs[system.level(k)] for k in ks])
+            matrix, digits, labels = tower_arrays([pairs[system.level(k)] for k in ks])
         except CongruenceViolation as exc:
             raise PairVerificationFailed(b, message=f"block {b}: {exc}") from exc
-        rt_inv = inverse_transpose(tower.matrix)
+        rt_inv = inverse_transpose(matrix)
         w, den = np.array(rt_inv.num, dtype=object), rt_inv.den
-        labels = np.array(tower.labels, dtype=object)
-        reduced = _reduce_into_fundamental_domain(labels, np.array(tower.matrix.num, dtype=object), w, den)
+        labels = labels.astype(object)
+        reduced = _reduce_into_fundamental_domain(labels, np.array(matrix.num, dtype=object), w, den)
         off = np.flatnonzero(((reduced - labels) @ w.T % den != 0).any(axis=1))
         if len(off):
             new, old = (tuple(v[off[0]].tolist()) for v in (reduced, labels))
             raise PairVerificationFailed(b, message=f"block {b}: label {new} is not congruent to {old} mod R^t")
-        rows = reduced[np.lexsort(reduced.T)]
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
+        if first_repeated_row(reduced) < len(reduced):
             raise PairVerificationFailed(b, message=f"block {b}: label tower collided after reduction")
-        built.append(replace(tower, labels=tuple(map(tuple, reduced.tolist()))))
+        built.append(CompatiblePair(matrix, row_tuples(digits), row_tuples(reduced)))
     return BlockDecomposition(system=system, K=K, blocks=tuple(built), certified_K=certified_K)
 
 
@@ -231,7 +236,7 @@ class SpectrumLevel:
     @cached_property
     def elements(self) -> tuple:
         """The rows as int tuples, built on first access."""
-        return tuple(map(tuple, self.nums.tolist()))
+        return row_tuples(self.nums)
 
 
 def check_level_cap(m: int, K: int, upto: int, cap: int):
@@ -245,8 +250,11 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
 
     Raises CapExceeded before materializing more than ``cap`` elements,
     CollisionDetected naming the first level whose sums are not pairwise
-    distinct, and ContainmentViolation when the exact box check on a level's
-    rows fails (checked by default only when K meets the certified bound).
+    distinct, and ContainmentViolation naming a level's first element outside
+    the padded box (checked by default only when K meets the certified bound).
+    Both are decided by the module's block certificates (equal sums would agree
+    in l_0, then l_1, ...; a sumset's extremes are sums of extremes). Only a failed
+    one runs the stable sort of the top level, or ``_check_containment``, to name it.
     """
     system = decomp.system
     n = system.dimension
@@ -260,16 +268,15 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
     blocks = decomp.blocks[: upto + 1]
     if any(block.labels[0] != (0,) * n for block in blocks):
         raise ValueError("every block's first label must be 0, else the levels are not sums over their blocks")
+    labels = [np.array(block.labels, dtype=object).reshape(-1, n) for block in blocks]
     coefs = [Matrix.identity(n)]  # R~_0^t ... R~_{k-1}^t
     for block in blocks[:-1]:
         coefs.append(coefs[-1].mul(block.matrix.transpose()))
     # the earliest block varies fastest, so level k is a prefix of the top level;
     # the coefficients are integer matrices, so the denominator is 1
-    nums = mixed_radix_sums(coefs, [block.labels for block in blocks])[0]
-    order = np.lexsort(nums.T)  # stable, so equal rows stay in index order; it sorts Python ints too
-    rows = nums[order]
-    repeat = int(order[1:][(rows[1:] == rows[:-1]).all(axis=1)].min(initial=len(nums)))  # first repeated row
-    del order, rows  # freed before the containment products allocate theirs
+    nums = mixed_radix_sums(coefs, labels)[0]
+    repeat = len(nums) if _sums_distinct(blocks, labels) else first_repeated_row(nums)
+    box = Fraction(1, 2) + system.delta / 4
     w = Matrix.identity(n)  # (R~_0^t ... R~_k^t)^-1
     levels = []
     size = 1
@@ -279,9 +286,24 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
             raise CollisionDetected(f"level {k} sums are not pairwise distinct")
         if enforce_containment:
             w = inverse_transpose(block.matrix).mul(w)
-            _check_containment(k, nums[:size], w, Fraction(1, 2) + system.delta / 4)
+            wn, lim = np.array(w.num, dtype=object), box.numerator * w.den // box.denominator
+            # the numerators W_k C_j in Python ints: Matrix.mul divides out a gcd, which may change den
+            ys = [rows @ (wn @ np.array(coef.num, dtype=object)).T for coef, rows in zip(coefs[: k + 1], labels)]
+            if (sum(y.max(axis=0) for y in ys) > lim).any() or (sum(y.min(axis=0) for y in ys) < -lim).any():
+                _check_containment(k, nums[:size], w, box)
         levels.append(SpectrumLevel(index=k, K=K, nums=nums[:size], containment_checked=enforce_containment))
     return tuple(levels)
+
+
+def _sums_distinct(blocks, labels) -> bool:
+    """The module's collision certificate: rows congruent mod R~_j^t Z^n agree in L_j W_j^t mod den_j."""
+    for block, rows in zip(blocks[:-1], labels):
+        if not block.matrix.det():  # a singular R~_j fails it
+            return False
+        w = inverse_transpose(block.matrix)  # W_j / den_j
+        if first_repeated_row(rows @ np.array(w.num, dtype=object).T % w.den) < len(rows):
+            return False
+    return first_repeated_row(labels[-1]) == len(labels[-1])
 
 
 def _check_containment(k: int, nums: np.ndarray, w: Matrix, box: Fraction):

@@ -7,9 +7,12 @@ is decided exactly by the cyclotomic test on the rational inner products.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import exact
 from .errors import CongruenceViolation, DimensionMismatch, SizeMismatch
@@ -29,8 +32,18 @@ class CompatiblePair:
         return len(self.digits)
 
 
-def _normalize_vectors(vectors) -> tuple:
-    return tuple(intvec(v) for v in vectors)
+def first_repeated_row(rows: np.ndarray) -> int:
+    """Least index of a row equal to an earlier row, else ``len(rows)``, by one stable ``np.lexsort``."""
+    with contextlib.suppress(OverflowError):  # Python ints sort faster as int64; astype raises if one does not fit
+        rows = rows.astype(np.int64, copy=False)
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    return int(order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)].min(initial=len(rows)))
+
+
+def row_tuples(rows: np.ndarray) -> tuple:
+    """The rows of a 2-D integer array as tuples of Python ints, each built once from the columns."""
+    return tuple(zip(*rows.T.tolist()))
 
 
 def is_compatible_pair(matrix: Matrix, digits, labels):
@@ -41,8 +54,8 @@ def is_compatible_pair(matrix: Matrix, digits, labels):
     through the cyclotomic vanishing test with the least common denominator
     of the inner products, so composite denominators are covered too.
     """
-    digits = _normalize_vectors(digits)
-    labels = _normalize_vectors(labels)
+    digits = tuple(map(intvec, digits))
+    labels = tuple(map(intvec, labels))
     if len(digits) != len(labels):
         raise SizeMismatch(f"{len(digits)} digits vs {len(labels)} labels")
     n = matrix.n
@@ -66,14 +79,14 @@ def is_compatible_pair(matrix: Matrix, digits, labels):
     return True, None
 
 
-def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
-    """Product pair over consecutive levels.
+def tower_arrays(pairs: Sequence[CompatiblePair]) -> tuple:
+    """(matrix, digits, labels) of the product pair over consecutive levels.
 
     For levels 1..K the product matrix is R_K ... R_1, the digit tower is
     D_K + R_K D_{K-1} + ... + R_K...R_2 D_1 and the label tower is
-    L_1 + R_1^t L_2 + ... + R_1^t...R_{K-1}^t L_K. The result of combining
-    compatible levels is compatible, with cardinality the product of the
-    level cardinalities.
+    L_1 + R_1^t L_2 + ... + R_1^t...R_{K-1}^t L_K, both as the (N, n)
+    arrays of ``mixed_radix_sums``. Either tower repeating an element
+    raises CongruenceViolation.
     """
     if not pairs:
         raise SizeMismatch("tower needs at least one level")
@@ -89,9 +102,14 @@ def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
     for p in pairs[:-1]:
         label_coef.append(label_coef[-1].mul(p.matrix.transpose()))
     # integer coefficients, so both denominators are 1
-    digits = tuple(map(tuple, mixed_radix_sums(digit_coef, [p.digits for p in pairs])[0].tolist()))
-    labels = tuple(map(tuple, mixed_radix_sums(label_coef, [p.labels for p in pairs])[0].tolist()))
-    if len(set(digits)) != len(digits) or len(set(labels)) != len(labels):
+    digits = mixed_radix_sums(digit_coef, [p.digits for p in pairs])[0]
+    labels = mixed_radix_sums(label_coef, [p.labels for p in pairs])[0]
+    if first_repeated_row(digits) < len(digits) or first_repeated_row(labels) < len(labels):
         raise CongruenceViolation("tower produced colliding elements")
-    matrix = digit_coef[0].mul(pairs[0].matrix)
-    return CompatiblePair(matrix=matrix, digits=digits, labels=labels)
+    return digit_coef[0].mul(pairs[0].matrix), digits, labels
+
+
+def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
+    """``tower_arrays`` as a pair of tuples; compatible levels give a compatible pair of N = prod N_j labels."""
+    matrix, digits, labels = tower_arrays(pairs)
+    return CompatiblePair(matrix=matrix, digits=row_tuples(digits), labels=row_tuples(labels))

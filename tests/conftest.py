@@ -218,6 +218,30 @@ def ref_collision(decomp, upto: int):
     return None
 
 
+def ref_tower(pairs):
+    """(matrix, digits, labels) of the tower over consecutive level pairs, one tuple at a time,
+    or None when either tower repeats an element.
+
+    Level j's digits are multiplied by the matrices above it, R_K ... R_{j+1},
+    and its labels by the transposes below it, R_1^t ... R_{j-1}^t; the
+    earliest level varies fastest, and the matrix is R_K ... R_1.
+    """
+    n = pairs[0].matrix.n
+    matrix, digits, labels = Matrix.identity(n), [(0,) * n], [(0,) * n]
+    for j, pair in enumerate(pairs):
+        above, below = Matrix.identity(n), Matrix.identity(n)
+        for q in pairs[j + 1 :]:
+            above = q.matrix.mul(above)
+        for q in pairs[:j]:
+            below = below.mul(q.matrix.transpose())
+        digits = [tuple(a + b for a, b in zip(s, above.mul_vec(d))) for d in pair.digits for s in digits]
+        labels = [tuple(a + b for a, b in zip(s, below.mul_vec(v))) for v in pair.labels for s in labels]
+        matrix = pair.matrix.mul(matrix)
+    if len(set(digits)) < len(digits) or len(set(labels)) < len(labels):
+        return None
+    return matrix, tuple(digits), tuple(labels)
+
+
 def ref_reduce(vec, matrix):
     """Representative of vec mod R^t Z^n inside R^t (-1/2, 1/2]^n, one vector in Fractions.
 

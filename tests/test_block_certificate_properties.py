@@ -1,9 +1,11 @@
 """Property tests: block certification by the composition lemma against the
 full compatible-pair oracle on random small towers (m in {3, 5}, n <= 3,
-at most 125 labels per block), corrupted towers that must be refused, and
-the array reduction into the fundamental domain against the per-vector
+at most 125 labels per block), corrupted towers that must be refused, the
+tower arrays against tower_pair's tuples and the per-tuple oracle, and the
+array reduction into the fundamental domain against the per-vector
 Fraction oracle."""
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from conftest import ref_reduce  # noqa: E402
+from conftest import ref_reduce, ref_tower  # noqa: E402
 from moranspec import builder  # noqa: E402
-from moranspec.errors import PairVerificationFailed, ValidationFailure  # noqa: E402
+from moranspec.errors import CongruenceViolation, PairVerificationFailed, ValidationFailure  # noqa: E402
 from moranspec.exact import Matrix  # noqa: E402
-from moranspec.pairs import CompatiblePair, is_compatible_pair  # noqa: E402
+from moranspec.pairs import is_compatible_pair, row_tuples, tower_arrays, tower_pair  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
 
 # largest K with m^K <= 125
@@ -183,21 +185,50 @@ def test_tower_labels_congruent_mod_the_lattice_are_refused_as_a_collision(case,
     b = data.draw(st.integers(0, blocks - 1), label="block")
     i = data.draw(st.integers(1, N - 1), label="label")
     j = data.draw(st.integers(0, i - 1), label="copied")
-    original = builder.tower_pair
+    original = builder.tower_arrays
     calls = itertools.count()
 
     def corrupt(pairs):
-        tower = original(pairs)
+        matrix, digits, labels = original(pairs)
         if next(calls) != b:
-            return tower
-        labels = list(tower.labels)
-        labels[i] = vec_add(labels[j], tower.matrix.transpose().mul_vec((1,) + (0,) * (system.dimension - 1)))
-        return CompatiblePair(tower.matrix, tower.digits, tuple(labels))
+            return matrix, digits, labels
+        labels = labels.astype(object)
+        labels[i] = labels[j] + np.array(matrix.transpose().mul_vec((1,) + (0,) * (system.dimension - 1)), dtype=object)
+        return matrix, digits, labels
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(builder, "tower_pair", corrupt)
+        mp.setattr(builder, "tower_arrays", corrupt)
         exc = _raises_for_block(system, K, blocks, b)
     assert str(exc) == f"block {b}: label tower collided after reduction"
+
+
+@settings(max_examples=60, deadline=None)
+@given(towers(), st.data())
+def test_tower_arrays_match_tower_pair_and_the_tuple_oracle(case, data):
+    # the arrays that build_blocks keeps are tower_pair's tuples row for row, int64 below 2^53 and
+    # Python ints past it; a repeated level label makes both refuse the tower with one message
+    system, K, _ = case
+    scale = data.draw(st.sampled_from((1, 2**60)), label="scale")
+    levels = [builder._level_pair(system, k, 0) for k in range(1, K + 1)]
+    levels = [replace(p, labels=tuple(tuple(scale * x for x in v) for v in p.labels)) for p in levels]
+    if data.draw(st.booleans(), label="repeat a label"):
+        k = data.draw(st.integers(0, K - 1), label="level")
+        i = data.draw(st.integers(1, system.prime - 1), label="label")
+        labels = list(levels[k].labels)
+        labels[i] = labels[data.draw(st.integers(0, i - 1), label="copied")]
+        levels[k] = replace(levels[k], labels=tuple(labels))
+    expected = ref_tower(levels)
+    if expected is None:
+        for build in (tower_arrays, tower_pair):
+            with pytest.raises(CongruenceViolation, match="^tower produced colliding elements$"):
+                build(levels)
+        return
+    matrix, digits, labels = tower_arrays(levels)
+    assert digits.dtype == np.int64 and labels.dtype == (object if scale > 1 else np.int64)
+    assert (matrix, row_tuples(digits), row_tuples(labels)) == expected
+    pair = tower_pair(levels)
+    assert (pair.matrix, pair.digits, pair.labels) == expected
+    assert all(type(x) is int for v in pair.digits + pair.labels for x in v)
 
 
 @st.composite

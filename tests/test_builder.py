@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SIERPINSKI, STAIRCASE, ref_transform
+from conftest import SIERPINSKI, STAIRCASE, ref_collision, ref_containment, ref_transform
+from moranspec import builder
 from moranspec.builder import (
     LEVEL_CAP,
     build_blocks,
@@ -345,3 +346,69 @@ def test_level_cap_admits_the_m5_examples_at_certified_k():
     check_level_cap(5, 3, 2, LEVEL_CAP)  # 5^9 = 1,953,125 elements
     with pytest.raises(CapExceeded, match="cap is 2000000"):
         check_level_cap(3, 9, 2, LEVEL_CAP)  # 3^27
+
+
+def _recording_sorts(monkeypatch):
+    """Patch builder.first_repeated_row to record every array it sorts; returns that list."""
+    sorted_rows, original = [], builder.first_repeated_row
+
+    def recording(rows):
+        sorted_rows.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(builder, "first_repeated_row", recording)
+    return sorted_rows
+
+
+def _refuse_row_wide_containment(monkeypatch):
+    def refuse(k, *args):
+        raise AssertionError(f"level {k}: the row-wide containment check ran")
+
+    monkeypatch.setattr(builder, "_check_containment", refuse)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_DIGESTS))
+def test_certified_levels_never_reach_the_row_wide_fallbacks(name, monkeypatch):
+    # the block certificates decide every level of the spectral fixtures at their certified K:
+    # no sort of a level's rows, and no containment check row by row
+    K, top, _, _ = BLOCK_DIGESTS[name]
+    system, _ = normalize_first_level(load_system(Path(__file__).parent / "fixtures" / f"{name}.json"))
+    decomp = build_blocks(system, blocks=top + 1)
+    sorted_rows = _recording_sorts(monkeypatch)
+    _refuse_row_wide_containment(monkeypatch)
+    levels = spectrum_levels(decomp, top)
+    assert all(level.containment_checked for level in levels)
+    assert len(sorted_rows) == top + 1
+    assert not any(np.shares_memory(rows, levels[-1].nums) for rows in sorted_rows)
+
+
+def test_box_certificate_admits_a_sum_on_the_face_and_refuses_one_unit_past(monkeypatch):
+    # R~ = 9I and delta = 2/9 make the box 5/9, so level 1 (den 81) has lim 45. Block 1's first
+    # coordinates reach +-5, so level 1's first coordinates reach exactly +-45 = 9 * 5 + 0
+    system = build_system(2, 3, [], [([[9, 0], [0, 9]], SIERPINSKI.digits)], r="1/3", delta="2/9")
+    decomp = build_blocks(system, K=1, blocks=2)
+    top = ((0, 0), (5, -1), (-5, 1))
+    face = with_labels(decomp, ((0, 0), (0, 1), (0, -1)), top)
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_row_wide_containment(mp)
+        assert all(level.containment_checked for level in spectrum_levels(face, 1, enforce_containment=True))
+    assert ref_containment(face, 1) is None
+    # a first coordinate of 1 in block 0 puts (1, 1) + 9 * (5, -1) = (46, -8) one unit past the face
+    past = with_labels(decomp, ((0, 0), (1, 1), (0, -1)), top)
+    expected = "level 1: element (46, -8) maps to ('46/81', '-8/81') outside the box"
+    assert ref_containment(past, 1) == expected
+    with pytest.raises(ContainmentViolation) as err:
+        spectrum_levels(past, 1, enforce_containment=True)
+    assert str(err.value) == expected
+
+
+def test_block_not_distinct_mod_its_lattice_with_distinct_sums_builds(monkeypatch):
+    # (0, 0) and (3, 0) of block 0 agree mod R~_0^t Z^2 = 3Z^2, so the collision certificate
+    # fails; the sort of level 1's nine rows then finds its sums distinct
+    decomp = build_blocks(sierpinski_3i(), K=1, blocks=2)
+    odd = with_labels(decomp, ((0, 0), (3, 0), (1, -1)), ((0, 0), (1, -1), (-1, 1)))
+    assert ref_collision(odd, 1) is None
+    sorted_rows = _recording_sorts(monkeypatch)
+    levels = spectrum_levels(odd, 1, enforce_containment=False)
+    assert levels[1].elements == ((0, 0), (3, 0), (1, -1), (3, -3), (6, -3), (4, -4), (-3, 3), (0, 3), (-2, 2))
+    assert np.shares_memory(sorted_rows[-1], levels[-1].nums)

@@ -3,14 +3,15 @@ Fraction oracle ref_containment on random small towers (m in {3, 5},
 n <= 3), with and without a label moved off its fundamental domain, in
 int64 and, with the int64 limit lowered, in Python ints; and the collision
 check against the set oracle ref_collision on hand-built blocks with
-repeated labels, in int64 and, with labels past 2^53, in Python ints."""
+repeated labels, in int64 and, with labels past 2^53, in Python ints, and
+on blocks below the top whose matrix is singular."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import ref_collision, ref_containment  # noqa: E402
@@ -99,8 +100,23 @@ def colliding_blocks(draw):
     return builder.BlockDecomposition(system=AXIS_SYSTEMS[n], K=1, blocks=tuple(blocks), certified_K=1)
 
 
+def singular_below_the_top(top_label):
+    """Block 0 with the singular R~_0 = [[1, 2], [2, 4]] under a top block with labels 0 and ``top_label``.
+
+    R~_0 has no inverse, so the collision certificate cannot reduce mod
+    R~_0^t Z^n. R~_0^t (2, -1) = 0 makes level 1 repeat a sum; (0, 1) does not.
+    """
+    blocks = (
+        CompatiblePair(matrix=Matrix.from_rows([[1, 2], [2, 4]]), digits=(), labels=((0, 0), (1, 0))),
+        CompatiblePair(matrix=Matrix.identity(2), digits=(), labels=((0, 0), top_label)),
+    )
+    return builder.BlockDecomposition(system=AXIS_SYSTEMS[2], K=1, blocks=blocks, certified_K=1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(colliding_blocks())
+@example(singular_below_the_top((0, 1)))
+@example(singular_below_the_top((2, -1)))
 def test_collision_matches_set_oracle(decomp):
     upto = len(decomp.blocks) - 1
     try:
