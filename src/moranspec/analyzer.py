@@ -19,9 +19,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import exact
 from .builder import SpectrumLevel
 from .errors import DimensionMismatch
-from .exact import INT64_LIMIT as _INT64_LIMIT, Matrix
+from .exact import Matrix
+from .pairs import first_repeated_row, row_tuples
 from .system import MoranSystem, inverse_transpose
 
 # level cap of the zero-level search; the stopping rule ends it long before
@@ -59,18 +61,24 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
     Differences are deduplicated up to sign before running the exact
     membership test; witnesses list (p, q, difference) triples whose
     difference misses the zero set, sorted by difference, each with its
-    first pair in row-major order. Non-integral coordinates raise
-    ValueError, points of another dimension DimensionMismatch.
+    first pair in row-major order. ``points`` is an (N, n) integer array or
+    any sequence of points; points of another dimension, ragged input
+    included, raise DimensionMismatch, non-integral coordinates ValueError.
     """
-    pts = []
-    for p in map(tuple, points):
-        pt = tuple(int(c) for c in p)
-        if pt != p:
-            raise ValueError(f"point ({', '.join(map(str, p))}) has a non-integral coordinate")
-        if len(pt) != system.dimension:
-            raise DimensionMismatch(f"point {pt} has dimension {len(pt)}, the system {system.dimension}")
-        pts.append(pt)
-    if len(set(pts)) != len(pts):
+    n, pts = system.dimension, points
+    if not (isinstance(points, np.ndarray) and points.dtype in (np.int64, np.uint64)):
+        # object dtype keeps every int exact: numpy reads ints in [2^63, 2^64) as uint64 or float64
+        pts = np.array(list(points) or np.empty((0, n)), dtype=object)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        p = next(p for p in pts if np.ndim(p) != 1 or len(p) != n)
+        raise DimensionMismatch(f"point {np.asarray(p, dtype=object).tolist()} is not {n}-dimensional like the system")
+    if pts.dtype == object:
+        ints = np.frompyfunc(int, 1, 1)(pts)
+        bad = np.flatnonzero((ints != pts).any(axis=1))
+        if len(bad):
+            raise ValueError(f"point ({', '.join(map(str, pts[bad[0]]))}) has a non-integral coordinate")
+        pts = ints
+    if first_repeated_row(pts) < len(pts):
         raise ValueError("points must be pairwise distinct")
     witnesses, distinct, levels_hit = _orthogonality_pairs(system, pts) if len(pts) > 1 else ((), 0, {})
     return VerificationReport(
@@ -84,7 +92,7 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
     )
 
 
-def _orthogonality_pairs(system: MoranSystem, pts: list):
+def _orthogonality_pairs(system: MoranSystem, pts: np.ndarray):
     """(witnesses, distinct differences, pairs per zero level) of two or more points.
 
     Points are packed once as ``P = (p - lo) @ strides``, and the key of a
@@ -96,19 +104,18 @@ def _orthogonality_pairs(system: MoranSystem, pts: list):
     keys, so memory is one block plus about twice the distinct differences.
     Only a difference that misses the zero set gets its earliest pair
     i < j in row-major order, from a second pass over the same blocks. Keys
-    and packed differences lie below ``prod(dims)``, so they are int32 when
-    that fits, int64 when every coordinate and key fits, Python ints
-    (object dtype) otherwise.
+    lie below ``prod(dims)``: int32 when that fits, else the dtype of the
+    ``exact.int_matmul`` packing, whose int64 bound keeps it below 2^63.
     """
-    cols = list(zip(*pts))
-    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
-    dims = [2 * (b - a) + 1 for a, b in zip(lo, hi)]
+    lo = pts.min(axis=0)
+    dims = [2 * (int(b) - int(a)) + 1 for a, b in zip(lo, pts.max(axis=0))]
     size = math.prod(dims)
-    wide = np.int64 if size < _INT64_LIMIT and max(map(abs, lo + hi)) < _INT64_LIMIT else object
-    dtype = np.int32 if size < 2**31 else wide
-    strides = np.array([math.prod(dims[i + 1 :]) for i in range(len(dims))], dtype=dtype)
-    packed = (np.array(pts, dtype=wide) - np.array(lo, dtype=wide)).astype(dtype) @ strides
-    tables = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))]
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+    # 0 <= p - lo < 2^64: int64 wraps it by 2^64 at most, which the uint64 view undoes
+    shifted = pts - lo
+    packed = exact.int_matmul(shifted.view(np.uint64) if shifted.dtype == np.int64 else shifted, [strides])[:, 0]
+    packed = packed.astype(np.int32) if size < 2**31 else packed
+    tables = [(np.empty(0, dtype=packed.dtype), np.empty(0, dtype=np.int64))]
     for block in _row_blocks(packed):
         tables.append(np.unique(block[block > 0], return_counts=True))
         if sum(len(k) for k, _ in tables[1:]) > len(tables[0][0]):
@@ -131,7 +138,7 @@ def _orthogonality_pairs(system: MoranSystem, pts: list):
         i0 += len(block)
         if (first >= 0).all():
             break
-    witnesses = tuple((pts[j], pts[i], tuple(int(x) for x in d)) for (j, i), d in zip(first, diffs[miss]))
+    witnesses = tuple(zip(row_tuples(pts[first[:, 0]]), row_tuples(pts[first[:, 1]]), row_tuples(diffs[miss])))
     return witnesses, len(keys), levels_hit
 
 
@@ -163,38 +170,33 @@ def _zero_levels(system: MoranSystem, points, q: int = 1) -> np.ndarray:
     nonzero mod the prime m). The stopping rule assumes condition (ii), the
     coset-line model, still unverified (ROADMAP.md item 1).
 
-    Rows may be int32, int64 or Python ints (object dtype). A level runs in
-    int64 when every undecided row's next step fits, in Python ints
-    otherwise, and the rows go back to int64 at the first level where they
-    fit again. The gcd and the test of m * v against q run one column at a
-    time, and v is divided in place, so neither keeps an (R, n) temporary.
+    Rows may be int32, int64 or Python ints (object dtype), and q must fit
+    their dtype. Row r is kept as column r of one (n + 1, R) array (q, v), and
+    a level is one ``exact.int_matmul`` by diag(den, num) with headroom m for
+    ``_residue_hits``, in Python ints only while some row's step needs them.
+    The gcd (from q, which is 1 at first and ends it at once) and the test of
+    m * v against q run one contiguous coordinate at a time, and (q, v) is
+    divided in place, so neither keeps a temporary of its size.
     """
     points = np.asarray(points)
     if not (points != 0).any(axis=1).all():
         raise ValueError("the zero vector is not in any zero set")
-    n = points.shape[1]
-    m = system.prime
+    n, m = points.shape[1], system.prime
     out = np.zeros(len(points), dtype=np.int64)
     rows = np.arange(len(points))
-    v, q = points, np.full(len(points), q, dtype=np.int64 if q <= _INT64_LIMIT else object)
+    qv = np.vstack([np.full(len(points), q, dtype=points.dtype), points.T])
     for k in range(1, _MAX_LEVELS + 1):
         if not len(rows):
             return out
         level = system.level(k)
         inv_t = inverse_transpose(level.matrix)
-        # |num @ v| * m and q * den must stay below the limit
-        lim = _INT64_LIMIT // (n * m * max(abs(x) for row in inv_t.num for x in row))
-        fits = ((v <= lim) & (v >= -lim)).all() and (q <= _INT64_LIMIT // inv_t.den).all()
-        dtype = np.int64 if fits else object
-        v = v.astype(dtype, copy=False) @ np.array(inv_t.num, dtype=dtype).T
-        q = q.astype(dtype, copy=False) * inv_t.den
-        g = reduce(np.gcd, v.T, q)
-        v //= g[:, None]
-        q //= g
+        qv = exact.int_matmul([(inv_t.den,) + (0,) * n] + [(0,) + row for row in inv_t.num], qv.T, headroom=m)
+        qv //= reduce(np.gcd, qv)
+        q, v = qv[0], qv[1:].T
         hit = _residue_hits(level, m, v, q)
         out[rows[hit]] = k
         keep = ~hit & ~_below_coset_norm(system.c, m, v, q)
-        rows, v, q = rows[keep], v[keep], q[keep]
+        rows, qv = rows[keep], qv[:, keep]
     if len(rows):
         raise RuntimeError("zero-set search failed to terminate; contraction data inconsistent")
     return out
@@ -245,24 +247,20 @@ def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth
 def _transform_plans(system: MoranSystem, offsets: np.ndarray, depth: int) -> list:
     """(digits, float matrix, roots of unity) of levels 1..depth, the roots on the first w offsets.
 
-    Exact integer phase residues mod q (int64 when they fit, Python ints
-    otherwise) become roots of unity once. w is the least width, a power of m
+    Exact integer phases (two ``exact.int_matmul`` products) become roots of
+    unity once, from residues mod q. w is the least width, a power of m
     dividing P or else P, no less than the last level's, with phase column i
     equal to column i mod w exactly (m^k at level k of a spectrum level).
     """
     n_points = len(offsets)
-    max_lam = int(np.abs(offsets).max(initial=0)) + 1
-    n = system.dimension
-    plans, width, acc = [], 1, Matrix.identity(n)
+    plans, width, acc = [], 1, Matrix.identity(system.dimension)
     for k in range(1, depth + 1):
         acc = inverse_transpose(system.level(k).matrix).mul(acc)  # (R_1^t ... R_k^t)^-1 = m_int / q
         m_int, q = acc.num, acc.den
         d_arr = np.array(system.level(k).digits.digits, dtype=np.int64)
-        max_m = max(abs(v) for row in m_int for v in row) + 1
-        max_d = int(np.abs(d_arr).max(initial=0)) + 1
-        fits = n * n * max_m * max_lam * max_d < _INT64_LIMIT and q < _INT64_LIMIT
-        m_arr = np.array(m_int, dtype=np.int64 if fits else object)
-        int_phases = ((d_arr @ m_arr) @ offsets.T) % q  # (m, P)
+        phases = exact.int_matmul(exact.int_matmul(d_arr, acc.transpose().num), offsets)  # (m, P)
+        # residues below q < 2^63 are int64 whatever dtype the product took, and so are the roots' bits
+        int_phases = (phases % q).astype(np.int64, copy=False) if q < 2**63 else phases.astype(object) % q
         while width < n_points and not (int_phases.reshape(len(d_arr), -1, width) == int_phases[:, None, :width]).all():
             width = width * system.prime if n_points % (width * system.prime) == 0 else n_points
         roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))

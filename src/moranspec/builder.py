@@ -34,7 +34,8 @@ from .errors import (
     PairVerificationFailed,
     ValidationFailure,
 )
-from .exact import INT64_LIMIT as _INT64_LIMIT, Matrix, mixed_radix_sums
+from . import exact
+from .exact import Matrix, mixed_radix_sums
 from .masks import coset_residues
 from .pairs import CompatiblePair, first_repeated_row, is_compatible_pair, row_tuples, tower_arrays
 from .system import MoranSystem, inverse_transpose
@@ -137,17 +138,21 @@ class BlockDecomposition:
         return self.K >= self.certified_K
 
 
+def _by_den(y: np.ndarray, den: int) -> np.ndarray:
+    """``y``, in Python ints when ``den`` is past the int64 limit: numpy's // and % refuse such a divisor."""
+    return y.astype(object) if den >= exact.INT64_LIMIT else y
+
+
 def _reduce_into_fundamental_domain(labels: np.ndarray, r: np.ndarray, w: np.ndarray, den: int) -> np.ndarray:
     """Representatives of the rows l of ``labels`` mod R~^t Z^n inside R~^t (-1/2, 1/2]^n.
 
-    ``r`` is the integer matrix R~ and R~^-t = w / den; every array holds
-    Python ints (object dtype), so each step is exact at every size.
-    Componentwise z = ceil(R~^-t l - 1/2) maps the boundary 1/2 into the
-    half-open domain; with y = labels w^t that is -floor((den - 2y) / 2den),
-    and the rows of labels - z r are the representatives l - R~^t z.
+    ``r`` is the integer matrix R~ and R~^-t = w / den. Componentwise
+    z = ceil(R~^-t l - 1/2) maps the boundary 1/2 into the half-open domain;
+    with y = labels w^t that is floor((y + floor((den - 1) / 2)) / den), and
+    the rows of labels - z r are the representatives l - R~^t z.
     """
-    z = -((den - 2 * (labels @ w.T)) // (2 * den))
-    return labels - z @ r
+    y = _by_den(exact.int_matmul(labels, w), den)
+    return labels - exact.int_matmul((y + (den - 1) // 2) // den, r.T)
 
 
 def _level_pair(system: MoranSystem, k: int, b: int):
@@ -179,12 +184,12 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
     """Materialize the first ``blocks`` block pairs for block size K.
 
     K defaults to choose_block_size. Each block is certified by the
-    composition lemma: compatible level pairs, distinct tower labels, and
-    reduced labels congruent mod R~^t Z^n and distinct. Each distinct level
-    pair is certified once. The towers stay ``tower_arrays``' arrays, reduced
-    and checked as (N, n) arrays of Python ints, and become tuples once, for the
-    block's CompatiblePair; distinct reduced labels are distinct mod R~^t Z^n, as
-    the collision certificate asks. A failure raises PairVerificationFailed: an indexing bug.
+    composition lemma: compatible level pairs (each distinct one certified
+    once), distinct tower digits, and reduced labels congruent mod R~^t Z^n
+    and distinct, so the tower labels are distinct, and distinct mod R~^t Z^n
+    as the collision certificate asks. The towers stay arrays through the
+    checks and become tuples once. A failure raises PairVerificationFailed:
+    an indexing bug.
     """
     if (K is not None and K < 1) or blocks < 1:
         raise ValidationFailure("params", f"K and blocks must be at least 1, got K = {K}, blocks = {blocks}")
@@ -205,9 +210,8 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
             raise PairVerificationFailed(b, message=f"block {b}: {exc}") from exc
         rt_inv = inverse_transpose(matrix)
         w, den = np.array(rt_inv.num, dtype=object), rt_inv.den
-        labels = labels.astype(object)
         reduced = _reduce_into_fundamental_domain(labels, np.array(matrix.num, dtype=object), w, den)
-        off = np.flatnonzero(((reduced - labels) @ w.T % den != 0).any(axis=1))
+        off = np.flatnonzero((_by_den(exact.int_matmul(reduced - labels, w), den) % den != 0).any(axis=1))
         if len(off):
             new, old = (tuple(v[off[0]].tolist()) for v in (reduced, labels))
             raise PairVerificationFailed(b, message=f"block {b}: label {new} is not congruent to {old} mod R^t")
@@ -286,10 +290,11 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
             raise CollisionDetected(f"level {k} sums are not pairwise distinct")
         if enforce_containment:
             w = inverse_transpose(block.matrix).mul(w)
-            wn, lim = np.array(w.num, dtype=object), box.numerator * w.den // box.denominator
-            # the numerators W_k C_j in Python ints: Matrix.mul divides out a gcd, which may change den
-            ys = [rows @ (wn @ np.array(coef.num, dtype=object)).T for coef, rows in zip(coefs[: k + 1], labels)]
-            if (sum(y.max(axis=0) for y in ys) > lim).any() or (sum(y.min(axis=0) for y in ys) < -lim).any():
+            lim = box.numerator * w.den // box.denominator
+            # y = L_j (W_k C_j)^t, not Matrix.mul, whose gcd may change den; extremes summed in Python ints
+            wcs = (exact.int_matmul(w.num, c.transpose().num) for c in coefs)
+            ys = (exact.int_matmul(rows, wc) for wc, rows in zip(wcs, labels[: k + 1]))
+            if (sum(np.r_[y.max(axis=0), -y.min(axis=0)].astype(object) for y in ys) > lim).any():
                 _check_containment(k, nums[:size], w, box)
         levels.append(SpectrumLevel(index=k, K=K, nums=nums[:size], containment_checked=enforce_containment))
     return tuple(levels)
@@ -301,7 +306,7 @@ def _sums_distinct(blocks, labels) -> bool:
         if not block.matrix.det():  # a singular R~_j fails it
             return False
         w = inverse_transpose(block.matrix)  # W_j / den_j
-        if first_repeated_row(rows @ np.array(w.num, dtype=object).T % w.den) < len(rows):
+        if first_repeated_row(_by_den(exact.int_matmul(rows, w.num), w.den) % w.den) < len(rows):
             return False
     return first_repeated_row(labels[-1]) == len(labels[-1])
 
@@ -312,14 +317,12 @@ def _check_containment(k: int, nums: np.ndarray, w: Matrix, box: Fraction):
 
     With w = W / den and box = p / q, an image y / den of a row is outside
     iff |y| q > p den, iff |y| > floor(p den / q) as y is an integer: one
-    array comparison on y = nums W^t. It runs in int64 when n max|nums| max|W|
-    and p den fit, in Python ints (object dtype) otherwise. The error names
-    the first element outside, in prefix order.
+    array comparison on y = nums W^t, an ``exact.int_matmul`` product (numpy
+    compares int64 and a Python int past int64 exactly). The error names the
+    first element outside, in prefix order.
     """
     lim = box.numerator * w.den // box.denominator
-    bound = len(w.num) * max(int(nums.max()), -int(nums.min())) * max(abs(x) for row in w.num for x in row)
-    dtype = np.int64 if max(bound, lim) < _INT64_LIMIT else object
-    y = nums.astype(dtype, copy=False) @ np.array(w.num, dtype=dtype).T
+    y = exact.int_matmul(nums, w.num)
     outside = np.flatnonzero(((y > lim) | (y < -lim)).any(axis=1))
     if len(outside):
         lam = tuple(nums[outside[0]].tolist())

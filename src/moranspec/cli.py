@@ -139,7 +139,7 @@ def cmd_spectrum(args, system):
 
 def cmd_verify_orth(args, system):
     _, decomp, levels = _prepare_blocks(system, args, args.level, False)
-    report = verify_orthogonality(decomp.system, levels[args.level].elements)
+    report = verify_orthogonality(decomp.system, levels[args.level].nums)
     payload = {
         "report": {
             "passed": report.passed,

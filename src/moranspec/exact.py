@@ -2,8 +2,9 @@
 
 A matrix is one integer numerator matrix over one positive denominator, so
 every inverse, product and comparison is exact integer work; Fractions
-appear only where entries are read one at a time. All functions here are
-pure and safe for unrestricted parallel use.
+appear only where entries are read one at a time. ``int_matmul`` is every
+exact integer array product: in int64 when it cannot overflow, in Python ints
+otherwise. All functions here are pure and safe for unrestricted parallel use.
 """
 from __future__ import annotations
 
@@ -21,6 +22,16 @@ IntVec = tuple
 
 # int64 arithmetic is used only while every operand and result stays below this
 INT64_LIMIT = 2**62
+
+
+def int_matmul(x, num, headroom: int = 1) -> np.ndarray:
+    """``x @ num^t`` exactly, for integer arrays or nested sequences of ints: int64 when max|x|,
+    max|num| and n max|x| max|num| headroom, which bounds every entry times the caller's next
+    factor, are below ``INT64_LIMIT`` (read at call time, all in Python ints), else Python ints."""
+    x, num = (a if isinstance(a, np.ndarray) else np.array(a, dtype=object) for a in (x, num))
+    ax, an = (max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in (x, num))
+    dtype = np.int64 if max(ax, an, x.shape[1] * ax * an * headroom) < INT64_LIMIT else object
+    return x.astype(dtype, copy=False) @ num.astype(dtype, copy=False).T
 
 
 def intvec(values: Iterable) -> IntVec:

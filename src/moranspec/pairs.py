@@ -85,8 +85,8 @@ def tower_arrays(pairs: Sequence[CompatiblePair]) -> tuple:
     For levels 1..K the product matrix is R_K ... R_1, the digit tower is
     D_K + R_K D_{K-1} + ... + R_K...R_2 D_1 and the label tower is
     L_1 + R_1^t L_2 + ... + R_1^t...R_{K-1}^t L_K, both as the (N, n)
-    arrays of ``mixed_radix_sums``. Either tower repeating an element
-    raises CongruenceViolation.
+    arrays of ``mixed_radix_sums``. A repeated digit raises
+    CongruenceViolation; repeated labels are the caller's to refuse.
     """
     if not pairs:
         raise SizeMismatch("tower needs at least one level")
@@ -104,12 +104,14 @@ def tower_arrays(pairs: Sequence[CompatiblePair]) -> tuple:
     # integer coefficients, so both denominators are 1
     digits = mixed_radix_sums(digit_coef, [p.digits for p in pairs])[0]
     labels = mixed_radix_sums(label_coef, [p.labels for p in pairs])[0]
-    if first_repeated_row(digits) < len(digits) or first_repeated_row(labels) < len(labels):
+    if first_repeated_row(digits) < len(digits):
         raise CongruenceViolation("tower produced colliding elements")
     return digit_coef[0].mul(pairs[0].matrix), digits, labels
 
 
 def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
-    """``tower_arrays`` as a pair of tuples; compatible levels give a compatible pair of N = prod N_j labels."""
+    """``tower_arrays`` as tuples, refusing repeated labels too; compatible levels give a compatible pair."""
     matrix, digits, labels = tower_arrays(pairs)
+    if first_repeated_row(labels) < len(labels):
+        raise CongruenceViolation("tower produced colliding elements")
     return CompatiblePair(matrix=matrix, digits=row_tuples(digits), labels=row_tuples(labels))

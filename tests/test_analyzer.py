@@ -266,9 +266,9 @@ def test_float_point_on_a_zero_line_is_an_exact_zero():
 
 def test_transform_batch_reduces_phases_beyond_int64():
     # at depth 41 the level denominator 3^41 no longer fits int64
-    from moranspec.analyzer import _INT64_LIMIT
+    from moranspec.exact import INT64_LIMIT
 
-    assert 3**41 > _INT64_LIMIT
+    assert 3**41 > INT64_LIMIT
     system = sierpinski_3i()
     offsets = [(0, 0), (1, 2), (5, -7), (40, 13), (-243, 729)]
     base = (0.125, 0.625)

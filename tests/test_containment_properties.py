@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import ref_collision, ref_containment  # noqa: E402
 from test_block_certificate_properties import towers, vec_add  # noqa: E402
 
-from moranspec import builder  # noqa: E402
+from moranspec import builder, exact  # noqa: E402
 from moranspec.errors import CollisionDetected, ContainmentViolation  # noqa: E402
 from moranspec.exact import Matrix  # noqa: E402
 from moranspec.pairs import CompatiblePair  # noqa: E402
@@ -65,7 +65,7 @@ def test_containment_matches_fraction_oracle(limit, case, data):
     assert expected is not None or not shifted
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
-            mp.setattr(builder, "_INT64_LIMIT", limit)
+            mp.setattr(exact, "INT64_LIMIT", limit)
         assert containment_message(decomp, blocks - 1) == expected
 
 
@@ -113,10 +113,20 @@ def singular_below_the_top(top_label):
     return builder.BlockDecomposition(system=AXIS_SYSTEMS[2], K=1, blocks=blocks, certified_K=1)
 
 
+def huge_lattice_below_the_top():
+    """Block 0 with R~_0 = [[3^41]], past int64, and labels 0 and 1: y = L_0 W_0^t fits int64, but its residues mod 3^41 must be taken in Python ints."""
+    blocks = (
+        CompatiblePair(matrix=Matrix(((3**41,),)), digits=(), labels=((0,), (1,))),
+        CompatiblePair(matrix=Matrix.identity(1), digits=(), labels=((0,), (1,))),
+    )
+    return builder.BlockDecomposition(system=AXIS_SYSTEMS[1], K=1, blocks=blocks, certified_K=1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(colliding_blocks())
 @example(singular_below_the_top((0, 1)))
 @example(singular_below_the_top((2, -1)))
+@example(huge_lattice_below_the_top())
 def test_collision_matches_set_oracle(decomp):
     upto = len(decomp.blocks) - 1
     try:

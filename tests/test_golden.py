@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from moranspec import exact
 from moranspec.cli import main
 
 HERE = Path(__file__).parent
@@ -84,6 +85,19 @@ def test_golden_report(case, fixture, command, tail, manifest, tmp_path, monkeyp
     assert got["stdout"] == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert got["exit"] == want["exit"]
     assert got.get("file_sha256") == want.get("file_sha256")
+
+
+# the block-size-2 cases of the commands that run exact integer array products
+K2_CASES = [c for c in CASES if c[2] in ("spectrum", "verify-orth", "verify-complete") and "--block-size" in c[3]]
+
+
+@pytest.mark.parametrize("case,fixture,command,tail", K2_CASES, ids=[c[0] for c in K2_CASES])
+def test_golden_report_in_python_ints(case, fixture, command, tail, manifest, tmp_path, monkeypatch):
+    # a limit of 1 sends every exact product to Python ints; a caller that
+    # bypassed exact.int_matmul would keep int64 and could not be told apart
+    # here, but one whose Python-int path differs would change the report
+    monkeypatch.setattr(exact, "INT64_LIMIT", 1)
+    test_golden_report(case, fixture, command, tail, manifest, tmp_path, monkeypatch)
 
 
 def regenerate():

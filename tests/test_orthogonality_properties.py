@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import ref_zero_level  # noqa: E402
 from test_block_certificate_properties import towers  # noqa: E402
 
-from moranspec import analyzer  # noqa: E402
+from moranspec import analyzer, exact  # noqa: E402
 from moranspec.builder import build_blocks, spectrum_levels  # noqa: E402
 from moranspec.errors import DimensionMismatch  # noqa: E402
 from moranspec.exact import Matrix, vec_dot, vec_sub  # noqa: E402
@@ -191,12 +191,14 @@ def test_points_beyond_int64_match_reference(name, points):
     ],
 )
 def test_key_dtype_boundaries_match_reference(points, dtype):
+    # as tuples and as the int64 array a spectrum level passes, where p - lo can pass 2^63
     system = SYSTEMS["line"]
-    with mock.patch.object(analyzer, "_zero_levels", wraps=analyzer._zero_levels) as search:
-        report = analyzer.verify_orthogonality(system, points)
-    assert search.call_args.args[1].dtype == dtype
-    assert as_tuple(report) == reference_report(system, points)
-    assert not report.passed
+    for given in (points, np.array(points, dtype=np.int64)):
+        with mock.patch.object(analyzer, "_zero_levels", wraps=analyzer._zero_levels) as search:
+            report = analyzer.verify_orthogonality(system, given)
+        assert search.call_args.args[1].dtype == dtype
+        assert as_tuple(report) == reference_report(system, points)
+        assert not report.passed
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,12 +211,12 @@ def test_lowered_int64_limit_changes_no_result(case, limit, depth):
     offsets = np.array(points or [(0,) * system.dimension], dtype=np.int64)
     report = analyzer.verify_orthogonality(system, points)
     values = analyzer.transform_batch_multi(system, offsets, bases, depth)
-    with mock.patch.object(analyzer, "_INT64_LIMIT", limit):
+    with mock.patch.object(exact, "INT64_LIMIT", limit):
         low_report = analyzer.verify_orthogonality(system, points)
         low_values = analyzer.transform_batch_multi(system, offsets, bases, depth)
     assert as_tuple(low_report) == as_tuple(report) == reference_report(system, points)
-    # the phase of each root is rounded once more in Python complex division
-    np.testing.assert_allclose(low_values, values, rtol=0, atol=1e-12)
+    # the residues, and so the roots, are int64 whatever dtype the phase products took
+    assert_same_bits(low_values, values)
 
 
 def test_points_of_another_dimension_are_rejected_before_any_work():
@@ -266,18 +268,13 @@ def tiled_transform(system, offsets, bases, depth):
     offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
     bases_f = np.array([[float(c) for c in b] for b in bases], dtype=float)
     n_points = len(offsets)
-    max_lam = int(np.abs(offsets).max(initial=0)) + 1
-    n = system.dimension
-    plans, width, acc = [], 1, Matrix.identity(n)
+    plans, width, acc = [], 1, Matrix.identity(system.dimension)
     for k in range(1, depth + 1):
         acc = inverse_transpose(system.level(k).matrix).mul(acc)
         m_int, q = acc.num, acc.den
         d_arr = np.array(system.level(k).digits.digits, dtype=np.int64)
-        max_m = max(abs(v) for row in m_int for v in row) + 1
-        max_d = int(np.abs(d_arr).max(initial=0)) + 1
-        fits = n * n * max_m * max_lam * max_d < analyzer._INT64_LIMIT and q < analyzer._INT64_LIMIT
-        m_arr = np.array(m_int, dtype=np.int64 if fits else object)
-        int_phases = (d_arr @ (m_arr @ offsets.T)) % q
+        phases = exact.int_matmul(d_arr, exact.int_matmul(offsets, m_int))
+        int_phases = (phases % q).astype(np.int64) if q < 2**63 else phases.astype(object) % q
         while width < n_points and not (int_phases.reshape(len(d_arr), -1, width) == int_phases[:, None, :width]).all():
             width = width * system.prime if n_points % (width * system.prime) == 0 else n_points
         roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
@@ -336,11 +333,11 @@ def assert_same_bits(got, expected):
 @given(transform_cases(), st.sampled_from((None, 1, 60, 100)), st.sampled_from((None, 2**8)))
 def test_transform_is_bitwise_the_tiled_loop(case, budget, limit):
     # budgets of 1, 60 and 100 values split the bases into chunks; a limit of
-    # 2^8 sends the phase residues to Python ints (object arrays)
+    # 2^8 sends the phase products to Python ints (object arrays)
     system, _, offsets, bases, depth = case
     offsets = np.array(offsets, dtype=np.int64)
     with mock.patch.object(analyzer, "_VALUE_CHUNK", budget or analyzer._VALUE_CHUNK):
-        with mock.patch.object(analyzer, "_INT64_LIMIT", limit or analyzer._INT64_LIMIT):
+        with mock.patch.object(exact, "INT64_LIMIT", limit or exact.INT64_LIMIT):
             got = analyzer.transform_batch_multi(system, offsets, bases, depth)
             expected = tiled_transform(system, offsets, bases, depth)
     assert_same_bits(got, expected)
