@@ -112,8 +112,7 @@ def _orthogonality_pairs(system: MoranSystem, pts: np.ndarray):
     size = math.prod(dims)
     strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
     # 0 <= p - lo < 2^64: int64 wraps it by 2^64 at most, which the uint64 view undoes
-    shifted = pts - lo
-    packed = exact.int_matmul(shifted.view(np.uint64) if shifted.dtype == np.int64 else shifted, [strides])[:, 0]
+    packed = exact.int_matmul((pts - lo).view(np.uint64) if pts.dtype == np.int64 else pts - lo, [strides])[:, 0]
     packed = packed.astype(np.int32) if size < 2**31 else packed
     tables = [(np.empty(0, dtype=packed.dtype), np.empty(0, dtype=np.int64))]
     for block in _row_blocks(packed):

@@ -282,6 +282,10 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
     repeat = len(nums) if _sums_distinct(blocks, labels) else first_repeated_row(nums)
     box = Fraction(1, 2) + system.delta / 4
     w = Matrix.identity(n)  # (R~_0^t ... R~_k^t)^-1
+    # block j's terms C_j l are the level rows i N_0 ... N_{j-1}, as every other label is 0
+    sizes = [len(rows) for rows in labels]
+    starts = np.cumsum([0] + sizes)
+    terms = nums[np.concatenate([np.arange(nj) * math.prod(sizes[:j]) for j, nj in enumerate(sizes)])]
     levels = []
     size = 1
     for k, block in enumerate(blocks):
@@ -291,10 +295,10 @@ def spectrum_levels(decomp: BlockDecomposition, upto: int, cap: int = LEVEL_CAP,
         if enforce_containment:
             w = inverse_transpose(block.matrix).mul(w)
             lim = box.numerator * w.den // box.denominator
-            # y = L_j (W_k C_j)^t, not Matrix.mul, whose gcd may change den; extremes summed in Python ints
-            wcs = (exact.int_matmul(w.num, c.transpose().num) for c in coefs)
-            ys = (exact.int_matmul(rows, wc) for wc, rows in zip(wcs, labels[: k + 1]))
-            if (sum(np.r_[y.max(axis=0), -y.min(axis=0)].astype(object) for y in ys) > lim).any():
+            y = exact.int_matmul(terms[: starts[k + 1]], w.num)
+            # each block's extremes, summed in Python ints, which cannot wrap
+            hi, lo = (f.reduceat(y, starts[: k + 1]).astype(object).sum(axis=0) for f in (np.maximum, np.minimum))
+            if (hi > lim).any() or (lo < -lim).any():
                 _check_containment(k, nums[:size], w, box)
         levels.append(SpectrumLevel(index=k, K=K, nums=nums[:size], containment_checked=enforce_containment))
     return tuple(levels)

@@ -28,8 +28,10 @@ def int_matmul(x, num, headroom: int = 1) -> np.ndarray:
     """``x @ num^t`` exactly, for integer arrays or nested sequences of ints: int64 when max|x|,
     max|num| and n max|x| max|num| headroom, which bounds every entry times the caller's next
     factor, are below ``INT64_LIMIT`` (read at call time, all in Python ints), else Python ints."""
-    x, num = (a if isinstance(a, np.ndarray) else np.array(a, dtype=object) for a in (x, num))
-    ax, an = (max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in (x, num))
+    x = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    num = num if isinstance(num, np.ndarray) else np.array(num, dtype=object)
+    ax = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    an = max(int(num.max(initial=0)), -int(num.min(initial=0)))
     dtype = np.int64 if max(ax, an, x.shape[1] * ax * an * headroom) < INT64_LIMIT else object
     return x.astype(dtype, copy=False) @ num.astype(dtype, copy=False).T
 
