@@ -257,9 +257,12 @@ def _transform_plans(system: MoranSystem, offsets: np.ndarray, depth: int) -> li
         acc = inverse_transpose(system.level(k).matrix).mul(acc)  # (R_1^t ... R_k^t)^-1 = m_int / q
         m_int, q = acc.num, acc.den
         d_arr = np.array(system.level(k).digits.digits, dtype=np.int64)
-        phases = exact.int_matmul(exact.int_matmul(d_arr, acc.transpose().num), offsets)  # (m, P)
-        # residues below q < 2^63 are int64 whatever dtype the product took, and so are the roots' bits
-        int_phases = (phases % q).astype(np.int64, copy=False) if q < 2**63 else phases.astype(object) % q
+        int_phases = exact.int_matmul(exact.int_matmul(d_arr, acc.transpose().num), offsets)  # (m, P)
+        # residues mod q < 2^63 are int64 whatever dtype the product took, so the roots' bits do not depend on it
+        if q < 2**63:
+            int_phases = np.remainder(int_phases, q, out=int_phases).astype(np.int64, copy=False)
+        else:
+            int_phases = int_phases.astype(object) % q
         while width < n_points and not (int_phases.reshape(len(d_arr), -1, width) == int_phases[:, None, :width]).all():
             width = width * system.prime if n_points % (width * system.prime) == 0 else n_points
         roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
