@@ -33,6 +33,7 @@ def operands_at_the_bound(draw):
 @given(operands_at_the_bound(), st.sampled_from(("int64", "object", "tuples")))
 @example(([[2**61]], [[1]], 2), "int64")  # n max|x| max|num| headroom = 2^62 exactly: Python ints
 @example(([[2**61 - 1]], [[1]], 2), "int64")  # one below: int64
+@example(([[2**62 - 1]], [[2**10]], 1), "int64")  # far above: a bound taken in int64 scalars would wrap
 def test_int_matmul_matches_python_ints_at_the_bound(case, kind):
     x, num, headroom = case
     a, b, n = max(abs(v) for row in x for v in row), max(abs(v) for row in num for v in row), len(x[0])
