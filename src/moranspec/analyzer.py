@@ -239,8 +239,14 @@ def _below_coset_norm(c: float, m: int, v: np.ndarray, q: np.ndarray) -> np.ndar
 
 def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth: int) -> np.ndarray:
     """Transform values at base_b + offset_p for every pair, shape (B, P)."""
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
+    offsets = _offset_rows(offsets)
     return np.concatenate([np.empty((0, len(offsets)), dtype=complex), *_transform_chunks(system, offsets, bases, depth)])
+
+
+def _offset_rows(offsets) -> np.ndarray:
+    """``offsets`` as a 2-D array: int64 or uint64 as given, else in Python ints, which hold any integer exactly."""
+    exact_dtype = isinstance(offsets, np.ndarray) and offsets.dtype in (np.int64, np.uint64)
+    return np.atleast_2d(offsets if exact_dtype else np.array(offsets, dtype=object))
 
 
 def _transform_plans(system: MoranSystem, offsets: np.ndarray, depth: int) -> list:
@@ -282,7 +288,7 @@ def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
     running product times factor: numpy's complex multiply uses FMA and is
     not bitwise commutative.
     """
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
+    offsets = _offset_rows(offsets)
     bases_f = np.array([[float(c) for c in b] for b in bases], dtype=float)
     n_points = len(offsets)
     plans = _transform_plans(system, offsets, depth)

@@ -187,9 +187,10 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
     composition lemma: compatible level pairs (each distinct one certified
     once), distinct tower digits, and reduced labels congruent mod R~^t Z^n
     and distinct, so the tower labels are distinct, and distinct mod R~^t Z^n
-    as the collision certificate asks. The towers stay arrays through the
-    checks and become tuples once. A failure raises PairVerificationFailed:
-    an indexing bug.
+    as the collision certificate asks. A block depends only on its levels, so
+    each distinct level tuple is built and certified once per call and a
+    repeat reuses its pair. The towers stay arrays through the checks and
+    become tuples once. A failure raises PairVerificationFailed: an indexing bug.
     """
     if (K is not None and K < 1) or blocks < 1:
         raise ValidationFailure("params", f"K and blocks must be at least 1, got K = {K}, blocks = {blocks}")
@@ -198,14 +199,16 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
     else:
         certified_K = certified_block_size(system)
     pairs = {}  # level -> its certified pair; a failure is not kept, so it raises at its first block
-    built = []
-    for b in range(blocks):
+    done = {}  # a block's level tuple -> its certified pair, kept likewise
+    keys = [tuple(system.level(k) for k in range(b * K + 1, (b + 1) * K + 1)) for b in range(blocks)]
+    for b, key in enumerate(keys):
+        if key in done:
+            continue
         try:
-            ks = range(b * K + 1, (b + 1) * K + 1)
-            for k in ks:
-                if system.level(k) not in pairs:
-                    pairs[system.level(k)] = _level_pair(system, k, b)
-            matrix, digits, labels = tower_arrays([pairs[system.level(k)] for k in ks])
+            for k, level in enumerate(key, b * K + 1):
+                if level not in pairs:
+                    pairs[level] = _level_pair(system, k, b)
+            matrix, digits, labels = tower_arrays([pairs[level] for level in key])
         except CongruenceViolation as exc:
             raise PairVerificationFailed(b, message=f"block {b}: {exc}") from exc
         rt_inv = inverse_transpose(matrix)
@@ -217,8 +220,8 @@ def build_blocks(system: MoranSystem, K=None, blocks: int = 4) -> BlockDecomposi
             raise PairVerificationFailed(b, message=f"block {b}: label {new} is not congruent to {old} mod R^t")
         if first_repeated_row(reduced) < len(reduced):
             raise PairVerificationFailed(b, message=f"block {b}: label tower collided after reduction")
-        built.append(CompatiblePair(matrix, row_tuples(digits), row_tuples(reduced)))
-    return BlockDecomposition(system=system, K=K, blocks=tuple(built), certified_K=certified_K)
+        done[key] = CompatiblePair(matrix, row_tuples(digits), row_tuples(reduced))
+    return BlockDecomposition(system=system, K=K, blocks=tuple(map(done.get, keys)), certified_K=certified_K)
 
 
 @dataclass(frozen=True, eq=False)
