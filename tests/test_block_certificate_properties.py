@@ -126,10 +126,17 @@ def test_non_coset_level_label_is_refused(case, data):
     assert f"level {k} pair" in str(exc) and exc.witness is not None
 
 
+def _new_blocks(system, K, blocks) -> list:
+    """The blocks whose level tuple no earlier block has: build_blocks builds and checks only these, in order."""
+    keys = [tuple(system.level(k) for k in range(b * K + 1, (b + 1) * K + 1)) for b in range(blocks)]
+    return [b for b, key in enumerate(keys) if key not in keys[:b]]
+
+
 def _patch_reduction(mp, replace):
     """Pass each reduced label through ``replace(index, value, earlier values)``.
 
-    Blocks are reduced in order, one label array each, so label i of block b has index b * N + i.
+    New blocks are reduced in order, one label array each, so label i of the
+    c-th block of ``_new_blocks`` has index c * N + i.
     """
     original = builder._reduce_into_fundamental_domain
     counter = itertools.count()
@@ -151,14 +158,16 @@ def _patch_reduction(mp, replace):
 def test_reduced_label_shifted_off_the_lattice_is_refused(case, data):
     system, K, blocks = case
     n, N = system.dimension, system.prime**K
-    b = data.draw(st.integers(0, blocks - 1), label="block")
+    new = _new_blocks(system, K, blocks)
+    b = data.draw(st.sampled_from(new), label="block")
     i = data.draw(st.integers(0, N - 1), label="label")
     shift = data.draw(st.tuples(*[st.integers(-3, 3)] * n), label="shift")
     block = builder.build_blocks(system, K=K, blocks=blocks).blocks[b]
     rt_inv = block.matrix.transpose().inverse()
     assume(any(y % rt_inv.den for y in rt_inv.mul_vec_num(shift)))
+    at_i = new.index(b) * N + i
     with pytest.MonkeyPatch.context() as mp:
-        _patch_reduction(mp, lambda at, value, done: vec_add(value, shift) if at == b * N + i else value)
+        _patch_reduction(mp, lambda at, value, done: vec_add(value, shift) if at == at_i else value)
         _raises_for_block(system, K, blocks, b)
 
 
@@ -167,11 +176,13 @@ def test_reduced_label_shifted_off_the_lattice_is_refused(case, data):
 def test_colliding_reduced_labels_are_refused(case, data):
     system, K, blocks = case
     N = system.prime**K
-    b = data.draw(st.integers(0, blocks - 1), label="block")
+    new = _new_blocks(system, K, blocks)
+    b = data.draw(st.sampled_from(new), label="block")
     i = data.draw(st.integers(1, N - 1), label="label")
     j = data.draw(st.integers(0, i - 1), label="copied")
+    start = new.index(b) * N
     with pytest.MonkeyPatch.context() as mp:
-        _patch_reduction(mp, lambda at, value, done: done[b * N + j] if at == b * N + i else value)
+        _patch_reduction(mp, lambda at, value, done: done[start + j] if at == start + i else value)
         _raises_for_block(system, K, blocks, b)
 
 
@@ -182,7 +193,8 @@ def test_tower_labels_congruent_mod_the_lattice_are_refused_as_a_collision(case,
     # check, so only the collision check after the reduction can refuse it
     system, K, blocks = case
     N = system.prime**K
-    b = data.draw(st.integers(0, blocks - 1), label="block")
+    new = _new_blocks(system, K, blocks)  # tower_arrays is called once per new block, in order
+    b = data.draw(st.sampled_from(new), label="block")
     i = data.draw(st.integers(1, N - 1), label="label")
     j = data.draw(st.integers(0, i - 1), label="copied")
     original = builder.tower_arrays
@@ -190,7 +202,7 @@ def test_tower_labels_congruent_mod_the_lattice_are_refused_as_a_collision(case,
 
     def corrupt(pairs):
         matrix, digits, labels = original(pairs)
-        if next(calls) != b:
+        if next(calls) != new.index(b):
             return matrix, digits, labels
         labels = labels.astype(object)
         labels[i] = labels[j] + np.array(matrix.transpose().mul_vec((1,) + (0,) * (system.dimension - 1)), dtype=object)

@@ -10,7 +10,7 @@ from moranspec import system as system_module
 from moranspec.cli import main
 from moranspec.render import MAX_PPM_SIDE
 from moranspec.specfile import load_document, load_system
-from moranspec.errors import ValidationFailure
+from moranspec.errors import PairVerificationFailed, ValidationFailure
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -467,6 +467,46 @@ def test_cli_spectrum_certifies_each_distinct_level_once(capsys, monkeypatch):
     # three K = 3 blocks of one distinct level (R = 3I): the level's direction is found once for
     # the block size and once for its one certified pair
     assert counts == {"find_admissible_direction": 2, "is_compatible_pair": 1}
+
+
+@pytest.mark.parametrize("name, distinct", [("sierpinski_3i", 1), ("staircase_spectral", 2)])
+def test_cli_spectrum_builds_each_distinct_block_once(name, distinct, capsys, monkeypatch):
+    # sierpinski_3i's three K = 3 blocks share one level tuple; staircase_spectral's first block
+    # holds its preamble level and the next two hold only its cycle level
+    import moranspec.builder as builder
+
+    counts = {}
+    for attr in ("tower_arrays", "_reduce_into_fundamental_domain"):
+
+        def counted(*args, _name=attr, _original=getattr(builder, attr)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(builder, attr, counted)
+    code = main(["spectrum", fixture(f"{name}.json"), "--json"])
+    assert code == 0 and len(json.loads(capsys.readouterr().out)["report"]["level_sizes"]) == 3
+    assert counts == {"tower_arrays": distinct, "_reduce_into_fundamental_domain": distinct}
+
+
+def test_corrupted_first_block_raises_at_block_0_though_later_blocks_repeat_it(monkeypatch):
+    # a failed block is not kept, so no later block reuses it; and a clean call before it
+    # leaves nothing behind that the corrupted call could reuse
+    import moranspec.builder as builder
+
+    system = load_system(fixture("sierpinski_3i.json"))
+    assert len(builder.build_blocks(system, K=3, blocks=3).blocks) == 3
+    original = builder.tower_arrays
+
+    def collide(pairs):
+        # label 1 moved into label 0's class mod R~^t Z^2: only the collision check refuses it
+        matrix, digits, labels = original(pairs)
+        labels[1] = labels[0] + matrix.transpose().mul_vec((1, 0))
+        return matrix, digits, labels
+
+    monkeypatch.setattr(builder, "tower_arrays", collide)
+    with pytest.raises(PairVerificationFailed) as err:
+        builder.build_blocks(system, K=3, blocks=3)
+    assert err.value.block == 0 and str(err.value) == "block 0: label tower collided after reduction"
 
 
 def test_cli_spectrum_fits_k_to_an_explicit_cap(capsys):

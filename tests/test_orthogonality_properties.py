@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import ref_zero_level  # noqa: E402
 from test_block_certificate_properties import towers  # noqa: E402
 
 from moranspec import analyzer, exact  # noqa: E402
-from moranspec.builder import build_blocks, spectrum_levels  # noqa: E402
+from moranspec.builder import SpectrumLevel, build_blocks, spectrum_levels  # noqa: E402
 from moranspec.errors import DimensionMismatch  # noqa: E402
 from moranspec.exact import Matrix, vec_dot, vec_sub  # noqa: E402
 from moranspec.specfile import load_system  # noqa: E402
@@ -130,8 +130,14 @@ def system_and_rows(draw):
     return system, np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=object if big else np.int64)
 
 
+# R^-t = ((5, 4), (1, 1)) / 7 and m = 7: at the row (v, v + 1), v = 2^62 // 25, level 1's product
+# bound 3 * 7 * (v + 1) is below 2^62 but m times it is not, and 7 (5 v + 4 (v + 1)) passes 2^63
+SKEW7 = build_system(2, 7, [], [([[7, -7], [-28, 35]], [(k, 0) for k in range(7)])])
+
+
 @settings(max_examples=200, deadline=None)
 @given(system_and_rows())
+@example((SKEW7, np.array([(2**62 // 25, 2**62 // 25 + 1)], dtype=np.int64)))
 def test_zero_levels_match_scalar_search(case):
     system, rows = case
     expected = [ref_zero_level(system, row) or 0 for row in rows.tolist()]
@@ -366,6 +372,18 @@ def test_prefix_widths_fall_back_when_the_tower_is_broken():
         values, widths = prefix_transform(system, offsets, bases, 4)
         assert widths == expected
         np.testing.assert_allclose(values, full_width_transform(system, offsets, bases, 4), rtol=0, atol=1e-12)
+
+
+def test_offsets_past_int64_stay_exact():
+    # an int64 cast would raise OverflowError; other offsets go in Python ints and uint64 ones stay as they are
+    system = SYSTEMS["sierpinski_3i"]
+    level = SpectrumLevel(index=0, K=1, nums=np.array([(2**64, 0)], dtype=object), containment_checked=False)
+    report = analyzer.completeness_scan(system, [level], grid=4, extra_points=2)
+    assert report.passed and report.details["sizes"] == [1]
+    bases = [(0.1, 0.7), (0.375, -1.25)]
+    for offsets in ([(2**64, 0)], [(2**64, 0), (3, -(2**70))], np.array([(2**63 + 5, 1)], dtype=np.uint64)):
+        expected = full_width_transform(system, np.array(offsets, dtype=object).tolist(), bases, 4)
+        np.testing.assert_allclose(analyzer.transform_batch_multi(system, offsets, bases, 4), expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("budget", [1, 60, 100])
