@@ -43,7 +43,6 @@ from .masks import (
 from .pairs import (
     CompatiblePair,
     is_compatible_pair,
-    tower_pair,
 )
 from .render import PointCloud, render, support_points
 from .specfile import load_document, load_system

@@ -271,8 +271,13 @@ def _transform_plans(system: MoranSystem, offsets: np.ndarray, depth: int) -> li
             int_phases = int_phases.astype(object) % q
         while width < n_points and not (int_phases.reshape(len(d_arr), -1, width) == int_phases[:, None, :width]).all():
             width = width * system.prime if n_points % (width * system.prime) == 0 else n_points
-        roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
-        plans.append((d_arr, np.array(m_int, dtype=float) / q, roots))
+        if q < 2**63:
+            roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
+            a_float = np.array(m_int, dtype=float) / q
+        else:  # q may pass the largest float, so Python ints are divided before any float is made
+            roots = np.exp(2j * np.pi * (int_phases[:, :width] / q).astype(float))
+            a_float = (np.array(m_int, dtype=object) / q).astype(float)
+        plans.append((d_arr, a_float, roots))
     return plans
 
 

@@ -37,8 +37,6 @@ SCHEMA = 1
 def _sanitize(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -103,11 +103,11 @@ class PlanarClass:
 
 
 def classify_planar_digit_set(digits: DigitSet) -> PlanarClass:
-    """Classify {0,(a,b),(c,d)} with |ad-bc| = 1 by its mod-3 congruence.
+    """Classify {0,(a,b),(c,d)} with |ad-bc| = 1 by its zero direction mod 3.
 
-    Family 1 (a+b+c+d = 0 mod 3) forces zero direction (1,1); family 2
-    (d-c = a-b mod 3) forces (1,2). The result is cross-validated against
-    the direction enumeration.
+    With a unit determinant nu -> (<nu,(a,b)>, <nu,(c,d)>) mod 3 is a
+    bijection, so exactly one direction class puts the digits in distinct
+    residues. Family 1 is direction (1,1), family 2 is (1,2).
     """
     if digits.n != 2 or digits.size != 3:
         raise ModelViolation("classifier needs three planar digits")
@@ -118,18 +118,9 @@ def classify_planar_digit_set(digits: DigitSet) -> PlanarClass:
     det = a * d - b * c
     if abs(det) != 1:
         raise DeterminantViolation(f"|ad - bc| = {abs(det)} is not 1")
-    fam1 = (-d - c) % 3 == (a + b) % 3
-    fam2 = (d - c) % 3 == (a - b) % 3
-    assert not (fam1 and fam2), "families are disjoint when the determinant is a unit"
-    zeros = find_zero_directions(digits, 3)
-    if fam1:
-        assert zeros.directions == ((1, 1),)
-        return PlanarClass(family=1, direction=(1, 1))
-    if fam2:
-        assert zeros.directions == ((1, 2),)
-        return PlanarClass(family=2, direction=(1, 2))
-    assert (1, 1) not in zeros.directions and (1, 2) not in zeros.directions
-    return PlanarClass(family=None, direction=None)
+    (nu,) = find_zero_directions(digits, 3).directions
+    family = {(1, 1): 1, (1, 2): 2}.get(nu)
+    return PlanarClass(family=family, direction=nu if family else None)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,6 @@ class CompatiblePair:
     digits: tuple
     labels: tuple
 
-    @property
-    def size(self) -> int:
-        return len(self.digits)
-
 
 def first_repeated_row(rows: np.ndarray) -> int:
     """Least index of a row equal to an earlier row, else ``len(rows)``, by one stable ``np.lexsort``."""
@@ -107,11 +103,3 @@ def tower_arrays(pairs: Sequence[CompatiblePair]) -> tuple:
     if first_repeated_row(digits) < len(digits):
         raise CongruenceViolation("tower produced colliding elements")
     return digit_coef[0].mul(pairs[0].matrix), digits, labels
-
-
-def tower_pair(pairs: Sequence[CompatiblePair]) -> CompatiblePair:
-    """``tower_arrays`` as tuples, refusing repeated labels too; compatible levels give a compatible pair."""
-    matrix, digits, labels = tower_arrays(pairs)
-    if first_repeated_row(labels) < len(labels):
-        raise CongruenceViolation("tower produced colliding elements")
-    return CompatiblePair(matrix=matrix, digits=row_tuples(digits), labels=row_tuples(labels))

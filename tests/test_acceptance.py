@@ -31,7 +31,7 @@ from moranspec.decider import (
 )
 from moranspec.errors import DeterminantViolation
 from moranspec.masks import DigitSet, find_zero_directions
-from moranspec.pairs import is_compatible_pair, tower_pair
+from moranspec.pairs import is_compatible_pair, tower_arrays
 from moranspec.render import render, support_points
 from moranspec.system import build_system
 
@@ -190,8 +190,7 @@ def test_criterion_6_compatible_pair_suite():
         if len(set(new_digits)) == len(digits) and len(set(new_labels)) == len(labels):
             ok, _ = is_compatible_pair(mat, new_digits, new_labels)
             assert ok
-        tower = tower_pair([pair, pair])
-        ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels)
+        ok, _ = is_compatible_pair(*tower_arrays([pair, pair]))
         assert ok
         towers += 1
     elapsed = time.monotonic() - start

@@ -265,17 +265,21 @@ def test_float_point_on_a_zero_line_is_an_exact_zero():
 
 
 def test_transform_batch_reduces_phases_beyond_int64():
-    # at depth 41 the level denominator 3^41 no longer fits int64
+    # at depth 41 the level denominator 3^41 no longer fits int64, and at depth 700 3^700 is past
+    # the largest float
     from moranspec.exact import INT64_LIMIT
 
     assert 3**41 > INT64_LIMIT
+    with pytest.raises(OverflowError):
+        float(3**700)
     system = sierpinski_3i()
     offsets = [(0, 0), (1, 2), (5, -7), (40, 13), (-243, 729)]
     base = (0.125, 0.625)
-    vals = transform_batch_multi(system, np.array(offsets), [base], 41)[0]
-    for off, got in zip(offsets, vals):
-        want = ref_transform(system, (base[0] + off[0], base[1] + off[1]), 41)
-        assert got == pytest.approx(want, abs=1e-12)
+    for depth in (41, 700):
+        vals = transform_batch_multi(system, np.array(offsets), [base], depth)[0]
+        for off, got in zip(offsets, vals):
+            want = ref_transform(system, (base[0] + off[0], base[1] + off[1]), depth)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_no_late_match_on_nonconstant_diagonal_system():

@@ -1,7 +1,7 @@
 """Property tests: block certification by the composition lemma against the
 full compatible-pair oracle on random small towers (m in {3, 5}, n <= 3,
 at most 125 labels per block), corrupted towers that must be refused, the
-tower arrays against tower_pair's tuples and the per-tuple oracle, and the
+tower arrays against the per-tuple oracle, and the
 array reduction into the fundamental domain against the per-vector
 Fraction oracle."""
 import itertools
@@ -18,9 +18,9 @@ import numpy as np  # noqa: E402
 
 from conftest import ref_reduce, ref_tower  # noqa: E402
 from moranspec import builder  # noqa: E402
-from moranspec.errors import CongruenceViolation, PairVerificationFailed, ValidationFailure  # noqa: E402
+from moranspec.errors import PairVerificationFailed, ValidationFailure  # noqa: E402
 from moranspec.exact import Matrix  # noqa: E402
-from moranspec.pairs import first_repeated_row, is_compatible_pair, row_tuples, tower_arrays, tower_pair  # noqa: E402
+from moranspec.pairs import first_repeated_row, is_compatible_pair, row_tuples, tower_arrays  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
 
 # largest K with m^K <= 125
@@ -216,10 +216,10 @@ def test_tower_labels_congruent_mod_the_lattice_are_refused_as_a_collision(case,
 
 @settings(max_examples=60, deadline=None)
 @given(towers(), st.data())
-def test_tower_arrays_match_tower_pair_and_the_tuple_oracle(case, data):
-    # the arrays that build_blocks keeps are tower_pair's tuples row for row, int64 below 2^53 and
-    # Python ints past it; a repeated level label makes tower_pair alone refuse the tower, while
-    # tower_arrays leaves the repeated tower label to build_blocks' check after the reduction
+def test_tower_arrays_match_the_tuple_oracle(case, data):
+    # the arrays that build_blocks keeps are the oracle's tuples row for row, int64 below 2^53 and
+    # Python ints past it; tower_arrays leaves a repeated tower label to build_blocks' check after
+    # the reduction
     system, K, _ = case
     scale = data.draw(st.sampled_from((1, 2**60)), label="scale")
     levels = [builder._level_pair(system, k, 0) for k in range(1, K + 1)]
@@ -234,15 +234,11 @@ def test_tower_arrays_match_tower_pair_and_the_tuple_oracle(case, data):
     if expected is None:
         labels = tower_arrays(levels)[2]
         assert first_repeated_row(labels) < len(labels)
-        with pytest.raises(CongruenceViolation, match="^tower produced colliding elements$"):
-            tower_pair(levels)
         return
     matrix, digits, labels = tower_arrays(levels)
     assert digits.dtype == np.int64 and labels.dtype == (object if scale > 1 else np.int64)
     assert (matrix, row_tuples(digits), row_tuples(labels)) == expected
-    pair = tower_pair(levels)
-    assert (pair.matrix, pair.digits, pair.labels) == expected
-    assert all(type(x) is int for v in pair.digits + pair.labels for x in v)
+    assert all(type(x) is int for v in row_tuples(digits) + row_tuples(labels) for x in v)
 
 
 @st.composite

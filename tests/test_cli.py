@@ -148,14 +148,17 @@ def test_cli_verify_complete(capsys):
 
 
 def test_cli_verify_complete_beyond_int64_depth(capsys):
-    # depth 41 puts the level denominator 3^41 beyond int64
-    code = main(
-        ["verify-complete", fixture("sierpinski_3i.json"), "--levels", "1", "--block-size", "2", "--depth", "41", "--json"]
-    )
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert doc["report"]["depth"] == 41
-    assert doc["report"]["passed"] is True
+    # depth 41 puts the level denominator 3^41 beyond int64; at 646 a phase times 2 pi passes the
+    # largest float, and at 700 3^700 itself does
+    for depth in (41, 646, 700):
+        code = main(
+            ["verify-complete", fixture("sierpinski_3i.json"), "--levels", "1", "--block-size", "2", "--depth", str(depth), "--json"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["report"]["depth"] == depth
+        assert doc["report"]["passed"] is True
+        assert doc["report"]["max_q"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cli_admissible(capsys):

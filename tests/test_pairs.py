@@ -10,7 +10,8 @@ from moranspec.exact import Matrix, vec_dot
 from moranspec.pairs import (
     CompatiblePair,
     is_compatible_pair,
-    tower_pair,
+    row_tuples,
+    tower_arrays,
 )
 
 R3 = Matrix.diagonal([3, 3])
@@ -71,22 +72,22 @@ def test_digits_shifted_mod_r_and_labels_mod_r_transpose_stay_compatible():
     assert not is_compatible_pair(mat, ((0, 0), (4, 1), (2, 0)), labels)[0]
 
 
-def test_tower_pair_single_level_identity():
+def test_tower_arrays_single_level_identity():
     pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
-    tower = tower_pair([pair])
-    assert set(tower.digits) == set(pair.digits)
-    assert set(tower.labels) == set(pair.labels)
-    assert tower.matrix == pair.matrix
+    matrix, digits, labels = tower_arrays([pair])
+    assert set(row_tuples(digits)) == set(pair.digits)
+    assert set(row_tuples(labels)) == set(pair.labels)
+    assert matrix == pair.matrix
 
 
-def test_tower_pair_two_sierpinski_levels():
+def test_tower_arrays_two_sierpinski_levels():
     pair = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
-    tower = tower_pair([pair, pair])
-    assert tower.size == 9
-    assert len(tower.labels) == 9
-    assert tower.matrix == Matrix.diagonal([9, 9])
-    assert gram_defect(tower.matrix, tower.digits, tower.labels) < 1e-10
-    ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels)
+    matrix, digits, labels = tower_arrays([pair, pair])
+    assert len(digits) == 9
+    assert len(labels) == 9
+    assert matrix == Matrix.diagonal([9, 9])
+    assert gram_defect(matrix, digits, labels) < 1e-10
+    ok, _ = is_compatible_pair(matrix, digits, labels)
     assert ok
 
 
@@ -194,17 +195,17 @@ def test_closure_operations_reverify_on_random_towers():
             tuple(a + b for a, b in zip(l, base.matrix.mul_vec(tuple(rng.randint(-1, 1) for _ in range(n)))))
             for l in base.labels
         )
-        if len(set(new_digits)) == base.size and len(set(new_labels)) == base.size:
+        if len(set(new_digits)) == len(base.digits) and len(set(new_labels)) == len(base.labels):
             ok, _ = is_compatible_pair(base.matrix, new_digits, new_labels)
             assert ok
 
         # (vi) tower closure
-        tower = tower_pair(levels)
-        assert tower.size == m ** depth
-        if tower.size <= 27:
-            ok, _ = is_compatible_pair(tower.matrix, tower.digits, tower.labels)
+        matrix, digits, labels = tower_arrays(levels)
+        assert len(digits) == m ** depth
+        if len(digits) <= 27:
+            ok, _ = is_compatible_pair(matrix, digits, labels)
         else:
-            ok = gram_defect(tower.matrix, tower.digits, tower.labels) < 1e-10
+            ok = gram_defect(matrix, digits, labels) < 1e-10
         assert ok
         done += 1
 
@@ -221,16 +222,16 @@ def test_witness_is_the_first_failing_pair_in_row_major_order():
     # the first of them, found here by the numeric Gram matrix
     rng = random.Random(77)
     level = CompatiblePair(R3, SIERPINSKI.digits, SIERP_LABELS)
-    tower = tower_pair([level, level])
-    inv = np.linalg.inv(np.array(tower.matrix.rows, dtype=float))
+    matrix, digits, tower_labels = tower_arrays([level, level])
+    inv = np.linalg.inv(np.array(matrix.rows, dtype=float))
     for _ in range(30):
-        labels = list(tower.labels)
+        labels = list(row_tuples(tower_labels))
         for idx in rng.sample(range(len(labels)), 2):
             labels[idx] = tuple(x + rng.randint(-2, 2) for x in labels[idx])
-        phases = (np.array(tower.digits, float) @ inv.T) @ np.array(labels, float).T
+        phases = (np.array(digits, float) @ inv.T) @ np.array(labels, float).T
         h = np.exp(2j * np.pi * phases)
         gram = np.abs(h.conj().T @ h)
         failing = [(a, b) for a in range(len(labels)) for b in range(a + 1, len(labels)) if gram[a, b] > 1e-9]
-        ok, witness = is_compatible_pair(tower.matrix, tower.digits, labels)
+        ok, witness = is_compatible_pair(matrix, digits, labels)
         assert ok == (not failing)
         assert witness == (None if ok else (labels[failing[0][0]], labels[failing[0][1]]))

@@ -1,6 +1,7 @@
 """Every name a library module or test file imports is used in that file, no
-module imports another module's private name, and every module-level
-private function or class is referenced by some module.
+module imports another module's private name, every module-level private
+function or class is referenced by some module, and no library module
+holds an ``assert`` statement, which ``python -O`` strips.
 
 A stdlib ``ast`` scan over ``src/moranspec/*.py`` and ``tests/*.py``; the
 import check skips ``__init__.py`` because its imports are the package's
@@ -66,6 +67,11 @@ def unreferenced_private_definitions(sources: dict) -> list:
     return sorted((module, name) for module, name in defined if name not in referenced)
 
 
+def assert_lines(source: str) -> list:
+    """Line of each ``assert`` statement in the source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
 def test_scan_flags_an_unused_import():
     assert unused_imports("import math\nimport os\nprint(os.sep)\n") == [(1, "math")]
     assert unused_imports("from typing import Sequence\ndef f(x: Sequence): pass\n") == []
@@ -75,6 +81,11 @@ def test_scan_flags_a_private_import():
     source = "from .masks import _orbit, mask_eval\nfrom . import exact\nfrom .a import __version__\nexact._x\n"
     assert private_imports(source) == [(1, "_orbit")]
     assert private_imports("from .masks import mask_eval as _mask_eval\n") == []
+
+
+def test_scan_flags_an_assert():
+    assert assert_lines("x = 1\nassert x\ndef f():\n    assert x, 'msg'\n") == [2, 4]
+    assert assert_lines("def f(x):\n    if not x:\n        raise ValueError(x)\n") == []
 
 
 def test_scan_flags_an_unreferenced_private_definition():
@@ -100,3 +111,8 @@ def test_no_private_imports(path):
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_private_definitions(sources) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_asserts_in_the_library(path):
+    assert assert_lines(path.read_text()) == []
