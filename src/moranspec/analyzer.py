@@ -30,8 +30,12 @@ from .system import MoranSystem, inverse_transpose
 _MAX_LEVELS = 10_000
 # entries per row block of packed differences in verify_orthogonality: 1-2 MB per block array
 _PAIR_CHUNK = 1 << 18
-# transform values per chunk of bases: 16 MB of complex values
-_VALUE_CHUNK = 1 << 20
+# transform values per chunk of bases: 2 MB of complex values, about one core's L2
+_VALUE_CHUNK = 1 << 17
+# up to this many offsets a chunk holds at least two bases: numpy sends a one-row
+# product to gemv, whose last bits differ from gemm's, and gemm gives the same bits
+# for any two or more rows, so these reports keep the bits of 2^20-value chunks
+_TWO_BASE_POINTS = 1 << 19
 
 
 def find_zero_level(system: MoranSystem, point: Sequence):
@@ -271,8 +275,9 @@ def _transform_plans(system: MoranSystem, offsets: np.ndarray, depth: int) -> li
             int_phases = int_phases.astype(object) % q
         while width < n_points and not (int_phases.reshape(len(d_arr), -1, width) == int_phases[:, None, :width]).all():
             width = width * system.prime if n_points % (width * system.prime) == 0 else n_points
-        if q < 2**63:
-            roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
+        if q < 2**63:  # the ufuncs of exp(2j * pi * phase / q) in its order, in one array
+            roots = np.multiply(2j * np.pi, int_phases[:, :width])
+            roots = np.exp(np.divide(roots, q, out=roots), out=roots)
             a_float = np.array(m_int, dtype=float) / q
         else:  # q may pass the largest float, so Python ints are divided before any float is made
             roots = np.exp(2j * np.pi * (int_phases[:, :width] / q).astype(float))
@@ -283,6 +288,11 @@ def _transform_plans(system: MoranSystem, offsets: np.ndarray, depth: int) -> li
 
 def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
     """Yield the rows of ``transform_batch_multi``, a chunk of bases at a time.
+
+    A chunk holds ``_VALUE_CHUNK`` (2^17) values, at least one base, and at
+    least two bases up to ``_TWO_BASE_POINTS`` (2^19) offsets: numpy sends a
+    one-row product to gemv, whose last bits differ from gemm's, while gemm
+    gives the same bits for any two or more rows.
 
     Each mask factor is a BLAS product of a level's roots with the per-base
     phase shifts, scaled by 1/m in place on its float view: numpy divides a
@@ -298,7 +308,7 @@ def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
     n_points = len(offsets)
     plans = _transform_plans(system, offsets, depth)
 
-    chunk = max(1, _VALUE_CHUNK // max(n_points, 1))
+    chunk = max(2 if n_points <= _TWO_BASE_POINTS else 1, _VALUE_CHUNK // max(n_points, 1))
     for b0 in range(0, len(bases_f), chunk):
         sub = bases_f[b0 : b0 + chunk]
         vals = np.ones((len(sub), 1), dtype=complex)
@@ -357,17 +367,22 @@ def completeness_scan(
     max_q = 0.0
     min_final = math.inf
     # each chunk of values is reduced to its per-level sums as soon as it is made
-    squares = (np.abs(vals) ** 2 for vals in _transform_chunks(system, top.nums, pts, depth))
-    sums = np.concatenate([np.stack([sq[:, :size].sum(axis=1) for size in sizes], axis=1) for sq in squares])
-    for xi, q_row in zip(pts, sums):
+    sums = []
+    for vals in _transform_chunks(system, top.nums, pts, depth):
+        sq = np.abs(vals)
+        np.square(sq, out=sq)
+        sums.append(np.stack([sq[:, :size].sum(axis=1) for size in sizes], axis=1))
+        del vals, sq  # freed before the next chunk is made
+    for xi, q_row in zip(pts, np.concatenate(sums)):
         for li, q_val in enumerate(map(float, q_row)):
-            if q_val > 1.0 + eps_numeric:
+            # negated so that a NaN sum is a witness too
+            if not q_val <= 1.0 + eps_numeric:
                 witnesses.append((xi, "bound", li, q_val))
             per_level_gap[li] = max(per_level_gap[li], 1.0 - q_val)
             max_q = max(max_q, q_val)
         final = float(q_row[-1])
         min_final = min(min_final, final)
-        if gap_tol is not None and 1.0 - final > gap_tol:
+        if gap_tol is not None and not 1.0 - final <= gap_tol:
             witnesses.append((xi, "gap", len(sizes) - 1, final))
 
     final_gap = per_level_gap[-1]

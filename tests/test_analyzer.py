@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -340,6 +341,75 @@ def test_transform_batch_memory_stays_below_root_table():
         tracemalloc.stop()
     assert values.shape == (64, 625)
     assert peak < table_bytes / 5
+
+
+def criterion_5_scan_levels():
+    """sierpinski_3i at K = 3, levels 0..2: a top level of 19,683 offsets."""
+    from pathlib import Path
+
+    from moranspec.builder import normalize_first_level
+    from moranspec.specfile import load_system
+
+    system, _ = normalize_first_level(load_system(Path(__file__).parent / "fixtures" / "sierpinski_3i.json"))
+    return system, spectrum_levels(build_blocks(system, K=3, blocks=3), 2)
+
+
+def test_completeness_scan_memory_is_a_few_chunks():
+    # 80 bases x 19,683 offsets: the complex (bases x offsets) matrix alone would take 25 MB
+    import tracemalloc
+
+    system, levels = criterion_5_scan_levels()
+    tracemalloc.start()
+    try:
+        report = completeness_scan(system, levels, grid=8, depth=9, extra_points=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.details["sample_points"] == 80
+    assert peak < 8 * 2**20
+
+
+def test_transform_plans_build_each_root_table_in_one_array():
+    # the kept root tables plus one level's int64 phases; a temporary of a
+    # table's full size on the way to its roots would pass the bound
+    import tracemalloc
+
+    from moranspec import analyzer
+
+    system, levels = criterion_5_scan_levels()
+    tracemalloc.start()
+    try:
+        plans = analyzer._transform_plans(system, levels[-1].nums, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    root_bytes = sum(roots.nbytes for _, _, roots in plans)
+    assert plans[-1][2].shape == (3, 19683)
+    assert peak < 1.6 * root_bytes
+
+
+def test_completeness_scan_refuses_nan_sums():
+    # a NaN sum is neither <= 1 + allowance nor within gap_tol of 1
+    from unittest import mock
+
+    from moranspec import analyzer
+
+    system = sierpinski_3i()
+    levels = spectrum_levels(build_blocks(system, K=1, blocks=2), 1, enforce_containment=False)
+    real_chunks = analyzer._transform_chunks
+
+    def one_chunk_with_nan(*args):
+        vals = np.concatenate(list(real_chunks(*args)))
+        vals[1, 0] = np.nan
+        yield vals
+
+    kwargs = dict(grid=4, extra_points=2, gap_tol=1e-3)
+    assert completeness_scan(system, levels, **kwargs).passed
+    with mock.patch.object(analyzer, "_transform_chunks", one_chunk_with_nan):
+        report = completeness_scan(system, levels, **kwargs)
+    assert not report.passed
+    assert [w[:3] for w in report.witnesses] == [((0.0, 0.25), "bound", 0), ((0.0, 0.25), "bound", 1), ((0.0, 0.25), "gap", 1)]
+    assert all(math.isnan(w[3]) for w in report.witnesses)
 
 
 def test_verify_orthogonality_memory_is_bounded_by_chunks():

@@ -286,7 +286,7 @@ def tiled_transform(system, offsets, bases, depth):
         roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
         plans.append((d_arr, np.array(m_int, dtype=float) / q, roots))
     rows = []
-    chunk = max(1, analyzer._VALUE_CHUNK // max(n_points, 1))
+    chunk = max(2 if n_points <= analyzer._TWO_BASE_POINTS else 1, analyzer._VALUE_CHUNK // max(n_points, 1))
     for b0 in range(0, len(bases_f), chunk):
         sub = bases_f[b0 : b0 + chunk]
         vals = np.ones((len(sub), 1), dtype=complex)
@@ -394,7 +394,8 @@ def test_streamed_completeness_scan_matches_default_run(budget):
     # depth beyond the product length leaves gaps above gap_tol, so witnesses appear
     kwargs = dict(grid=4, depth=6, extra_points=5, seed=3, gap_tol=1e-3)
     expected = analyzer.completeness_scan(system, levels, **kwargs)
-    with mock.patch.object(analyzer, "_VALUE_CHUNK", budget):
+    # no two-base floor, so a budget of 1 makes one-base chunks
+    with mock.patch.object(analyzer, "_VALUE_CHUNK", budget), mock.patch.object(analyzer, "_TWO_BASE_POINTS", 0):
         got = analyzer.completeness_scan(system, levels, **kwargs)
     allowance = expected.details["numeric_allowance"]
     assert expected.witnesses and got.passed == expected.passed
