@@ -11,6 +11,7 @@ shrink by the contraction ratio from any level onward.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,17 +63,21 @@ class VerificationReport:
 def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationReport:
     """Check (Lambda - Lambda) \\ {0} against the transform zero set.
 
-    Differences are deduplicated up to sign before running the exact
-    membership test; witnesses list (p, q, difference) triples whose
-    difference misses the zero set, sorted by difference, each with its
-    first pair in row-major order. ``points`` is an (N, n) integer array or
-    any sequence of points; points of another dimension, ragged input
-    included, raise DimensionMismatch, non-integral coordinates ValueError.
+    Differences are deduplicated up to sign before the exact membership test; witnesses
+    list (p, q, difference) triples whose difference misses the zero set, sorted by
+    difference, each with its first pair in row-major order. ``points`` is an (N, n)
+    integer array or any iterable of points, read once: as numpy's int64 array when it
+    makes one, else in Python ints. Points of another dimension, ragged input included,
+    raise DimensionMismatch, non-integral coordinates ValueError.
     """
     n, pts = system.dimension, points
     if not (isinstance(points, np.ndarray) and points.dtype in (np.int64, np.uint64)):
-        # object dtype keeps every int exact: numpy reads ints in [2^63, 2^64) as uint64 or float64
-        pts = np.array(list(points) or np.empty((0, n)), dtype=object)
+        seq = list(points)  # points may be a generator, read once
+        with contextlib.suppress(ValueError):  # ragged input leaves pts = points, which is not int64
+            pts = np.array(seq)
+        if getattr(pts, "dtype", None) != np.int64:
+            # object dtype keeps every int exact: numpy reads ints in [2^63, 2^64) as float64
+            pts = np.array(seq or np.empty((0, n)), dtype=object)
     if pts.ndim != 2 or pts.shape[1] != n:
         p = next(p for p in pts if np.ndim(p) != 1 or len(p) != n)
         raise DimensionMismatch(f"point {np.asarray(p, dtype=object).tolist()} is not {n}-dimensional like the system")
@@ -99,17 +104,16 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
 def _orthogonality_pairs(system: MoranSystem, pts: np.ndarray):
     """(witnesses, distinct differences, pairs per zero level) of two or more points.
 
-    Points are packed once as ``P = (p - lo) @ strides``, and the key of a
-    pair is ``|P_j - P_i|``; plus ``span @ strides`` it is the packed
-    difference turned so that its first nonzero coordinate is positive, so
-    keys sort as the differences do in the tuple order. The counting pass
-    keeps the positive entries of each row block, one per unordered pair,
-    and folds block tables into one (key, count) table once they hold more
-    keys, so memory is one block plus about twice the distinct differences.
-    Only a difference that misses the zero set gets its earliest pair
-    i < j in row-major order, from a second pass over the same blocks. Keys
-    lie below ``prod(dims)``: int32 when that fits, else the dtype of the
-    ``exact.int_matmul`` packing, whose int64 bound keeps it below 2^63.
+    Points are packed once as ``P = (p - lo) @ strides``, and the key of a pair is
+    ``|P_j - P_i|``; plus ``span @ strides`` it is the packed difference turned so that
+    its first nonzero coordinate is positive, so keys sort as the differences do in the
+    tuple order. The counting pass takes the positive entries of upper-triangle blocks of
+    the sorted P, one per pair, sorts them in place and counts their runs; block tables
+    fold into one (key, count) table once they hold more keys, so memory is one block
+    plus about twice the distinct differences. Only a difference that misses the zero
+    set gets its earliest pair i < j in row-major order, from a second pass over full
+    row blocks of P in its order. Keys lie below ``prod(dims)``: int32 when that fits,
+    else the dtype of the ``exact.int_matmul`` packing, whose int64 bound keeps it below 2^63.
     """
     lo = pts.min(axis=0)
     dims = [2 * (int(b) - int(a)) + 1 for a, b in zip(lo, pts.max(axis=0))]
@@ -119,8 +123,11 @@ def _orthogonality_pairs(system: MoranSystem, pts: np.ndarray):
     packed = exact.int_matmul((pts - lo).view(np.uint64) if pts.dtype == np.int64 else pts - lo, [strides])[:, 0]
     packed = packed.astype(np.int32) if size < 2**31 else packed
     tables = [(np.empty(0, dtype=packed.dtype), np.empty(0, dtype=np.int64))]
-    for block in _row_blocks(packed):
-        tables.append(np.unique(block[block > 0], return_counts=True))
+    for block in _triangle_blocks(np.sort(packed)):
+        keys = block[block > 0]
+        keys.sort()
+        head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        tables.append((keys[head], np.diff(head, append=len(keys))))
         if sum(len(k) for k, _ in tables[1:]) > len(tables[0][0]):
             tables = [_merge_counts(tables)]
     keys, counts = _merge_counts(tables)
@@ -154,9 +161,19 @@ def _merge_counts(tables):
     return keys[head], np.add.reduceat(counts, head)
 
 
+def _triangle_blocks(s: np.ndarray):
+    """``s[None, i0 + 1:] - s[i0:i1, None]`` for whole rows, at most ``_PAIR_CHUNK`` entries
+    per block (or one row when a row is longer). For s sorted and distinct, entry (r, c)
+    is positive exactly when c >= r, so the positive entries hold each pair i < j once."""
+    i0 = 0
+    while i0 < len(s) - 1:
+        i1 = min(len(s) - 1, i0 + max(1, _PAIR_CHUNK // (len(s) - 1 - i0)))
+        yield s[None, i0 + 1 :] - s[i0:i1, None]
+        i0 = i1
+
+
 def _row_blocks(packed: np.ndarray):
-    """``packed[None, :] - packed[i0:i1, None]`` for whole rows in order, at most
-    ``_PAIR_CHUNK`` entries per block (or one row when a row is longer)."""
+    """``packed[None, :] - packed[i0:i1, None]`` for whole rows in order, at most ``_PAIR_CHUNK`` entries (or one row)."""
     rows = max(1, _PAIR_CHUNK // len(packed))
     for i0 in range(0, len(packed), rows):
         yield packed[None, :] - packed[i0 : i0 + rows, None]
@@ -173,52 +190,65 @@ def _zero_levels(system: MoranSystem, points, q: int = 1) -> np.ndarray:
     nonzero mod the prime m). The stopping rule assumes condition (ii), the
     coset-line model, still unverified (ROADMAP.md item 1).
 
-    Rows may be int32, int64 or Python ints (object dtype), and q must fit
-    their dtype. Row r is kept as column r of one (n + 1, R) array (q, v), and
-    a level is one ``exact.int_matmul`` by diag(den, num) with headroom m for
-    ``_residue_hits``, in Python ints only while some row's step needs them.
-    The gcd (from q, which is 1 at first and ends it at once) and the test of
-    m * v against q run one contiguous coordinate at a time, and (q, v) is
-    divided in place, so neither keeps a temporary of its size.
+    Rows may be int32, int64 or Python ints (object dtype), and q must fit their dtype.
+    Row r is kept as column r of one (n + 1, R) array (q, v), and a level is one
+    ``exact.int_matmul`` by diag(den, num) with headroom m for ``_residue_hits``, in
+    Python ints only while some row's step needs them. Each distinct level's step and
+    the sorted base-m codes of its zero residues are made once per call. The gcd (from
+    q, which is 1 at first and ends it at once) and the test of m * v against q run one
+    contiguous coordinate at a time, and (q, v) is divided in place, so neither keeps a
+    temporary of its size.
     """
     points = np.asarray(points)
     if not (points != 0).any(axis=1).all():
         raise ValueError("the zero vector is not in any zero set")
     n, m = points.shape[1], system.prime
+    c4, powers = Fraction(system.c) ** 4, [[m**i for i in range(n)]]
     out = np.zeros(len(points), dtype=np.int64)
     rows = np.arange(len(points))
     qv = np.vstack([np.full(len(points), q, dtype=points.dtype), points.T])
+    tables = {}  # level -> (step matrix, sorted base-m codes of its zero residues)
     for k in range(1, _MAX_LEVELS + 1):
         if not len(rows):
             return out
         level = system.level(k)
-        inv_t = inverse_transpose(level.matrix)
-        qv = exact.int_matmul([(inv_t.den,) + (0,) * n] + [(0,) + row for row in inv_t.num], qv.T, headroom=m)
+        if level not in tables:
+            inv_t = inverse_transpose(level.matrix)
+            step = np.array([(inv_t.den,) + (0,) * n] + [(0,) + row for row in inv_t.num], dtype=object)
+            tables[level] = step, _residue_codes(level, powers)
+        step, codes = tables[level]
+        qv = exact.int_matmul(step, qv.T, headroom=m)
         qv //= reduce(np.gcd, qv)
         q, v = qv[0], qv[1:].T
-        hit = _residue_hits(level, m, v, q)
+        hit = _residue_hits(codes, powers, m, v, q)
         out[rows[hit]] = k
-        keep = ~hit & ~_below_coset_norm(system.c, m, v, q)
+        keep = ~hit & ~_below_coset_norm(c4, m, v, q)
         rows, qv = rows[keep], qv[:, keep]
     if len(rows):
         raise RuntimeError("zero-set search failed to terminate; contraction data inconsistent")
     return out
 
 
-def _residue_hits(level, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rows of v / q on a zero coset line of the level; int64 rows need m * v to fit."""
+def _residue_codes(level, powers) -> np.ndarray:
+    """Sorted base-m codes ``residue @ powers`` of the residues mod m on the level's zero coset lines."""
+    return np.sort(exact.int_matmul(np.array(list(level.zeros.residue_table)).reshape(-1, len(powers[0])), powers)[:, 0])
+
+
+def _residue_hits(codes: np.ndarray, powers, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows of v / q on a zero coset line: m * v / q integral, and the base-m code of its residues
+    mod m, ``residues @ powers``, among the sorted ``codes``; int64 rows need m * v to fit."""
     hits = reduce(np.logical_and, (m * col % q == 0 for col in v.T))
     if hits.any():
         residues = v[hits]  # a copy, reduced in place
         residues *= m
         residues //= q[hits][:, None]
         residues %= m
-        table = np.array(list(level.zeros.residue_table), dtype=np.int64).reshape(-1, v.shape[1])
-        hits[hits] = (residues[:, None, :] == table[None]).all(axis=2).any(axis=1)
+        code = exact.int_matmul(residues, powers)[:, 0]
+        hits[hits] = codes[np.minimum(np.searchsorted(codes, code), len(codes) - 1)] == code
     return hits
 
 
-def _below_coset_norm(c: float, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _below_coset_norm(c4: Fraction, m: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows where c^4 |v|^2 m^2 < q^2, decided exactly.
 
     Python-int rows are compared in Python ints, as their floats can
@@ -227,12 +257,10 @@ def _below_coset_norm(c: float, m: int, v: np.ndarray, q: np.ndarray) -> np.ndar
     again in Python ints. The squares are summed one column at a time and
     the gap is taken in place, so no (R, n) temporary is made.
     """
-    c4 = Fraction(c) ** 4
     if v.dtype == object:
         return c4.numerator * (v * v).sum(axis=1) * m * m < c4.denominator * q * q
-    c2 = c * c
     lhs = reduce(np.add, (np.square(col, dtype=float) for col in v.T))
-    lhs *= c2 * c2 * m * m
+    lhs *= float(c4) * m * m
     rhs = np.square(q, dtype=float)
     below = lhs < rhs
     lhs -= rhs
@@ -292,7 +320,9 @@ def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
     A chunk holds ``_VALUE_CHUNK`` (2^17) values, at least one base, and at
     least two bases up to ``_TWO_BASE_POINTS`` (2^19) offsets: numpy sends a
     one-row product to gemv, whose last bits differ from gemm's, while gemm
-    gives the same bits for any two or more rows.
+    gives the same bits for any two or more rows. The B bases are split into
+    ceil(B / chunk) near-equal runs, at most B // 2 of them under that floor,
+    so the last run keeps the floor too and a row's bits do not depend on B.
 
     Each mask factor is a BLAS product of a level's roots with the per-base
     phase shifts, scaled by 1/m in place on its float view: numpy divides a
@@ -308,9 +338,9 @@ def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
     n_points = len(offsets)
     plans = _transform_plans(system, offsets, depth)
 
-    chunk = max(2 if n_points <= _TWO_BASE_POINTS else 1, _VALUE_CHUNK // max(n_points, 1))
-    for b0 in range(0, len(bases_f), chunk):
-        sub = bases_f[b0 : b0 + chunk]
+    floor = 2 if n_points <= _TWO_BASE_POINTS else 1
+    runs = min(-(-len(bases_f) // max(floor, _VALUE_CHUNK // max(n_points, 1))), max(len(bases_f) // floor, 1))
+    for sub in np.array_split(bases_f, runs) if runs else ():
         vals = np.ones((len(sub), 1), dtype=complex)
         for d_arr, a_float, roots in plans:
             shifts = np.exp(2j * np.pi * (d_arr @ (a_float @ sub.T)))  # (m, B)

@@ -3,6 +3,7 @@ the batched zero-level search against the scalar oracle ref_zero_level, the
 prefix-width transform against a full-width evaluation and, bit for bit,
 against a tiled reference loop, and the streamed completeness scan against
 its default run."""
+import math
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -233,6 +234,86 @@ def test_points_of_another_dimension_are_rejected_before_any_work():
                 analyzer.verify_orthogonality(system, points)
 
 
+@pytest.mark.parametrize(
+    "points, int64",
+    [
+        # the int64 extremes, and a bool, which numpy reads as 1 next to ints
+        ([(2**63 - 1, 0), (-(2**63 - 1), 1), (0, 2), (True, 3)], True),
+        # numpy reads 2^63 as float64, so these fall back to Python ints
+        ([(2**63, 0), (-(2**63 - 1), 1), (0, 2)], False),
+        ([(2.0, 0), (0, Fraction(4, 2)), (1, 1)], False),
+    ],
+)
+def test_every_form_of_the_points_gives_one_report(points, int64):
+    system = SYSTEMS["sierpinski_3i"]
+    expected = reference_report(system, points)
+    forms = {
+        "tuples": points,
+        "lists": [list(p) for p in points],
+        "generator": (tuple(p) for p in points),
+        "object array": np.array(points, dtype=object),
+    }
+    if int64:
+        forms["int64 array"] = np.array(points, dtype=np.int64)
+    for form, given in forms.items():
+        with mock.patch.object(analyzer, "_orthogonality_pairs", wraps=analyzer._orthogonality_pairs) as pairs:
+            report = analyzer.verify_orthogonality(system, given)
+        assert as_tuple(report) == expected, form
+        if form != "object array":
+            assert (pairs.call_args.args[1].dtype == np.int64) == int64, form
+
+
+def test_ragged_and_fractional_points_still_raise():
+    system = SYSTEMS["sierpinski_3i"]
+    for make in (list, iter):
+        with pytest.raises(DimensionMismatch):
+            analyzer.verify_orthogonality(system, make([(0, 0), (1, 0, 0)]))
+        with pytest.raises(ValueError, match=r"point \(2\.5, 1\)"):
+            analyzer.verify_orthogonality(system, make([(0, 0), (2.5, 1)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=60, unique=True), st.integers(1, 64))
+def test_triangle_blocks_hold_every_pair_once(values, chunk):
+    s = np.sort(np.array(values, dtype=np.int64))
+    with mock.patch.object(analyzer, "_PAIR_CHUNK", chunk):
+        blocks = list(analyzer._triangle_blocks(s))
+    keys = sorted(np.concatenate([block[block > 0] for block in blocks]).tolist())
+    assert keys == sorted(b - a for i, a in enumerate(s.tolist()) for b in s.tolist()[i + 1 :])
+    assert all(block.size <= max(chunk, block.shape[1]) for block in blocks)
+
+
+def broadcast_residue_hits(level, m, v, q):
+    """Rows of v / q on a zero coset line, by comparing each row's residues with every row of the residue table."""
+    table = np.array(list(level.zeros.residue_table), dtype=np.int64).reshape(-1, v.shape[1])
+    integral = np.array([all(m * int(x) % int(d) == 0 for x in row) for row, d in zip(v, q)])
+    residues = np.array([[m * int(x) // int(d) % m for x in row] for row, d in zip(v, q)], dtype=np.int64)
+    return integral & (residues[:, None, :] == table[None]).all(axis=2).any(axis=1)
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64_rows", "python_int_rows"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_residue_codes_match_the_broadcast_comparison(m, n, big):
+    # digits j * (1, ..., n) make some residues zeros of the level and leave others out
+    digits = [tuple(j * (i + 1) for i in range(n)) for j in range(m)]
+    level = build_system(n, m, [], [([[m * (i == j) for j in range(n)] for i in range(n)], digits)]).level(1)
+    rng = np.random.default_rng(100 * m + n)
+    # half the rows are r + m k over q = m t, whose residues are r; the rest are arbitrary
+    t = rng.integers(1, 5, 200)
+    v = np.concatenate([t[:, None] * (rng.integers(0, m, (200, n)) + m * rng.integers(-3, 4, (200, n))), rng.integers(-40, 41, (200, n))])
+    q = np.concatenate([m * t, rng.integers(1, 3 * m, 200)])
+    if big:  # Python ints past int64, with the limit low enough that every product takes them
+        v, q = v.astype(object) * 2**70, q.astype(object) * 2**70
+    powers = [[m**i for i in range(n)]]
+    with mock.patch.object(exact, "INT64_LIMIT", 1 if big else exact.INT64_LIMIT):
+        codes = analyzer._residue_codes(level, powers)
+        got = analyzer._residue_hits(codes, powers, m, v, q)
+    expected = broadcast_residue_hits(level, m, v, q)
+    assert 0 < expected.sum() < len(v)
+    assert got.tolist() == expected.tolist()
+
+
 def full_width_transform(system, offsets, bases, depth):
     """Every level's factor on all P offsets for all bases at once, with the
     offset phases reduced in Python Fractions."""
@@ -286,9 +367,11 @@ def tiled_transform(system, offsets, bases, depth):
         roots = np.exp((2j * np.pi * int_phases[:, :width] / q).astype(complex, copy=False))
         plans.append((d_arr, np.array(m_int, dtype=float) / q, roots))
     rows = []
-    chunk = max(2 if n_points <= analyzer._TWO_BASE_POINTS else 1, analyzer._VALUE_CHUNK // max(n_points, 1))
-    for b0 in range(0, len(bases_f), chunk):
-        sub = bases_f[b0 : b0 + chunk]
+    # near-equal runs, at most B // 2 of them under the two-base floor, as in _transform_chunks
+    floor = 2 if n_points <= analyzer._TWO_BASE_POINTS else 1
+    chunk = max(floor, analyzer._VALUE_CHUNK // max(n_points, 1))
+    runs = max(1, min(math.ceil(len(bases_f) / chunk), len(bases_f) // floor))
+    for sub in np.array_split(bases_f, runs):
         vals = np.ones((len(sub), 1), dtype=complex)
         for d_arr, a_float, roots in plans:
             if roots.shape[1] > vals.shape[1]:
@@ -362,6 +445,20 @@ def test_transform_is_bitwise_the_tiled_loop_on_fixture_spectra(name, K, blocks,
     assert_same_bits(analyzer.transform_batch_multi(system, offsets, bases, depth), tiled_transform(system, offsets, bases, depth))
 
 
+@pytest.mark.parametrize("budget", [None, 2 * 19_683], ids=["chunk_6", "chunk_2"])
+def test_every_base_row_has_the_bits_of_a_two_base_call(budget):
+    # 19,683 offsets make chunks of 6 bases (or 2 under the lower budget); with 67
+    # bases, runs of a chunk from the front would leave base 66 alone, and numpy's
+    # one-row product (gemv) has other last bits
+    system = SYSTEMS["sierpinski_3i"]
+    offsets = spectrum_levels(build_blocks(system, K=3, blocks=3), 2, enforce_containment=False)[-1].nums
+    bases = np.random.default_rng(11).uniform(-2, 2, (67, 2)).tolist()
+    with mock.patch.object(analyzer, "_VALUE_CHUNK", budget or analyzer._VALUE_CHUNK):
+        values = analyzer.transform_batch_multi(system, offsets, bases, 9)
+    for b0 in [*range(0, 66, 2), 65]:
+        assert_same_bits(values[b0 : b0 + 2], analyzer.transform_batch_multi(system, offsets, bases[b0 : b0 + 2], 9))
+
+
 def test_prefix_widths_fall_back_when_the_tower_is_broken():
     system = SYSTEMS["sierpinski_3i"]
     nested = list(spectrum_levels(build_blocks(system, K=2, blocks=2), 1, enforce_containment=False)[-1].elements)
@@ -388,7 +485,7 @@ def test_offsets_past_int64_stay_exact():
 
 @pytest.mark.parametrize("budget", [1, 60, 100])
 def test_streamed_completeness_scan_matches_default_run(budget):
-    # 27 offsets and 21 bases: 1, 2 or 3 bases per chunk, the last one short
+    # 27 offsets and 21 bases: near-equal runs of 1, 2 or 3 bases
     system = SYSTEMS["sierpinski_3i"]
     levels = spectrum_levels(build_blocks(system, K=1, blocks=3), 2, enforce_containment=False)
     # depth beyond the product length leaves gaps above gap_tol, so witnesses appear
