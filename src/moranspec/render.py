@@ -7,12 +7,14 @@ coordinate becomes a float by one correctly rounded division, so rounding
 never compounds across levels. Enumeration is mixed-radix over digit
 indices with the deepest level fastest, which makes every emitted file
 byte-reproducible. The writers work on whole arrays, with the same float
-operations, in the same order, as formatting point by point. A text
-column of a diagonal system repeats a few values many times, so when the
-distinct values are at most half of all cells, each is formatted once
-and gathered per cell; otherwise one ``%`` template formats the whole
-file. A PPM canvas is one indexed store, its side capped at
-``MAX_PPM_SIDE``.
+operations, in the same order, as formatting point by point. The text
+writers hold one chunk of ``_CHUNK_ROWS`` rows at a time, never the whole
+file. Each column is sorted once, by one ``np.unique`` on its bit
+patterns. A text column of a diagonal system repeats a few values many
+times, so when the distinct values are at most half of all cells, each
+is formatted once and gathered per cell; otherwise one ``%`` row
+template formats each chunk. A PPM canvas is one indexed store, written
+as it is after its header, its side capped at ``MAX_PPM_SIDE``.
 """
 from __future__ import annotations
 
@@ -27,9 +29,11 @@ from .errors import CapExceeded, IoFailure
 from .exact import mixed_radix_sums
 from .system import MoranSystem
 
-# largest PPM side: the canvas is side^2 * 3 bytes, 48 MiB at this cap
+# largest PPM side: the canvas is side^2 * 3 bytes, 48 MiB at this cap, and
+# the only copy of the image, since the file is written from it as it is
 MAX_PPM_SIDE = 4096
 POINT_CAP = 200_000  # default cap on the points of a cloud
+_CHUNK_ROWS = 2**13  # rows per text chunk: about 0.7 MB of SVG text
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +56,10 @@ class PointCloud:
     def size(self) -> int:
         return len(self.nums)
 
-    @cached_property
+    @property
     def points(self) -> tuple:
-        """The numerators as a tuple of int tuples, built on first access."""
-        return tuple(map(tuple, self.nums.tolist()))
+        """The numerators as a tuple of int tuples, built on each access."""
+        return tuple(zip(*self.nums.T.tolist()))
 
     @cached_property
     def floats(self) -> np.ndarray:
@@ -106,26 +110,40 @@ def render(cloud: PointCloud, fmt: str, out, size: int = 512):
     return out
 
 
-def _format_rows(table: np.ndarray, fmt: str, head: str, tails: list) -> str:
-    """Every row of the (N, k) float array: ``head``, then each value in ``fmt``
-    followed by its column's tail; the bytes of one ``%`` template per row."""
+def _format_rows(table: np.ndarray, fmt: str, head: str, tails: list):
+    """Every row of the (N, k) float array, as an iterator of text chunks of at
+    most ``_CHUNK_ROWS`` rows: ``head``, then each value in ``fmt`` followed by
+    its column's tail; the bytes of one ``%`` template per row."""
+    rows = _CHUNK_ROWS
+    # keyed on the bit pattern: np.unique would merge -0.0 into 0.0
+    cols = [np.unique(col.view(np.int64), return_inverse=True) for col in table.T]
     # the sides break even near half: per distinct is +35% at 75% distinct, -40% at 20%
-    if 2 * sum(len(np.unique(col)) for col in table.T) > table.size:
+    if 2 * sum(len(keys) for keys, _ in cols) > table.size:
         row = head + "".join(fmt + tail for tail in tails)
-        return row * len(table) % tuple(table.ravel().tolist())
-    cells = np.empty(table.shape, dtype=object)
-    for j, tail in enumerate(tails):
-        # keyed on the bit pattern: np.unique would merge -0.0 into 0.0
-        keys, inv = np.unique(table[:, j].view(np.int64), return_inverse=True)
-        cell = (head if j == 0 else "") + fmt + tail
-        text = "\0".join([cell] * len(keys)) % tuple(keys.view(np.float64).tolist())
-        cells[:, j] = np.array(text.split("\0"), dtype=object)[inv]
-    return "".join(cells.ravel().tolist())
+
+        def chunk(i):
+            part = table[i : i + rows]
+            return row * len(part) % tuple(part.ravel().tolist())
+
+    else:
+        strs = []
+        for j, ((keys, _), tail) in enumerate(zip(cols, tails)):
+            cell = (head if j == 0 else "") + fmt + tail
+            text = "\0".join([cell] * len(keys)) % tuple(keys.view(np.float64).tolist())
+            strs.append(np.array(text.split("\0"), dtype=object))
+
+        def chunk(i):
+            cells = np.column_stack([s[inv[i : i + rows]] for s, (_, inv) in zip(strs, cols)])
+            return "".join(cells.ravel().tolist())
+
+    return map(chunk, range(0, len(table), rows))
 
 
 def _write_csv(cloud: PointCloud, out: Path):
     f = cloud.floats
-    out.write_text(_format_rows(f, "%.12f", "", [","] * (f.shape[1] - 1) + ["\n"]), encoding="ascii")
+    chunks = _format_rows(f, "%.12f", "", [","] * (f.shape[1] - 1) + ["\n"])
+    with out.open("w", encoding="ascii") as fh:
+        fh.writelines(chunks)
 
 
 def _planar(cloud: PointCloud):
@@ -152,11 +170,12 @@ def _write_svg(cloud: PointCloud, out: Path):
     tail = f'" width="{side:.9f}" height="{side:.9f}" fill="black"/>\n'
     # flip y so larger coordinates render upward: fy = y0 + y1 - y
     corners = np.column_stack((xs - half, (y0 + y1 - ys) - half))
-    # formatted before the file opens, so a failure leaves no partial file
-    body = _format_rows(corners, "%.9f", '<rect x="', ['" y="', tail])
+    # sorted and its distinct values formatted before the file opens, so a
+    # failure there leaves no file
+    chunks = _format_rows(corners, "%.9f", '<rect x="', ['" y="', tail])
     with out.open("w", encoding="ascii") as fh:
         fh.write(head)
-        fh.write(body)
+        fh.writelines(chunks)
         fh.write("</svg>\n")
 
 
@@ -171,6 +190,7 @@ def _write_ppm(cloud: PointCloud, out: Path, size: int):
     py = ((y1 - ys) / (y1 - y0) * (height - 1) + 0.5).astype(np.int64)
     canvas = np.full((height * width, 3), 255, dtype=np.uint8)
     canvas[py * width + px] = 0
-    header = f"P6 {width} {height} 255\n".encode("ascii")
-    out.write_bytes(header + canvas.tobytes())
+    with out.open("wb") as fh:
+        fh.write(f"P6 {width} {height} 255\n".encode("ascii"))
+        fh.write(canvas)
 

@@ -1,9 +1,11 @@
 """Property tests: the array odometer and the array CSV, SVG and PPM writers
 against the per-point reference implementations they replaced, which must
 produce the same numerators and the same bytes."""
+import importlib
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from moranspec.render import render, support_points  # noqa: E402
 from moranspec.specfile import load_system  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
 from test_properties import triangular_levels  # noqa: E402
+
+# the package's ``render`` attribute is the function, not the module
+render_module = importlib.import_module("moranspec.render")
 
 # --- reference implementations: one Python step per point or coordinate ------
 
@@ -120,13 +125,14 @@ def spread_levels(draw, n, m=3):
 level_lists = st.sampled_from([1, 2, 3]).flatmap(lambda n: st.lists(spread_levels(n), min_size=1, max_size=3))
 
 
-@given(level_lists, st.integers(1, 4), st.sampled_from([16, 37, 512]))
-def test_array_writers_match_reference_writers(tmp_path_factory, levels, depth, side):
+@given(level_lists, st.integers(1, 4), st.sampled_from([16, 37, 512]), st.integers(1, 3**4 + 1))
+def test_array_writers_match_reference_writers(tmp_path_factory, levels, depth, side, rows):
     system = build_system(len(levels[0][1][0]), 3, levels[:-1], levels[-1:])
     cloud = support_points(system, depth)
     pts = ref_floats(system, depth)
     assert cloud.floats.tolist() == [list(p) for p in pts]
-    assert_files_match(cloud, pts, tmp_path_factory.mktemp("files"), side)
+    with mock.patch.object(render_module, "_CHUNK_ROWS", rows):
+        assert_files_match(cloud, pts, tmp_path_factory.mktemp("files"), side)
 
 
 def test_dtype_switches_to_python_ints_at_two_to_the_53():
@@ -167,20 +173,52 @@ def distinct_share(rows) -> float:
     return sum(len(set(col)) for col in zip(*rows)) / (len(rows) * len(rows[0]))
 
 
+# a 1-D line, whose SVG corners are just over half distinct, and a 3-D
+# diagonal system whose coordinates each take 2^depth of 3^depth values
+BUILT = {
+    "line": (1, [[3]], [(0,), (1,), (2,)]),
+    "cube": (3, [[3, 0, 0], [0, 3, 0], [0, 0, 3]], [(0, 0, 0), (1, 1, 0), (0, 1, 1)]),
+}
+
+
 @pytest.mark.parametrize(
     "name, fast",
     # sierpinski_3i (R = 3I) repeats each coordinate: 9% distinct at depth 6;
     # banded_nonspectral is 83% distinct there
-    [("sierpinski_3i", True), ("banded_nonspectral", False)],
+    [("line", False), ("sierpinski_3i", True), ("banded_nonspectral", False), ("cube", True)],
 )
-def test_distinct_value_and_template_writers_match_reference_writers(tmp_path, name, fast):
+def test_distinct_value_and_template_writers_match_reference_writers(tmp_path, monkeypatch, name, fast):
     """The text writers format each distinct value once when the distinct values
     are at most half of all cells, else they fill one template; both sides
-    write the reference bytes."""
-    system = load_system(Path(__file__).parent / "fixtures" / f"{name}.json")
+    write the reference bytes, in chunks of any number of rows."""
+    if name in BUILT:
+        n, rows, digits = BUILT[name]
+        system = build_system(n, 3, [], [(rows, digits)])
+    else:
+        system = load_system(Path(__file__).parent / "fixtures" / f"{name}.json")
     cloud = support_points(system, 6)
     pts = ref_floats(system, 6)
     assert (distinct_share(pts) <= 0.5) is fast
     assert (distinct_share(ref_corners(pts)) <= 0.5) is fast
-    assert render(cloud, "csv", tmp_path / "c.csv").read_bytes() == ref_csv(pts)
-    assert render(cloud, "svg", tmp_path / "c.svg").read_bytes() == ref_svg(pts)
+    csv, svg = ref_csv(pts), ref_svg(pts)
+    for chunk in (1, 2, 7, cloud.size - 1, cloud.size, cloud.size + 1):
+        monkeypatch.setattr(render_module, "_CHUNK_ROWS", chunk)
+        assert render(cloud, "csv", tmp_path / "c.csv").read_bytes() == csv, chunk
+        assert render(cloud, "svg", tmp_path / "c.svg").read_bytes() == svg, chunk
+
+
+@pytest.mark.parametrize(
+    "n, rows, digits, dtype",
+    [
+        (1, [[3]], [(0,), (1,), (2,)], np.int64),
+        (2, [[3, 0], [0, 3]], [(0, 0), (1, 0), (0, 1)], np.int64),
+        (2, [[300007, 0], [0, 300011]], [(0, 0), (1, 0), (0, 1)], object),
+    ],
+)
+def test_points_are_int_tuples_built_on_each_read(n, rows, digits, dtype):
+    cloud = support_points(build_system(n, 3, [], [(rows, digits)]), 3)
+    assert cloud.nums.dtype == dtype
+    points = cloud.points
+    assert points == tuple(map(tuple, cloud.nums.tolist()))
+    assert all(type(x) is int and len(p) == n for p in points for x in p)
+    assert "points" not in vars(cloud)
