@@ -29,7 +29,7 @@ from .system import MoranSystem, inverse_transpose
 
 # level cap of the zero-level search; the stopping rule ends it long before
 _MAX_LEVELS = 10_000
-# entries per row block of packed differences in verify_orthogonality: 1-2 MB per block array
+# pairs per block of packed differences in verify_orthogonality: one buffer of 1-2 MB per call
 _PAIR_CHUNK = 1 << 18
 # transform values per chunk of bases: 2 MB of complex values, about one core's L2
 _VALUE_CHUNK = 1 << 17
@@ -107,12 +107,12 @@ def _orthogonality_pairs(system: MoranSystem, pts: np.ndarray):
     Points are packed once as ``P = (p - lo) @ strides``, and the key of a pair is
     ``|P_j - P_i|``; plus ``span @ strides`` it is the packed difference turned so that
     its first nonzero coordinate is positive, so keys sort as the differences do in the
-    tuple order. The counting pass takes the positive entries of upper-triangle blocks of
-    the sorted P, one per pair, sorts them in place and counts their runs; block tables
-    fold into one (key, count) table once they hold more keys, so memory is one block
-    plus about twice the distinct differences. Only a difference that misses the zero
-    set gets its earliest pair i < j in row-major order, from a second pass over full
-    row blocks of P in its order. Keys lie below ``prod(dims)``: int32 when that fits,
+    tuple order. The counting pass takes the keys of row blocks of the sorted P, one per
+    pair, as views of ``_pair_keys``' one buffer, sorts each in place and counts its runs;
+    block tables fold into one (key, count) table once they hold more keys, so memory is
+    one buffer plus about twice the distinct differences. Only a difference that misses
+    the zero set gets its earliest pair i < j in row-major order, from a second pass over
+    full row blocks of P in its order. Keys lie below ``prod(dims)``: int32 when that fits,
     else the dtype of the ``exact.int_matmul`` packing, whose int64 bound keeps it below 2^63.
     """
     lo = pts.min(axis=0)
@@ -123,8 +123,7 @@ def _orthogonality_pairs(system: MoranSystem, pts: np.ndarray):
     packed = exact.int_matmul((pts - lo).view(np.uint64) if pts.dtype == np.int64 else pts - lo, [strides])[:, 0]
     packed = packed.astype(np.int32) if size < 2**31 else packed
     tables = [(np.empty(0, dtype=packed.dtype), np.empty(0, dtype=np.int64))]
-    for block in _triangle_blocks(np.sort(packed)):
-        keys = block[block > 0]
+    for keys in _pair_keys(packed):
         keys.sort()
         head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         tables.append((keys[head], np.diff(head, append=len(keys))))
@@ -161,22 +160,33 @@ def _merge_counts(tables):
     return keys[head], np.add.reduceat(counts, head)
 
 
-def _triangle_blocks(s: np.ndarray):
-    """``s[None, i0 + 1:] - s[i0:i1, None]`` for whole rows, at most ``_PAIR_CHUNK`` entries
-    per block (or one row when a row is longer). For s sorted and distinct, entry (r, c)
-    is positive exactly when c >= r, so the positive entries hold each pair i < j once."""
-    i0 = 0
-    while i0 < len(s) - 1:
-        i1 = min(len(s) - 1, i0 + max(1, _PAIR_CHUNK // (len(s) - 1 - i0)))
-        yield s[None, i0 + 1 :] - s[i0:i1, None]
+def _pair_keys(packed: np.ndarray):
+    """``|P_j - P_i|`` for each pair of the distinct packed P once, as 1-D views of one buffer per
+    call: use each view before asking for the next, whose block overwrites it. Block rows i0..i1 of
+    the sorted s hold at most ``isqrt(_PAIR_CHUNK) // 4`` rows and ``_PAIR_CHUNK`` pairs (or one
+    longer row); their all-positive columns i1.. are written in place, and only their own triangle,
+    columns i0 + 1..i1, is masked. Made after s, the buffer left glibc's heap 28 MB higher at
+    ``verify-orth square_plus_b1 --level 1``."""
+    n = len(packed)
+    buf = np.empty(min(n * (n - 1) // 2, max(_PAIR_CHUNK, n - 1)), dtype=packed.dtype)
+    s, i0 = np.sort(packed), 0
+    while i0 < n - 1:
+        i1 = min(n - 1, i0 + max(1, min(math.isqrt(_PAIR_CHUNK) // 4, _PAIR_CHUNK // (n - 1 - i0))))
+        rect = (i1 - i0) * (n - i1)
+        np.subtract(s[None, i1:], s[i0:i1, None], out=buf[:rect].reshape(i1 - i0, n - i1))
+        tri = s[None, i0 + 1 : i1] - s[i0:i1, None]
+        end = rect + (i1 - i0) * (i1 - i0 - 1) // 2
+        np.compress((tri > 0).ravel(), tri, out=buf[rect:end])
+        yield buf[:end]
         i0 = i1
 
 
 def _row_blocks(packed: np.ndarray):
-    """``packed[None, :] - packed[i0:i1, None]`` for whole rows in order, at most ``_PAIR_CHUNK`` entries (or one row)."""
-    rows = max(1, _PAIR_CHUNK // len(packed))
-    for i0 in range(0, len(packed), rows):
-        yield packed[None, :] - packed[i0 : i0 + rows, None]
+    """``packed[None, :] - packed[i0:i1, None]`` for whole rows in order, at most ``_PAIR_CHUNK`` entries
+    (or one row), written into one buffer per call, which the next block overwrites."""
+    buf = np.empty((min(len(packed), max(1, _PAIR_CHUNK // len(packed))), len(packed)), dtype=packed.dtype)
+    for i0 in range(0, len(packed), len(buf)):
+        yield np.subtract(packed[None, :], packed[i0 : i0 + len(buf), None], out=buf[: len(packed) - i0])
 
 
 def _zero_levels(system: MoranSystem, points, q: int = 1) -> np.ndarray:

@@ -274,13 +274,18 @@ def test_ragged_and_fractional_points_still_raise():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=60, unique=True), st.integers(1, 64))
-def test_triangle_blocks_hold_every_pair_once(values, chunk):
-    s = np.sort(np.array(values, dtype=np.int64))
+@example(list(range(0, 300, 7)), 5)  # every row but the last few is longer than the chunk
+def test_pair_keys_hold_every_pair_once(values, chunk):
+    s = np.array(values, dtype=np.int64)
+    views, keys = [], []
     with mock.patch.object(analyzer, "_PAIR_CHUNK", chunk):
-        blocks = list(analyzer._triangle_blocks(s))
-    keys = sorted(np.concatenate([block[block > 0] for block in blocks]).tolist())
-    assert keys == sorted(b - a for i, a in enumerate(s.tolist()) for b in s.tolist()[i + 1 :])
-    assert all(block.size <= max(chunk, block.shape[1]) for block in blocks)
+        for view in analyzer._pair_keys(s):
+            # the next block overwrites this view, so its keys are copied out now
+            views.append(view)
+            keys += view.tolist()
+    assert sorted(keys) == sorted(abs(b - a) for i, a in enumerate(values) for b in values[i + 1 :])
+    assert all(len(view) <= max(chunk, len(s) - 1) for view in views)
+    assert all(np.shares_memory(view, views[0]) for view in views)
 
 
 def broadcast_residue_hits(level, m, v, q):
