@@ -129,6 +129,7 @@ def _orthogonality_pairs(system: MoranSystem, pts: np.ndarray):
         tables.append((keys[head], np.diff(head, append=len(keys))))
         if sum(len(k) for k, _ in tables[1:]) > len(tables[0][0]):
             tables = [_merge_counts(tables)]
+    del keys  # the last view holds the buffer: freed before the last fold, glibc's heap peaks lower
     keys, counts = _merge_counts(tables)
     diffs = np.stack([(keys + size // 2) // s % d - d // 2 for s, d in zip(strides, dims)], axis=1)
     levels = _zero_levels(system, diffs)
@@ -162,28 +163,27 @@ def _merge_counts(tables):
 
 def _pair_keys(packed: np.ndarray):
     """``|P_j - P_i|`` for each pair of the distinct packed P once, as 1-D views of one buffer per
-    call: use each view before asking for the next, whose block overwrites it. Block rows i0..i1 of
-    the sorted s hold at most ``isqrt(_PAIR_CHUNK) // 4`` rows and ``_PAIR_CHUNK`` pairs (or one
-    longer row); their all-positive columns i1.. are written in place, and only their own triangle,
-    columns i0 + 1..i1, is masked. Made after s, the buffer left glibc's heap 28 MB higher at
-    ``verify-orth square_plus_b1 --level 1``."""
-    n = len(packed)
-    buf = np.empty(min(n * (n - 1) // 2, max(_PAIR_CHUNK, n - 1)), dtype=packed.dtype)
+    call: use each view before asking for the next, whose block overwrites it. Blocks of the sorted s
+    hold at most ``isqrt(_PAIR_CHUNK) // 4`` rows i0..i1 and ``_PAIR_CHUNK`` pairs (or one longer row):
+    columns i1.. are all positive and written in place; only the triangle, columns i0 + 1..i1, made in
+    the buffer's tail, is masked. Made after s, or with a fresh triangle, the buffer left peaks higher."""
+    n, rows = len(packed), math.isqrt(_PAIR_CHUNK) // 4
+    cap = min(n * (n - 1) // 2, max(_PAIR_CHUNK, n - 1))
+    buf = np.empty(cap + rows * rows, dtype=packed.dtype)
     s, i0 = np.sort(packed), 0
     while i0 < n - 1:
-        i1 = min(n - 1, i0 + max(1, min(math.isqrt(_PAIR_CHUNK) // 4, _PAIR_CHUNK // (n - 1 - i0))))
-        rect = (i1 - i0) * (n - i1)
-        np.subtract(s[None, i1:], s[i0:i1, None], out=buf[:rect].reshape(i1 - i0, n - i1))
-        tri = s[None, i0 + 1 : i1] - s[i0:i1, None]
-        end = rect + (i1 - i0) * (i1 - i0 - 1) // 2
+        i1 = min(n - 1, i0 + max(1, min(rows, _PAIR_CHUNK // (n - 1 - i0))))
+        r, rect = i1 - i0, (i1 - i0) * (n - i1)
+        np.subtract(s[None, i1:], s[i0:i1, None], out=buf[:rect].reshape(r, n - i1))
+        tri = np.subtract(s[None, i0 + 1 : i1], s[i0:i1, None], out=buf[cap : cap + r * (r - 1)].reshape(r, r - 1))
+        end = rect + r * (r - 1) // 2
         np.compress((tri > 0).ravel(), tri, out=buf[rect:end])
         yield buf[:end]
         i0 = i1
 
 
 def _row_blocks(packed: np.ndarray):
-    """``packed[None, :] - packed[i0:i1, None]`` for whole rows in order, at most ``_PAIR_CHUNK`` entries
-    (or one row), written into one buffer per call, which the next block overwrites."""
+    """``packed[None, :] - packed[i0:i1, None]`` in order, ``_PAIR_CHUNK`` entries (or one row) a block, one buffer."""
     buf = np.empty((min(len(packed), max(1, _PAIR_CHUNK // len(packed))), len(packed)), dtype=packed.dtype)
     for i0 in range(0, len(packed), len(buf)):
         yield np.subtract(packed[None, :], packed[i0 : i0 + len(buf), None], out=buf[: len(packed) - i0])
