@@ -129,7 +129,7 @@ def _orthogonality_pairs(system: MoranSystem, pts: np.ndarray):
         tables.append((keys[head], np.diff(head, append=len(keys))))
         if sum(len(k) for k, _ in tables[1:]) > len(tables[0][0]):
             tables = [_merge_counts(tables)]
-    del keys  # the last view holds the buffer: freed before the last fold, glibc's heap peaks lower
+    del keys  # the last view holds the buffer: freeing it before the last fold left glibc's heap lower more often
     keys, counts = _merge_counts(tables)
     diffs = np.stack([(keys + size // 2) // s % d - d // 2 for s, d in zip(strides, dims)], axis=1)
     levels = _zero_levels(system, diffs)
@@ -166,7 +166,7 @@ def _pair_keys(packed: np.ndarray):
     call: use each view before asking for the next, whose block overwrites it. Blocks of the sorted s
     hold at most ``isqrt(_PAIR_CHUNK) // 4`` rows i0..i1 and ``_PAIR_CHUNK`` pairs (or one longer row):
     columns i1.. are all positive and written in place; only the triangle, columns i0 + 1..i1, made in
-    the buffer's tail, is masked. Made after s, or with a fresh triangle, the buffer left peaks higher."""
+    the buffer's tail, is masked. Made before s, the buffer left glibc's heap lower more often."""
     n, rows = len(packed), math.isqrt(_PAIR_CHUNK) // 4
     cap = min(n * (n - 1) // 2, max(_PAIR_CHUNK, n - 1))
     buf = np.empty(cap + rows * rows, dtype=packed.dtype)

@@ -273,7 +273,7 @@ def test_ragged_and_fractional_points_still_raise():
 
 
 @settings(max_examples=200, deadline=None)
-# chunks past 64 give blocks of 3 to 11 rows, whose triangles hold entries the mask must drop
+# chunks from 144 on give blocks of 3 to 11 rows, whose triangles hold entries the mask must drop
 @given(st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=60, unique=True), st.integers(1, 64) | st.integers(65, 2048))
 @example(list(range(0, 300, 7)), 5)  # every row but the last few is longer than the chunk
 def test_pair_keys_hold_every_pair_once(values, chunk):
