@@ -33,6 +33,9 @@ _MAX_LEVELS = 10_000
 _PAIR_CHUNK = 1 << 18
 # transform values per chunk of bases: 2 MB of complex values, about one core's L2
 _VALUE_CHUNK = 1 << 17
+# summed phases per run of the root tables and rows per slab of the block check: 2 MB of
+# int64, the bytes of one chunk of transform values
+_PHASE_RUN = 1 << 18
 # up to this many offsets a chunk holds at least two bases: numpy sends a one-row
 # product to gemv, whose last bits differ from gemm's, and gemm gives the same bits
 # for any two or more rows, so these reports keep the bits of 2^20-value chunks
@@ -280,9 +283,9 @@ def _below_coset_norm(c4: Fraction, m: int, v: np.ndarray, q: np.ndarray) -> np.
 
 
 def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth: int) -> np.ndarray:
-    """Transform values at base_b + offset_p for every pair, shape (B, P)."""
+    """Transform values at base_b + offset_p for every pair, shape (B, P); the offsets are one block."""
     offsets = _offset_rows(offsets)
-    return np.concatenate([np.empty((0, len(offsets)), dtype=complex), *_transform_chunks(system, offsets, bases, depth)])
+    return np.concatenate([np.empty((0, len(offsets)), dtype=complex), *_transform_chunks(system, [offsets], bases, depth)])
 
 
 def _offset_rows(offsets) -> np.ndarray:
@@ -291,40 +294,106 @@ def _offset_rows(offsets) -> np.ndarray:
     return np.atleast_2d(offsets if exact_dtype else np.array(offsets, dtype=object))
 
 
-def _transform_plans(system: MoranSystem, offsets: np.ndarray, depth: int) -> list:
+def _level_blocks(nums: np.ndarray, size: int) -> list:
+    """Block terms of ``nums`` when it is the mixed-radix sum of blocks of ``size`` rows, else ``[nums]``.
+
+    Block j's terms are the rows i size^j, i < size, the first block fastest. Row 0 must be 0,
+    and each slab i > 0 of size^j rows minus the first slab must be constant, hence its term
+    i. Slabs are compared ``_PHASE_RUN`` rows (or one slab) at a time, so no temporary of the
+    level's size is made; int64 rows must lie within 2^62, so that no difference wraps.
+    """
+    count = round(math.log(len(nums), size)) if len(nums) > 1 < size else 0
+    if count < 2 or size**count != len(nums) or (nums[0] != 0).any():
+        return [nums]
+    if nums.dtype != object and not (-(2**62) < nums.min() and nums.max() < 2**62):
+        return [nums]
+    for j in range(1, count):
+        slabs = nums[: size ** (j + 1)].reshape(size, size**j, -1)
+        step = max(1, _PHASE_RUN // size**j)
+        for i0 in range(1, size, step):
+            diff = slabs[i0 : i0 + step] - slabs[0]
+            if not (diff[:, 1:] == diff[:, :-1]).all():
+                return [nums]
+    return [nums[:: size**j][:size] for j in range(count)]
+
+
+def _transform_plans(system: MoranSystem, blocks: list, depth: int) -> list:
     """(digits, float matrix, roots of unity) of levels 1..depth, the roots on the first w offsets.
 
-    Exact integer phases (two ``exact.int_matmul`` products) become roots of
-    unity once, from residues mod q. w is the least width, a power of m
-    dividing P or else P, no less than the last level's, with phase column i
-    equal to column i mod w exactly (m^k at level k of a spectrum level).
+    ``blocks`` are B arrays of N terms, row 0 of each 0 (or one array), and offset i is
+    sum_j T_j[i_j] over the digits i_j of i, block 0 fastest. One exact product (two
+    ``exact.int_matmul`` calls, with headroom B, so that any B of its entries sum in its
+    dtype) of the stacked terms gives level k's block phases d (R_1^t ... R_k^t)^-1 T_j, and
+    column i's phase is their sum over j; its residue mod q makes the root.
+
+    w is the least width, a power of m dividing P or else P, no less than the last level's,
+    such that columns i and i mod w have equal phases mod q. With a the last block whose
+    residue table is not all 0 and r the least such width of that table, w = max(last w, N^a r).
+    Proof: blocks after a add 0 and block a's digit counts mod r, so N^a r is a period; a
+    smaller power of m either divides N^a, and column N^a i = column 0 = 0 would make block
+    a's table 0, or is N^a s with s < r a period of block a's table.
     """
-    n_points = len(offsets)
+    m, size = system.prime, len(blocks[0])
+    n_points = size ** len(blocks)
+    terms = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
     plans, width, acc = [], 1, Matrix.identity(system.dimension)
     for k in range(1, depth + 1):
         acc = inverse_transpose(system.level(k).matrix).mul(acc)  # (R_1^t ... R_k^t)^-1 = m_int / q
         m_int, q = acc.num, acc.den
         d_arr = np.array(system.level(k).digits.digits, dtype=np.int64)
-        int_phases = exact.int_matmul(exact.int_matmul(d_arr, acc.transpose().num), offsets)  # (m, P)
-        # residues mod q < 2^63 are int64 whatever dtype the product took, so the roots' bits do not depend on it
+        phases = exact.int_matmul(exact.int_matmul(d_arr, tuple(zip(*m_int))), terms, headroom=len(blocks))
+        phases = phases.reshape(len(d_arr), len(blocks), size)  # (m, B, N)
+        if width < n_points:
+            tables = _residues(phases.copy() if len(blocks) > 1 else phases, q)
+            a = len(blocks) - 1
+            while a and not tables[:, a].any():
+                a -= 1
+            t, s = tables[:, a], max(1, width // size**a)
+            while s < size and not (t.reshape(len(d_arr), -1, s) == t[:, None, :s]).all():
+                s = s * m if size % (s * m) == 0 else size
+            width = max(width, size**a * s)
         if q < 2**63:
-            int_phases = np.remainder(int_phases, q, out=int_phases).astype(np.int64, copy=False)
-        else:
-            int_phases = int_phases.astype(object) % q
-        while width < n_points and not (int_phases.reshape(len(d_arr), -1, width) == int_phases[:, None, :width]).all():
-            width = width * system.prime if n_points % (width * system.prime) == 0 else n_points
-        if q < 2**63:  # the ufuncs of exp(2j * pi * phase / q) in its order, in one array
-            roots = np.multiply(2j * np.pi, int_phases[:, :width])
-            roots = np.exp(np.divide(roots, q, out=roots), out=roots)
             a_float = np.array(m_int, dtype=float) / q
         else:  # q may pass the largest float, so Python ints are divided before any float is made
-            roots = np.exp(2j * np.pi * (int_phases[:, :width] / q).astype(float))
             a_float = (np.array(m_int, dtype=object) / q).astype(float)
-        plans.append((d_arr, a_float, roots))
+        plans.append((d_arr, a_float, _roots(phases, width, q)))
     return plans
 
 
-def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
+def _residues(phases: np.ndarray, q: int) -> np.ndarray:
+    """``phases`` mod q: in place and int64 whatever dtype they took when q < 2^63, so the
+    roots' bits do not depend on it, else in Python ints."""
+    if q < 2**63:
+        return np.remainder(phases, q, out=phases).astype(np.int64, copy=False)
+    return phases.astype(object) % q
+
+
+def _roots(phases: np.ndarray, width: int, q: int) -> np.ndarray:
+    """exp(2j pi phase / q) on the first ``width`` columns of the sums of the (m, B, N) block
+    phases: with c the block of w's top digit, a run of ``_PHASE_RUN`` values of block c's
+    phases at a time is added to the sums of the blocks below it and reduced mod q, and the
+    ufuncs of exp(2j pi phase / q), in that order, write it into one (m, w) array."""
+    (m, count, size), c = phases.shape, 0
+    while c + 1 < count and size ** (c + 1) < width:
+        c += 1
+    span, low = size**c, phases[:, 0]
+    for j in range(1, c):
+        low = (phases[:, j, :, None] + low[:, None, :]).reshape(m, -1)
+    roots = np.empty((m, min(width, size**count)), dtype=complex)
+    run = max(1, _PHASE_RUN // (m * span))
+    for i0 in range(0, width // span, run):
+        run_phases = phases[:, c, i0 : min(i0 + run, width // span)]
+        run_phases = _residues((run_phases[:, :, None] + low[:, None, :]).reshape(m, -1) if c else run_phases, q)
+        out = roots[:, i0 * span : i0 * span + run_phases.shape[1]]
+        if q < 2**63:
+            np.multiply(2j * np.pi, run_phases, out=out)
+            np.exp(np.divide(out, q, out=out), out=out)
+        else:
+            np.exp(np.multiply(2j * np.pi, (run_phases / q).astype(float), out=out), out=out)
+    return roots
+
+
+def _transform_chunks(system: MoranSystem, blocks: list, bases, depth: int):
     """Yield the rows of ``transform_batch_multi``, a chunk of bases at a time.
 
     A chunk holds ``_VALUE_CHUNK`` (2^17) values, at least one base, and at
@@ -343,10 +412,9 @@ def _transform_chunks(system: MoranSystem, offsets, bases, depth: int):
     running product times factor: numpy's complex multiply uses FMA and is
     not bitwise commutative.
     """
-    offsets = _offset_rows(offsets)
     bases_f = np.array([[float(c) for c in b] for b in bases], dtype=float)
-    n_points = len(offsets)
-    plans = _transform_plans(system, offsets, depth)
+    n_points = len(blocks[0]) ** len(blocks)
+    plans = _transform_plans(system, blocks, depth)
 
     floor = 2 if n_points <= _TWO_BASE_POINTS else 1
     runs = min(-(-len(bases_f) // max(floor, _VALUE_CHUNK // max(n_points, 1))), max(len(bases_f) // floor, 1))
@@ -380,6 +448,9 @@ def completeness_scan(
     (b) the final gap 1 - Q with the certified truncation contribution.
     Each level's ``nums`` must be a prefix of the top level's, so Q_k sums a
     prefix of the top level's non-negative terms and never decreases in k.
+    The top level reaches the transform as the terms of its blocks of m^K rows
+    (``_level_blocks``), whose tables give every level's phases, or as one
+    block when it is not their mixed-radix sum.
     """
     if grid < 4:
         raise ValueError("grid must be at least 4")
@@ -408,7 +479,8 @@ def completeness_scan(
     min_final = math.inf
     # each chunk of values is reduced to its per-level sums as soon as it is made
     sums = []
-    for vals in _transform_chunks(system, top.nums, pts, depth):
+    blocks = _level_blocks(_offset_rows(top.nums), system.prime**top.K)
+    for vals in _transform_chunks(system, blocks, pts, depth):
         sq = np.abs(vals)
         np.square(sq, out=sq)
         sums.append(np.stack([sq[:, :size].sum(axis=1) for size in sizes], axis=1))

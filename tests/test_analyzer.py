@@ -370,22 +370,30 @@ def test_completeness_scan_memory_is_a_few_chunks():
 
 
 def test_transform_plans_build_each_root_table_in_one_array():
-    # the kept root tables plus one level's int64 phases; a temporary of a
+    # the kept root tables plus one run's summed phases; a temporary of a
     # table's full size on the way to its roots would pass the bound
     import tracemalloc
+    from pathlib import Path
 
     from moranspec import analyzer
+    from moranspec.builder import normalize_first_level
+    from moranspec.specfile import load_system
 
-    system, levels = criterion_5_scan_levels()
-    tracemalloc.start()
-    try:
-        plans = analyzer._transform_plans(system, levels[-1].nums, 9)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    root_bytes = sum(roots.nbytes for _, _, roots in plans)
-    assert plans[-1][2].shape == (3, 19683)
-    assert peak < 1.6 * root_bytes
+    staircase, _ = normalize_first_level(load_system(Path(__file__).parent / "fixtures" / "staircase_spectral.json"))
+    # 3 blocks of 27 rows (m = 3), and 2 blocks of 125 rows (m = 5)
+    for system, levels in (criterion_5_scan_levels(), (staircase, spectrum_levels(build_blocks(staircase, K=3, blocks=2), 1))):
+        top = levels[-1]
+        blocks = analyzer._level_blocks(top.nums, system.prime**top.K)
+        assert len(blocks) == top.index + 1
+        tracemalloc.start()
+        try:
+            plans = analyzer._transform_plans(system, blocks, top.K * len(blocks))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        root_bytes = sum(roots.nbytes for _, _, roots in plans)
+        assert plans[-1][2].shape == (system.prime, top.size)
+        assert peak < 1.6 * root_bytes, (peak, root_bytes)
 
 
 def test_completeness_scan_refuses_nan_sums():

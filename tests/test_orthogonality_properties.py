@@ -477,11 +477,76 @@ def test_prefix_widths_fall_back_when_the_tower_is_broken():
         np.testing.assert_allclose(values, full_width_transform(system, offsets, bases, 4), rtol=0, atol=1e-12)
 
 
+def assert_same_plans(got, expected):
+    """Equal digits, a_float and root widths, and the roots bit for bit."""
+    assert len(got) == len(expected)
+    for (d_got, a_got, r_got), (d_exp, a_exp, r_exp) in zip(got, expected):
+        assert np.array_equal(d_got, d_exp)
+        assert a_got.tobytes() == a_exp.tobytes()
+        assert r_got.shape == r_exp.shape
+        assert_same_bits(r_got, r_exp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(towers(), st.data(), st.sampled_from((None, 2**8)))
+def test_block_plans_are_bitwise_the_one_block_plans(case, data, limit):
+    # the top level of a random tower, or the same with one row moved, which
+    # must fall back to one block; a limit of 2^8 sums the phases in Python ints
+    system, K, blocks = case
+    nums = spectrum_levels(build_blocks(system, K=K, blocks=blocks), blocks - 1, enforce_containment=False)[-1].nums
+    perturbed = blocks > 1 and data.draw(st.booleans(), label="perturbed")
+    if perturbed:
+        nums = nums.copy()
+        index = data.draw(st.integers(1, len(nums) - 1), label="row")
+        nums[index] += data.draw(st.tuples(*[st.integers(-40, 40)] * system.dimension).filter(any), label="shift")
+    split = analyzer._level_blocks(nums, system.prime**K)
+    assert len(split) == (1 if perturbed else blocks)
+    depth = blocks * K + data.draw(st.integers(0, 2), label="extra depth")
+    with mock.patch.object(exact, "INT64_LIMIT", limit or exact.INT64_LIMIT):
+        got = analyzer._transform_plans(system, split, depth)
+        expected = analyzer._transform_plans(system, [nums], depth)
+    assert_same_plans(got, expected)
+
+
+def test_block_plans_past_int64_denominators_are_the_one_block_plans():
+    # K = 1 and 3 blocks of 3 rows: from level 40 on q = 3^k passes 2^63, and the phases
+    # of the 27 offsets are summed from the three block tables in Python ints
+    system = SYSTEMS["sierpinski_3i"]
+    nums = spectrum_levels(build_blocks(system, K=1, blocks=3), 2, enforce_containment=False)[-1].nums
+    split = analyzer._level_blocks(nums, 3)
+    assert len(split) == 3
+    got = analyzer._transform_plans(system, split, 45)
+    assert 3**45 > 2**63 and got[-1][2].shape == (3, 27)
+    assert_same_plans(got, analyzer._transform_plans(system, [nums], 45))
+
+
+def test_block_phase_sums_past_int64_stay_exact():
+    # each block phase d t fits int64, but the sum of three passes 2^63: exact.int_matmul's
+    # headroom of 3 must send the phases to Python ints
+    system = build_system(1, 3, [], [([[3]], LINE)])
+    terms = [np.array([[0], [t], [t + 5]], dtype=object) for t in (2**60 + 7, 2**60 + 2**59, 3 * 2**59 - 11)]
+    nums = np.array([[a + b + c] for c in terms[2][:, 0] for b in terms[1][:, 0] for a in terms[0][:, 0]], dtype=object)
+    split = analyzer._level_blocks(nums, 3)
+    assert len(split) == 3 and all(np.array_equal(got, want) for got, want in zip(split, terms))
+    assert 2 * max(nums[:, 0]) >= 2**63
+    assert_same_plans(analyzer._transform_plans(system, split, 2), analyzer._transform_plans(system, [nums], 2))
+
+
 def test_offsets_past_int64_stay_exact():
     # an int64 cast would raise OverflowError; other offsets go in Python ints and uint64 ones stay as they are
     system = SYSTEMS["sierpinski_3i"]
     level = SpectrumLevel(index=0, K=1, nums=np.array([(2**64, 0)], dtype=object), containment_checked=False)
-    report = analyzer.completeness_scan(system, [level], grid=4, extra_points=2)
+    real_chunks, calls = analyzer._transform_chunks, []
+
+    def record(system, blocks, *args):
+        calls.append(blocks)
+        return real_chunks(system, blocks, *args)
+
+    with mock.patch.object(analyzer, "_transform_chunks", side_effect=record):
+        report = analyzer.completeness_scan(system, [level], grid=4, extra_points=2)
+    # one row is not a sum of blocks of 3: the level goes to the plans as one block, as it is
+    ((block,),) = calls
+    assert block.dtype == object and np.array_equal(block, level.nums)
     assert report.passed and report.details["sizes"] == [1]
     bases = [(0.1, 0.7), (0.375, -1.25)]
     for offsets in ([(2**64, 0)], [(2**64, 0), (3, -(2**70))], np.array([(2**63 + 5, 1)], dtype=np.uint64)):
