@@ -49,8 +49,12 @@ def find_zero_level(system: MoranSystem, point: Sequence):
     ``_zero_levels`` searches the numerators as one row with that
     denominator as its starting q, so the stopping rule is the same and
     still assumes condition (ii), the coset-line model (ROADMAP.md item 1).
+    Coordinates stay Fractions, whose denominator may pass int64 while the
+    numerators fit; a point of another dimension raises DimensionMismatch.
     """
     point = [Fraction(c) for c in point]
+    if len(point) != system.dimension:
+        raise DimensionMismatch(f"point ({', '.join(map(str, point))}) is not {system.dimension}-dimensional like the system")
     q = math.lcm(*(c.denominator for c in point))
     row = np.array([[c.numerator * (q // c.denominator) for c in point]], dtype=object)
     return int(_zero_levels(system, row, q)[0]) or None
@@ -63,17 +67,11 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
 
-def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationReport:
-    """Check (Lambda - Lambda) \\ {0} against the transform zero set.
-
-    Differences are deduplicated up to sign before the exact membership test; witnesses
-    list (p, q, difference) triples whose difference misses the zero set, sorted by
-    difference, each with its first pair in row-major order. ``points`` is an (N, n)
-    integer array or any iterable of points, read once: as numpy's int64 array when it
-    makes one, else in Python ints. Points of another dimension, ragged input included,
-    raise DimensionMismatch, non-integral coordinates ValueError.
-    """
-    n, pts = system.dimension, points
+def _point_rows(points, n: int) -> np.ndarray:
+    """Integer points of every entry point as an (N, n) array: int64 or uint64 arrays as they are, other
+    iterables read once, as numpy's int64 array when it makes one, else in Python ints (object dtype).
+    Another dimension or ragged input raises DimensionMismatch, a non-integral coordinate ValueError."""
+    pts = points
     if not (isinstance(points, np.ndarray) and points.dtype in (np.int64, np.uint64)):
         seq = list(points)  # points may be a generator, read once
         with contextlib.suppress(ValueError):  # ragged input leaves pts = points, which is not int64
@@ -82,14 +80,26 @@ def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationR
             # object dtype keeps every int exact: numpy reads ints in [2^63, 2^64) as float64
             pts = np.array(seq or np.empty((0, n)), dtype=object)
     if pts.ndim != 2 or pts.shape[1] != n:
-        p = next(p for p in pts if np.ndim(p) != 1 or len(p) != n)
-        raise DimensionMismatch(f"point {np.asarray(p, dtype=object).tolist()} is not {n}-dimensional like the system")
+        bad = (np.asarray(p, dtype=object).tolist() for p in pts if np.ndim(p) != 1 or len(p) != n)
+        raise DimensionMismatch(f"point {next(bad, f'array of shape {pts.shape}')} is not {n}-dimensional like the system")
     if pts.dtype == object:
         ints = np.frompyfunc(int, 1, 1)(pts)
         bad = np.flatnonzero((ints != pts).any(axis=1))
         if len(bad):
             raise ValueError(f"point ({', '.join(map(str, pts[bad[0]]))}) has a non-integral coordinate")
-        pts = ints
+        return ints
+    return pts
+
+
+def verify_orthogonality(system: MoranSystem, points: Iterable) -> VerificationReport:
+    """Check (Lambda - Lambda) \\ {0} against the transform zero set.
+
+    Differences are deduplicated up to sign before the exact membership test; witnesses
+    list (p, q, difference) triples whose difference misses the zero set, sorted by
+    difference, each with its first pair in row-major order. ``points`` are read by
+    ``_point_rows``: a non-integral coordinate raises ValueError.
+    """
+    pts = _point_rows(points, system.dimension)
     if first_repeated_row(pts) < len(pts):
         raise ValueError("points must be pairwise distinct")
     witnesses, distinct, levels_hit = _orthogonality_pairs(system, pts) if len(pts) > 1 else ((), 0, {})
@@ -283,15 +293,11 @@ def _below_coset_norm(c4: Fraction, m: int, v: np.ndarray, q: np.ndarray) -> np.
 
 
 def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth: int) -> np.ndarray:
-    """Transform values at base_b + offset_p for every pair, shape (B, P); the offsets are one block."""
-    offsets = _offset_rows(offsets)
-    return np.concatenate([np.empty((0, len(offsets)), dtype=complex), *_transform_chunks(system, [offsets], bases, depth)])
-
-
-def _offset_rows(offsets) -> np.ndarray:
-    """``offsets`` as a 2-D array: int64 or uint64 as given, else in Python ints, which hold any integer exactly."""
-    exact_dtype = isinstance(offsets, np.ndarray) and offsets.dtype in (np.int64, np.uint64)
-    return np.atleast_2d(offsets if exact_dtype else np.array(offsets, dtype=object))
+    """Transform values at base_b + offset_p for every pair, shape (B, P), (B, 0) for no offsets; the
+    offsets are one block, read by ``_point_rows``: a non-integral coordinate raises ValueError."""
+    offsets = _point_rows(offsets, system.dimension)
+    chunks = list(_transform_chunks(system, [offsets], bases, depth)) if len(offsets) else []
+    return np.concatenate(chunks) if chunks else np.empty((len(bases), len(offsets)), dtype=complex)
 
 
 def _level_blocks(nums: np.ndarray, size: int) -> list:
@@ -441,16 +447,15 @@ def completeness_scan(
 ) -> VerificationReport:
     """Sampled completeness evidence via the quadratic sum criterion.
 
-    For each sample point xi the partial sums Q_k(xi) = sum over level k of
-    |transform(xi + lambda)|^2 are reported. An orthogonal family always
-    has Q <= 1; the family is a basis exactly when Q is identically 1, so
-    the report tracks (a) the bound Q <= 1 plus a numeric allowance and
-    (b) the final gap 1 - Q with the certified truncation contribution.
-    Each level's ``nums`` must be a prefix of the top level's, so Q_k sums a
-    prefix of the top level's non-negative terms and never decreases in k.
-    The top level reaches the transform as the terms of its blocks of m^K rows
-    (``_level_blocks``), whose tables give every level's phases, or as one
-    block when it is not their mixed-radix sum.
+    For each sample point xi the partial sums Q_k(xi) = sum over level k of |transform(xi +
+    lambda)|^2 are reported. An orthogonal family always has Q <= 1; the family is a basis exactly
+    when Q is identically 1, so the report tracks (a) the bound Q <= 1 plus a numeric allowance and
+    (b) the final gap 1 - Q with the certified truncation contribution, both by reductions of the
+    (points, levels) array of sums. Each level's ``nums`` must be a prefix of the top level's, so
+    Q_k sums a prefix of the top level's non-negative terms and never decreases in k. The top level,
+    read by ``_point_rows``, reaches the transform as the terms of its blocks of m^K rows
+    (``_level_blocks``), whose tables give every level's phases, or as one block when it is not
+    their mixed-radix sum.
     """
     if grid < 4:
         raise ValueError("grid must be at least 4")
@@ -462,8 +467,7 @@ def completeness_scan(
         if not np.array_equal(big.nums[: small.size], small.nums):
             raise ValueError("levels must be nested prefixes; build them together")
     min_depth = (top.index + 1) * top.K
-    if depth is None:
-        depth = min_depth
+    depth = min_depth if depth is None else depth
     if depth < min_depth:
         raise ValueError(f"depth {depth} is below the top level product length {min_depth}")
 
@@ -473,31 +477,26 @@ def completeness_scan(
     pts = [tuple(i / grid for i in idx) for idx in np.ndindex(*([grid] * n))]
     pts += [tuple(rng.random(n).tolist()) for _ in range(extra_points)]
     eps_numeric = 16 * depth * 1e-13 * math.sqrt(top.size) + top.size * 2.3e-16
-    witnesses = []
-    per_level_gap = [0.0] * len(levels)
-    max_q = 0.0
-    min_final = math.inf
     # each chunk of values is reduced to its per-level sums as soon as it is made
     sums = []
-    blocks = _level_blocks(_offset_rows(top.nums), system.prime**top.K)
+    blocks = _level_blocks(_point_rows(top.nums, n), system.prime**top.K)
     for vals in _transform_chunks(system, blocks, pts, depth):
         sq = np.abs(vals)
         np.square(sq, out=sq)
         sums.append(np.stack([sq[:, :size].sum(axis=1) for size in sizes], axis=1))
         del vals, sq  # freed before the next chunk is made
-    for xi, q_row in zip(pts, np.concatenate(sums)):
-        for li, q_val in enumerate(map(float, q_row)):
-            # negated so that a NaN sum is a witness too
-            if not q_val <= 1.0 + eps_numeric:
-                witnesses.append((xi, "bound", li, q_val))
-            per_level_gap[li] = max(per_level_gap[li], 1.0 - q_val)
-            max_q = max(max_q, q_val)
-        final = float(q_row[-1])
-        min_final = min(min_final, final)
-        if gap_tol is not None and not 1.0 - final <= gap_tol:
-            witnesses.append((xi, "gap", len(sizes) - 1, final))
+    q = np.concatenate(sums)  # (points, levels)
+    # negated so that a NaN sum is a witness too
+    bound = ~(q <= 1.0 + eps_numeric)
+    gap = np.zeros(len(q), dtype=bool) if gap_tol is None else ~(1.0 - q[:, -1] <= gap_tol)
+    witnesses = []
+    # row-major over (points, levels + 1): a point's bound witnesses by level, then its gap witness
+    for p, li in np.argwhere(np.column_stack([bound, gap])).tolist():
+        kind, li = ("bound", li) if li < len(sizes) else ("gap", li - 1)
+        witnesses.append((pts[p], kind, li, float(q[p, li])))
+    # fmax and fmin skip a NaN sum, as max and min of Python floats do
+    per_level_gap = np.fmax.reduce(1.0 - q, axis=0, initial=0.0).tolist()
 
-    final_gap = per_level_gap[-1]
     # Truncation contribution: zero when the depth equals the finite product
     # length of the top level (the sum is then an exact finite identity up
     # to numeric error); otherwise bounded through the tail factor.
@@ -519,9 +518,9 @@ def completeness_scan(
             "levels": [lvl.index for lvl in levels],
             "sizes": sizes,
             "max_gap_per_level": per_level_gap,
-            "final_gap": final_gap,
-            "max_q": max_q,
-            "min_final_q": min_final,
+            "final_gap": per_level_gap[-1],
+            "max_q": float(np.fmax.reduce(q, axis=None, initial=0.0)),
+            "min_final_q": float(np.fmin.reduce(q[:, -1], initial=math.inf)),
             "certified_tail": certified_tail,
             "numeric_allowance": eps_numeric,
         },

@@ -13,7 +13,8 @@ from moranspec.analyzer import (
     transform_batch_multi,
     verify_orthogonality,
 )
-from moranspec.builder import build_blocks, spectrum_levels
+from moranspec.builder import SpectrumLevel, build_blocks, spectrum_levels
+from moranspec.errors import DimensionMismatch
 from moranspec.system import build_system
 
 
@@ -475,3 +476,44 @@ def test_verify_orthogonality_rejects_non_integral_points():
     report = verify_orthogonality(system, [(0, 0), (2.0, Fraction(4, 2))])
     assert report.details["points"] == 2
     assert report.witnesses == verify_orthogonality(system, [(0, 0), (2, 2)]).witnesses
+
+
+@pytest.mark.parametrize("n_bases", [0, 1, 2])
+def test_transform_of_no_offsets_is_a_b_by_0_array(n_bases):
+    bases = [(0.1, 0.7), (0.375, -1.25)][:n_bases]
+    vals = transform_batch_multi(sierpinski_3i(), np.zeros((0, 2), dtype=np.int64), bases, 4)
+    assert vals.shape == (n_bases, 0) and vals.dtype == complex
+
+
+def test_non_integral_offsets_are_refused_not_truncated():
+    # int(0.5) is 0: read as the origin, the transform was 1, while the depth-4 value at (0.5, 0) is 0.76+0.42i
+    system = sierpinski_3i()
+    with pytest.raises(ValueError, match=r"point \(0\.5, 0\)"):
+        transform_batch_multi(system, [(0.5, 0)], [(0.0, 0.0)], 4)
+    with pytest.raises(ValueError, match=r"point \(0\.5, 0\.0\)"):
+        transform_batch_multi(system, np.array([(0.5, 0.0)]), [(0.0, 0.0)], 4)
+    level = SpectrumLevel(index=0, K=1, nums=np.array([(0, 0), (1, 0), (0.25, 1)]), containment_checked=False)
+    with pytest.raises(ValueError, match=r"point \(0\.25, 1\.0\)"):
+        completeness_scan(system, [level], grid=4, extra_points=0)
+    # integral floats are read as the integers they are
+    got = transform_batch_multi(system, [(1.0, 2.0)], [(0.0, 0.0)], 4)
+    assert got == transform_batch_multi(system, np.array([(1, 2)]), [(0.0, 0.0)], 4)
+
+
+def test_points_of_another_dimension_are_refused_by_every_entry_point():
+    system = sierpinski_3i()
+    for offsets in ([(0, 0, 0)], np.zeros((2, 3), dtype=np.int64), np.array([1, 2]), [(0, 0), (1,)]):
+        with pytest.raises(DimensionMismatch):
+            transform_batch_multi(system, offsets, [(0.0, 0.0)], 4)
+    # an empty array has no point to show: the message gives its shape
+    for empty in (np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64)):
+        with pytest.raises(DimensionMismatch, match=r"point array of shape \(0,"):
+            transform_batch_multi(system, empty, [(0.0, 0.0)], 4)
+        with pytest.raises(DimensionMismatch):
+            verify_orthogonality(system, empty)
+    level = SpectrumLevel(index=0, K=1, nums=np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), containment_checked=False)
+    with pytest.raises(DimensionMismatch):
+        completeness_scan(system, [level], grid=4, extra_points=0)
+    for point in ((1, 2, 0), (Fraction(1, 3),)):
+        with pytest.raises(DimensionMismatch):
+            find_zero_level(system, point)

@@ -1,9 +1,10 @@
 """Property tests: the numpy orthogonality check against a plain pair loop,
 the batched zero-level search against the scalar oracle ref_zero_level, the
 prefix-width transform against a full-width evaluation and, bit for bit,
-against a tiled reference loop, and the streamed completeness scan against
-its default run."""
+against a tiled reference loop, the streamed completeness scan against
+its default run, and its report against the scalar loop on chosen sums."""
 import math
+import struct
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -571,3 +572,91 @@ def test_streamed_completeness_scan_matches_default_run(budget):
     np.testing.assert_allclose([w[3:] for w in got.witnesses], [w[3:] for w in expected.witnesses], rtol=0, atol=allowance)
     for key, value in expected.details.items():
         np.testing.assert_allclose(got.details[key], value, rtol=0, atol=allowance)
+
+
+def reference_scan_report(pts, q, allowance, gap_tol):
+    """The per-point, per-level loop that built completeness_scan's witnesses and report floats
+    before its array reductions: (witnesses, max gap per level, max q, min final q)."""
+    witnesses, per_level_gap, max_q, min_final = [], [0.0] * q.shape[1], 0.0, math.inf
+    for xi, q_row in zip(pts, q):
+        for li, q_val in enumerate(map(float, q_row)):
+            if not q_val <= 1.0 + allowance:
+                witnesses.append((xi, "bound", li, q_val))
+            per_level_gap[li] = max(per_level_gap[li], 1.0 - q_val)
+            max_q = max(max_q, q_val)
+        final = float(q_row[-1])
+        min_final = min(min_final, final)
+        if gap_tol is not None and not 1.0 - final <= gap_tol:
+            witnesses.append((xi, "gap", len(q_row) - 1, final))
+    return witnesses, per_level_gap, max_q, min_final
+
+
+def column_values(targets):
+    """Transform values whose running sums of squares climb through the sorted targets, exactly
+    where one of three neighbouring floats allows; a NaN or inf sum stays so at later levels."""
+    cols, total = [], 0.0
+    for t in sorted(targets, key=lambda t: (math.isnan(t), t)):
+        v = t
+        if math.isfinite(t) and math.isfinite(total):
+            v = math.sqrt(max(t - total, 0.0))
+            v = next((c for c in (v, math.nextafter(v, 0), math.nextafter(v, 2)) if total + c * c == t), v)
+        cols.append(v)
+        total += v * v
+    return cols
+
+
+SPECIAL_SUMS = ("nan", "inf", "0", "1", "1+allowance", "1-allowance", "1-gap_tol")
+
+
+@st.composite
+def chosen_sums(draw):
+    """(levels, extra points, chunks, gap_tol, targets of each point's level sums), the targets
+    drawn from a pool of one to three special or random values, so whole columns can share one."""
+    n_levels, extra = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    pool = draw(st.lists(st.sampled_from(SPECIAL_SUMS) | st.floats(0.0, 1.2), min_size=1, max_size=3))
+    row = st.lists(st.sampled_from(pool), min_size=n_levels, max_size=n_levels)
+    targets = draw(st.lists(row, min_size=4 + extra, max_size=4 + extra))
+    gap_tol = draw(st.none() | st.sampled_from((0.0, 1e-3)) | st.floats(0.0, 0.5))
+    return n_levels, extra, draw(st.integers(1, 3)), gap_tol, targets
+
+
+def float_bits(x):
+    assert type(x) is float
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chosen_sums())
+@example((2, 0, 2, 1e-3, [["nan", "nan"]] * 4))  # no final sum to take a minimum of: min_final_q stays inf
+@example((1, 1, 1, None, [["1+allowance"]] * 5))  # every gap is negative: max_gap_per_level stays 0.0
+@example((3, 0, 3, 0.0, [["0", "nan", "1"], ["1", "inf", "0"], ["1-allowance"] * 3, ["1+allowance", "1", "nan"]]))
+def test_completeness_report_matches_the_scalar_loop(case):
+    # the scan's sums come from chosen transform values; the report must be the scalar loop's, bit for bit
+    n_levels, extra, chunks, gap_tol, targets = case
+    system = SYSTEMS["line"]
+    nums = np.arange(n_levels)[:, None]
+    levels = [SpectrumLevel(index=k, K=1, nums=nums[: k + 1], containment_checked=False) for k in range(n_levels)]
+    allowance = analyzer.completeness_scan(system, levels, grid=4, extra_points=0).details["numeric_allowance"]
+    named = {"nan": math.nan, "inf": math.inf, "0": 0.0, "1": 1.0, "1+allowance": 1.0 + allowance}
+    named.update({"1-allowance": 1.0 - allowance, "1-gap_tol": 1.0 - (gap_tol or 0.0)})
+    vals = np.array([column_values([named.get(t, t) for t in row]) for row in targets], dtype=complex)
+    chunked, bases = np.array_split(vals, chunks), []
+
+    def chosen_chunks(system, blocks, pts, depth):
+        bases.extend(pts)
+        yield from chunked
+
+    with mock.patch.object(analyzer, "_transform_chunks", chosen_chunks):
+        report = analyzer.completeness_scan(system, levels, grid=4, extra_points=extra, gap_tol=gap_tol)
+    sums = []
+    for chunk in chunked:  # the scan's own reduction of each chunk
+        sq = np.square(np.abs(chunk))
+        sums.append(np.stack([sq[:, :size].sum(axis=1) for size in range(1, n_levels + 1)], axis=1))
+    witnesses, per_level_gap, max_q, min_final = reference_scan_report(bases, np.concatenate(sums), allowance, gap_tol)
+    assert report.passed == (not witnesses)
+    assert [w[:3] + (float_bits(w[3]),) for w in report.witnesses] == [w[:3] + (float_bits(w[3]),) for w in witnesses]
+    details = report.details
+    assert list(map(float_bits, details["max_gap_per_level"])) == list(map(float_bits, per_level_gap))
+    assert float_bits(details["final_gap"]) == float_bits(per_level_gap[-1])
+    assert float_bits(details["max_q"]) == float_bits(max_q)
+    assert float_bits(details["min_final_q"]) == float_bits(min_final)
