@@ -293,9 +293,9 @@ def _below_coset_norm(c4: Fraction, m: int, v: np.ndarray, q: np.ndarray) -> np.
 
 
 def transform_batch_multi(system: MoranSystem, offsets: np.ndarray, bases, depth: int) -> np.ndarray:
-    """Transform values at base_b + offset_p for every pair, shape (B, P), (B, 0) for no offsets; the
-    offsets are one block, read by ``_point_rows``: a non-integral coordinate raises ValueError."""
-    offsets = _point_rows(offsets, system.dimension)
+    """Transform values at base_b + offset_p for every pair, shape (B, P), (B, 0) for no offsets; the bases
+    are any iterable, read once, the offsets one block, read by ``_point_rows`` (ValueError if non-integral)."""
+    offsets, bases = _point_rows(offsets, system.dimension), list(bases)
     chunks = list(_transform_chunks(system, [offsets], bases, depth)) if len(offsets) else []
     return np.concatenate(chunks) if chunks else np.empty((len(bases), len(offsets)), dtype=complex)
 

@@ -172,23 +172,17 @@ class Matrix:
         return all(self.num[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
 
 
-def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> tuple:
-    """(nums, den): all sums ``coefs[0] v_0 + coefs[1] v_1 + ...`` with v_j
-    in ``sets[j]``, as an (N, n) array of integer numerators over one
-    positive ``den``.
+def mixed_radix_terms(coefs: Sequence[Matrix], sets: Sequence) -> tuple:
+    """(terms, den): the summands of ``mixed_radix_sums``, one (len(sets[j]), n) array of
+    the integer numerators of ``coefs[j] v``, v in ``sets[j]``, over one positive ``den``,
+    the lcm of the coefficient denominators (1 for integer matrices).
 
-    ``den`` is the lcm of the coefficient denominators, so it is 1 for
-    integer matrices and the numerators are then the sums themselves. The
-    earliest set varies fastest, so with the zero vector first in every
-    set the sums over the first j sets form a prefix of the result.
-
-    Each set's terms are one exact product of Python ints (object dtype),
-    and every numerator is bounded, exactly and before any sum is built, by
-    the sum over the sets of their largest term coordinate. When that bound
-    and ``den`` are both below 2^53 the array is int64; otherwise it holds
-    Python ints (dtype object). Either way each numerator and ``den`` are
-    exact floats or exact ints, so ``nums / den`` is correctly rounded: the
-    float of ``Fraction(x, den)``.
+    Each set's terms are one exact product of Python ints, and every sum of one
+    term per set is bounded, exactly and before any sum is built, by the sum over
+    the sets of their largest term coordinate. When that bound and ``den`` are
+    both below 2^53 the terms are int64; otherwise they hold Python ints (dtype
+    object). Either way each sum and ``den`` are exact floats or exact ints, so
+    ``sum / den`` is correctly rounded: the float of ``Fraction(sum, den)``.
     """
     if not coefs or len(coefs) != len(sets):
         raise SizeMismatch("need one coefficient matrix per nonempty list of sets")
@@ -200,10 +194,23 @@ def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> tuple:
     ]
     bound = sum(int(abs(t).max(initial=0)) for t in terms)
     dtype = np.int64 if max(bound, den) < 2**53 else object
-    acc = np.zeros((1, n), dtype=dtype)
+    return [t.astype(dtype) for t in terms], den
+
+
+def tower_sums(terms: Sequence) -> np.ndarray:
+    """All sums of one row of each (m_j, n) term array, as one (N, n) array, the first fastest."""
+    acc = np.zeros((1, terms[0].shape[1]), dtype=terms[0].dtype)
     for t in terms:
-        acc = (t.astype(dtype)[:, None, :] + acc[None, :, :]).reshape(-1, n)
-    return acc, den
+        acc = (t[:, None, :] + acc[None, :, :]).reshape(-1, acc.shape[1])
+    return acc
+
+
+def mixed_radix_sums(coefs: Sequence[Matrix], sets: Sequence) -> tuple:
+    """(nums, den): all sums ``coefs[0] v_0 + coefs[1] v_1 + ...``, v_j in ``sets[j]``, the
+    ``tower_sums`` of the ``mixed_radix_terms``; the earliest set varies fastest, so with
+    the zero vector first in every set the sums over the first j sets form a prefix."""
+    terms, den = mixed_radix_terms(coefs, sets)
+    return tower_sums(terms), den
 
 
 def _log2_fraction(x: Fraction) -> float:

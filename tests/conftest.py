@@ -13,7 +13,8 @@ written out for comparison with ``decide``. The admissibility helpers
 read the scan's private routines: the box image widths of the Fraction
 oracle, the exact nearest box point as Fractions, and a float resampling
 cross-check of the whole scan. ``read_ppm`` reads back the binary PPM files
-that the render tests write.
+that the render tests write, and ``table_floats`` gathers the floats that
+the render writers read from a cloud's per-coordinate table.
 
 ``ref_mask``, ``ref_transform`` and ``ref_zero_level`` are the Fourier-side
 oracles: a float mask evaluator, the mask product at the exact iterates, and
@@ -121,6 +122,12 @@ def resample_admissibility(system, samples: int = 10_000, seed: int = 0) -> bool
                     if (dist < beta - 1e-12).any():
                         return False
     return True
+
+
+def table_floats(cloud) -> np.ndarray:
+    """The (N, n) float64 table of the render writers: each coordinate's
+    distinct values gathered by the index of each point."""
+    return np.column_stack([values[index] for _, values, index in cloud.columns])
 
 
 def read_ppm(path):

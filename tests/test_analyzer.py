@@ -485,6 +485,17 @@ def test_transform_of_no_offsets_is_a_b_by_0_array(n_bases):
     assert vals.shape == (n_bases, 0) and vals.dtype == complex
 
 
+def test_transform_reads_a_generator_of_bases_once():
+    system, offsets = sierpinski_3i(), np.array([(0, 0), (3, 6)])
+    vals = transform_batch_multi(system, offsets, (b for b in []), 4)
+    assert vals.shape == (0, 2) and vals.dtype == complex
+    bases = [(0.1, 0.7), (0.375, -1.25)]
+    vals = transform_batch_multi(system, np.zeros((0, 2), dtype=np.int64), (b for b in bases), 4)
+    assert vals.shape == (2, 0) and vals.dtype == complex
+    vals = transform_batch_multi(system, offsets, (b for b in bases), 4)
+    assert np.array_equal(vals, transform_batch_multi(system, offsets, bases, 4))
+
+
 def test_non_integral_offsets_are_refused_not_truncated():
     # int(0.5) is 0: read as the origin, the transform was 1, while the depth-4 value at (0.5, 0) is 0.76+0.42i
     system = sierpinski_3i()

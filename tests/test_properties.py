@@ -12,6 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import table_floats  # noqa: E402
 from moranspec.errors import SingularMatrix  # noqa: E402
 from moranspec.exact import Matrix, mixed_radix_sums  # noqa: E402
 from moranspec.render import support_points  # noqa: E402
@@ -159,7 +160,7 @@ def test_point_cloud_floats_and_box_match_fractions(levels, depth):
             total = [t + x for t, x in zip(total, coef.mul_vec(d))]
         want.append(tuple(total))
     assert exact == want
-    assert cloud.floats.tolist() == [[float(x) for x in p] for p in exact]
+    assert table_floats(cloud).tolist() == [[float(x) for x in p] for p in exact]
     lo, hi = cloud.bounding_box()
     assert lo == tuple(min(col) for col in zip(*exact))
     assert hi == tuple(max(col) for col in zip(*exact))

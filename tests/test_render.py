@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SIERPINSKI, STAIRCASE, read_ppm
+from conftest import SIERPINSKI, STAIRCASE, read_ppm, table_floats
 from moranspec.errors import CapExceeded, IoFailure
 from moranspec.render import render, support_points
 from moranspec.system import build_system
@@ -72,7 +72,7 @@ def test_csv_round_trip(tmp_path):
     out = render(cloud, "csv", tmp_path / "pts.csv")
     parsed = [tuple(float(v) for v in line.split(",")) for line in out.read_text().splitlines()]
     assert len(parsed) == cloud.size
-    for line, point in zip(parsed, cloud.floats):
+    for line, point in zip(parsed, table_floats(cloud)):
         for a, b in zip(line, point):
             assert abs(a - b) < 1e-12
 

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from moranspec.exact import Matrix, mixed_radix_sums  # noqa: E402
-from moranspec.render import render, support_points  # noqa: E402
+from moranspec.exact import Matrix, mixed_radix_sums, mixed_radix_terms  # noqa: E402
+from moranspec.render import PointCloud, render, support_points  # noqa: E402
 from moranspec.specfile import load_system  # noqa: E402
 from moranspec.system import build_system  # noqa: E402
+from conftest import table_floats  # noqa: E402
 from test_properties import triangular_levels  # noqa: E402
 
 # the package's ``render`` attribute is the function, not the module
@@ -130,9 +131,43 @@ def test_array_writers_match_reference_writers(tmp_path_factory, levels, depth, 
     system = build_system(len(levels[0][1][0]), 3, levels[:-1], levels[-1:])
     cloud = support_points(system, depth)
     pts = ref_floats(system, depth)
-    assert cloud.floats.tolist() == [list(p) for p in pts]
+    assert table_floats(cloud).tolist() == [list(p) for p in pts]
     with mock.patch.object(render_module, "_CHUNK_ROWS", rows):
         assert_files_match(cloud, pts, tmp_path_factory.mktemp("files"), side)
+
+
+@st.composite
+def towers(draw):
+    """(terms, den) of ``mixed_radix_terms``: 1..4 levels of 1..3 vectors in n = 1..3,
+    over diagonal coefficients 1/q, their entries within 4 (int64 terms) or within
+    2^60, where the sums pass 2^53 and the terms are Python ints."""
+    n, reach = draw(st.integers(1, 3)), draw(st.sampled_from([4, 2**60]))
+    vectors = st.lists(st.tuples(*[st.integers(-reach, reach)] * n), min_size=1, max_size=3)
+    sets = draw(st.lists(vectors, min_size=1, max_size=4))
+    scales = [draw(st.integers(1, 9)) for _ in sets]
+    coefs = [Matrix.from_rows([[Fraction(int(i == j), q) for j in range(n)] for i in range(n)]) for q in scales]
+    return mixed_radix_terms(coefs, sets)
+
+
+@given(towers())
+# one level of Python ints, a row repeated
+@example(mixed_radix_terms([Matrix.identity(1)], [[(2**60,), (-3,), (2**60,)]]))
+def test_coordinate_tables_are_np_unique_of_each_column(tower):
+    """Each coordinate's table, folded level by level, is the sorted distinct
+    numerators and the inverse of ``np.unique`` on that column of ``nums``; the
+    bounding box is its first and last key, the exact min and max of ``points``."""
+    terms, den = tower
+    cloud = PointCloud(depth=len(terms), terms=tuple(terms), den=den)
+    nums = cloud.nums
+    assert len(cloud.columns) == nums.shape[1]
+    for j, (keys, _, index) in enumerate(cloud.columns):
+        want_keys, want_index = np.unique(nums[:, j], return_inverse=True)
+        assert keys.dtype == nums.dtype and index.dtype == np.int32
+        assert np.array_equal(keys, want_keys) and np.array_equal(index, want_index.ravel())
+    lo, hi = cloud.bounding_box()
+    columns = list(zip(*cloud.points))
+    assert lo == tuple(Fraction(min(col), den) for col in columns)
+    assert hi == tuple(Fraction(max(col), den) for col in columns)
 
 
 def test_dtype_switches_to_python_ints_at_two_to_the_53():
@@ -162,8 +197,8 @@ def test_clouds_past_two_to_the_53_stay_exact(tmp_path, n, rows, digits):
     system = build_system(n, 3, [], [(rows, digits)], r="1/3")
     cloud = support_points(system, 3)
     assert cloud.den >= 2**53 and cloud.nums.dtype == object
-    assert cloud.floats.dtype == np.float64
-    assert cloud.floats.tolist() == [[float(Fraction(x, cloud.den)) for x in p] for p in cloud.points]
+    assert table_floats(cloud).dtype == np.float64
+    assert table_floats(cloud).tolist() == [[float(Fraction(x, cloud.den)) for x in p] for p in cloud.points]
     pts = ref_floats(system, 3)
     assert_files_match(cloud, pts, tmp_path, 37)
 
